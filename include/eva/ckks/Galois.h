@@ -36,6 +36,13 @@ void applyGaloisComp(std::span<const uint64_t> In, std::span<uint64_t> Out,
                      uint64_t GaloisElt, uint64_t PolyDegree,
                      const Modulus &Q);
 
+/// Applies X -> X^g to limb \p PrimeIdx of an NTT-form polynomial: \p In
+/// round-trips through coefficient form (inverse NTT, permute, forward NTT)
+/// into \p Out. Both spans hold polyDegree() words.
+void applyGaloisNttLimb(const CkksContext &Ctx, std::span<const uint64_t> In,
+                        size_t PrimeIdx, uint64_t GaloisElt,
+                        std::span<uint64_t> Out);
+
 /// Applies X -> X^g to an NTT-form RNS polynomial over the first
 /// poly.primeCount() primes of \p Ctx, with optional \p UseSpecial for key
 /// material that spans the special prime. Round-trips through coefficient

@@ -19,11 +19,16 @@
 #include "eva/support/Random.h"
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <vector>
 
 namespace eva {
+
+class ThreadPool;
 
 /// Deterministically expands \p Seed into a uniform polynomial in NTT form
 /// over the first \p PrimeCount context primes. Uniformity in NTT form
@@ -50,12 +55,20 @@ public:
 
   const SecretKey &secretKey() const { return Secret; }
   PublicKey createPublicKey();
-  RelinKeys createRelinKeys();
+  /// Key-switching keys are generated in two phases. The draw phase runs
+  /// serially on the caller and consumes the random streams in a fixed
+  /// order; the build phase (Galois map, c1 expansion, error NTT, c0) is a
+  /// pure function of those draws and runs on \p Pool. Every key bit is
+  /// therefore independent of the pool size. A null \p Pool uses a
+  /// transient pool at hardware concurrency.
+  RelinKeys createRelinKeys(ThreadPool *Pool = nullptr);
   /// One Galois key per distinct left-rotation step in \p Steps. Steps are
   /// normalized modulo the slot count N/2 first (slot rotation is cyclic),
   /// so step 0 and any multiple of the slot count are identities that need
-  /// no key; an empty set yields an empty key map.
-  GaloisKeys createGaloisKeys(const std::set<uint64_t> &Steps);
+  /// no key; an empty set yields an empty key map. The caller draws key
+  /// k+1 while the pool builds key k.
+  GaloisKeys createGaloisKeys(const std::set<uint64_t> &Steps,
+                              ThreadPool *Pool = nullptr);
 
   /// Samples a fresh ternary polynomial in NTT form over \p PrimeCount
   /// context primes (exposed for the encryptor's ephemeral u).
@@ -77,9 +90,22 @@ private:
   /// through the pointer) so serialization can ship the seed instead.
   std::array<RnsPoly, 2> encryptZeroSymmetric(size_t PrimeCount,
                                               uint64_t *C1SeedOut = nullptr);
-  /// Builds a key-switching key for target polynomial \p W (NTT form over
-  /// all primes): component i encrypts P * W * (CRT basis_i).
-  KSwitchKey createKSwitchKey(const RnsPoly &W);
+  /// Everything one key-switching key takes from the random streams.
+  struct KSwitchDraws {
+    std::vector<uint64_t> Seeds; ///< c1 expansion seed per digit
+    /// N rounded-Gaussian error coefficients per digit, digit-major.
+    std::vector<int8_t> Errors;
+  };
+  /// Draw phase: per digit, the c1 seed from deriveSeed() and N errors from
+  /// Rng, in that order. Must run serially to keep seeded streams aligned.
+  KSwitchDraws drawKSwitchKey();
+  /// Build phase for digit \p I of a key for target w, given \p WI, limb I
+  /// of w in NTT form: writes (k0_i, k1_i), which encrypts
+  /// P * w * (CRT basis_i), into Key.Keys[I] in place. Reads only Ctx,
+  /// Secret, \p WI and \p D, so digits of any keys may be built
+  /// concurrently.
+  void buildKSwitchDigit(std::span<const uint64_t> WI, const KSwitchDraws &D,
+                         size_t I, KSwitchKey &Key) const;
 
   std::shared_ptr<const CkksContext> Ctx;
   RandomSource Rng;

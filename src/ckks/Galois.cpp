@@ -41,6 +41,19 @@ void eva::applyGaloisComp(std::span<const uint64_t> In,
   }
 }
 
+void eva::applyGaloisNttLimb(const CkksContext &Ctx,
+                             std::span<const uint64_t> In, size_t PrimeIdx,
+                             uint64_t GaloisElt, std::span<uint64_t> Out) {
+  const NttTables &Tables = Ctx.ntt(PrimeIdx);
+  // Arena scratch: limb bodies run on whichever pool thread claims them,
+  // and a fresh 8N-byte heap allocation per limb is measurable.
+  LimbScratch Tmp = acquireLimbScratch(In.size());
+  std::copy(In.begin(), In.end(), Tmp.data());
+  Tables.inverse(Tmp.span());
+  applyGaloisComp(Tmp.span(), Out, GaloisElt, In.size(), Ctx.prime(PrimeIdx));
+  Tables.forward(Out);
+}
+
 RnsPoly eva::applyGaloisNttPoly(const CkksContext &Ctx, const RnsPoly &Poly,
                                 uint64_t GaloisElt, bool SpansSpecialPrime,
                                 ThreadPool *Pool) {
@@ -52,19 +65,9 @@ RnsPoly eva::applyGaloisNttPoly(const CkksContext &Ctx, const RnsPoly &Poly,
     assert(Count <= Ctx.dataPrimeCount() && "too many components");
   }
   RnsPoly Out(Poly.Degree, Count);
-  // Each limb round-trips through coefficient form independently (inverse
-  // NTT, permute, forward NTT) with its own scratch buffer.
+  // Each limb round-trips through coefficient form independently.
   auto OneLimb = [&](size_t I) {
-    size_t PrimeIdx = I;
-    const NttTables &Tables = Ctx.ntt(PrimeIdx);
-    // Arena scratch: limb bodies run on whichever pool thread claims them,
-    // and a fresh 8N-byte heap allocation per limb is measurable.
-    LimbScratch Tmp = acquireLimbScratch(Poly.Degree);
-    std::copy_n(Poly.Comps[I].data(), Poly.Degree, Tmp.data());
-    Tables.inverse(Tmp.span());
-    applyGaloisComp(Tmp.span(), Out.Comps[I], GaloisElt, Poly.Degree,
-                    Ctx.prime(PrimeIdx));
-    Tables.forward(Out.Comps[I]);
+    applyGaloisNttLimb(Ctx, Poly.Comps[I], I, GaloisElt, Out.Comps[I]);
   };
   if (Pool) {
     Pool->parallelFor(Count, OneLimb);

@@ -7,6 +7,8 @@
 #include "eva/ckks/KeyGenerator.h"
 
 #include "eva/ckks/Galois.h"
+#include "eva/support/Arena.h"
+#include "eva/support/ThreadPool.h"
 
 using namespace eva;
 
@@ -164,42 +166,82 @@ PublicKey KeyGenerator::createPublicKey() {
   return Pk;
 }
 
-KSwitchKey KeyGenerator::createKSwitchKey(const RnsPoly &W) {
-  assert(W.primeCount() == Ctx->totalPrimeCount() &&
-         "key target must span all primes");
+// gaussian() clamps to +-round(6 sigma), so an int8_t holds every draw.
+static_assert(6.0 * ErrorStandardDeviation < 127.0,
+              "key-switch error draws must fit in int8_t");
+
+KeyGenerator::KSwitchDraws KeyGenerator::drawKSwitchKey() {
   size_t DecompCount = Ctx->dataPrimeCount();
-  uint64_t SpecialPrime = Ctx->prime(Ctx->specialPrimeIndex()).value();
-  KSwitchKey Key;
-  Key.Keys.resize(DecompCount);
-  Key.C1Seeds.resize(DecompCount, 0);
+  uint64_t N = Ctx->polyDegree();
+  KSwitchDraws D;
+  D.Seeds.resize(DecompCount);
+  D.Errors.resize(DecompCount * N);
+  // Per digit: the c1 seed, then N error coefficients — the order
+  // encryptZeroSymmetric consumes them in.
   for (size_t I = 0; I < DecompCount; ++I) {
-    std::array<RnsPoly, 2> Z =
-        encryptZeroSymmetric(Ctx->totalPrimeCount(), &Key.C1Seeds[I]);
-    // Add P * W on the i-th CRT component only (the CRT basis trick).
-    const Modulus &Qi = Ctx->prime(I);
-    uint64_t Factor = Qi.reduce(SpecialPrime);
-    ShoupMul FactorMul(Factor, Qi);
-    std::vector<uint64_t> &Dst = Z[0].Comps[I];
-    const std::vector<uint64_t> &Src = W.Comps[I];
-    for (uint64_t N = 0; N < Ctx->polyDegree(); ++N)
-      Dst[N] = addMod(Dst[N], mulModShoup(Src[N], FactorMul, Qi), Qi);
-    Key.Keys[I] = std::move(Z);
+    D.Seeds[I] = deriveSeed();
+    for (uint64_t J = 0; J < N; ++J)
+      D.Errors[I * N + J] = static_cast<int8_t>(Rng.gaussian());
   }
-  return Key;
+  return D;
 }
 
-RelinKeys KeyGenerator::createRelinKeys() {
-  // Target w = s^2 over all primes.
-  RnsPoly S2(Ctx->polyDegree(), Ctx->totalPrimeCount());
-  for (size_t C = 0; C < Ctx->totalPrimeCount(); ++C)
-    mulPolyComp(Secret.S.Comps[C], Secret.S.Comps[C], S2.Comps[C],
-                Ctx->prime(C));
+void KeyGenerator::buildKSwitchDigit(std::span<const uint64_t> WI,
+                                     const KSwitchDraws &D, size_t I,
+                                     KSwitchKey &Key) const {
+  uint64_t N = Ctx->polyDegree();
+  assert(WI.size() == N && "target limb must hold N words");
+  size_t PrimeCount = Ctx->totalPrimeCount();
+  std::array<RnsPoly, 2> &Z = Key.Keys[I];
+  Z[1] = expandUniformNtt(*Ctx, PrimeCount, D.Seeds[I]);
+  Z[0] = RnsPoly(N, PrimeCount);
+  const int8_t *E = D.Errors.data() + I * N;
+  for (size_t C = 0; C < PrimeCount; ++C) {
+    const Modulus &Q = Ctx->prime(C);
+    std::vector<uint64_t> &C0 = Z[0].Comps[C];
+    for (uint64_t J = 0; J < N; ++J)
+      C0[J] = E[J] < 0 ? Q.value() - static_cast<uint64_t>(-E[J])
+                       : static_cast<uint64_t>(E[J]);
+    Ctx->ntt(C).forward(C0);
+    // c0 = e - c1 * s, so that c0 + c1 * s = e.
+    const std::vector<uint64_t> &C1 = Z[1].Comps[C];
+    const std::vector<uint64_t> &S = Secret.S.Comps[C];
+    for (uint64_t J = 0; J < N; ++J)
+      C0[J] = subMod(C0[J], mulMod(C1[J], S[J], Q), Q);
+  }
+  // Add P * W on the i-th CRT component only (the CRT basis trick).
+  const Modulus &Qi = Ctx->prime(I);
+  uint64_t SpecialPrime = Ctx->prime(Ctx->specialPrimeIndex()).value();
+  ShoupMul FactorMul(Qi.reduce(SpecialPrime), Qi);
+  std::vector<uint64_t> &Dst = Z[0].Comps[I];
+  for (uint64_t J = 0; J < N; ++J)
+    Dst[J] = addMod(Dst[J], mulModShoup(WI[J], FactorMul, Qi), Qi);
+}
+
+RelinKeys KeyGenerator::createRelinKeys(ThreadPool *Pool) {
+  std::optional<ThreadPool> Transient;
+  if (!Pool)
+    Pool = &Transient.emplace(0);
+  KSwitchDraws D = drawKSwitchKey();
   RelinKeys Rk;
-  Rk.Key = createKSwitchKey(S2);
+  Rk.Key.Keys.resize(D.Seeds.size());
+  Rk.Key.C1Seeds = D.Seeds;
+  // One key, so the digits are the parallel unit. Digit i needs only limb
+  // i of the target w = s^2.
+  Pool->parallelFor(D.Seeds.size(), [&](size_t I) {
+    LimbScratch S2 = acquireLimbScratch(Ctx->polyDegree());
+    mulPolyComp(Secret.S.Comps[I], Secret.S.Comps[I], S2.span(),
+                Ctx->prime(I));
+    buildKSwitchDigit(S2.span(), D, I, Rk.Key);
+  });
   return Rk;
 }
 
-GaloisKeys KeyGenerator::createGaloisKeys(const std::set<uint64_t> &Steps) {
+GaloisKeys KeyGenerator::createGaloisKeys(const std::set<uint64_t> &Steps,
+                                          ThreadPool *Pool) {
+  std::optional<ThreadPool> Transient;
+  if (!Pool)
+    Pool = &Transient.emplace(0);
   GaloisKeys Gk;
   uint64_t Slots = Ctx->slotCount();
   for (uint64_t Step : Steps) {
@@ -211,11 +253,24 @@ GaloisKeys KeyGenerator::createGaloisKeys(const std::set<uint64_t> &Steps) {
     if (Step == 0)
       continue;
     uint64_t G = galoisEltFromStep(Step, Ctx->polyDegree());
-    if (Gk.has(G))
+    auto [It, Inserted] = Gk.Keys.try_emplace(G);
+    if (!Inserted)
       continue;
-    RnsPoly SG = applyGaloisNttPoly(*Ctx, Secret.S, G,
-                                    /*SpansSpecialPrime=*/true);
-    Gk.Keys.emplace(G, createKSwitchKey(SG));
+    // Draw this key on the calling thread while workers build earlier
+    // ones. Workers touch only their own map node's value, never the tree.
+    KSwitchKey &Key = It->second;
+    KSwitchDraws D = drawKSwitchKey();
+    Key.Keys.resize(D.Seeds.size());
+    Key.C1Seeds = D.Seeds;
+    Pool->submit([this, G, &Key, D = std::move(D)] {
+      // Digit i needs only limb i of the target s(X^G).
+      LimbScratch SG = acquireLimbScratch(Ctx->polyDegree());
+      for (size_t I = 0; I < D.Seeds.size(); ++I) {
+        applyGaloisNttLimb(*Ctx, Secret.S.Comps[I], I, G, SG.span());
+        buildKSwitchDigit(SG.span(), D, I, Key);
+      }
+    });
   }
+  Pool->waitIdle();
   return Gk;
 }

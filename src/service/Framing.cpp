@@ -6,32 +6,54 @@
 
 #include "eva/service/Framing.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 using namespace eva;
 
 namespace {
 
-/// Writes all of \p Data, looping over partial writes and EINTR.
+/// Writes all \p Count buffers of \p Iov with one sendmsg per attempt,
+/// looping over partial writes and EINTR. One call per frame matters: a
+/// separate small header send waits out Nagle plus the peer's delayed ACK
+/// (about 40 ms) before the payload may follow.
 /// MSG_NOSIGNAL: a peer that disconnected mid-exchange must surface as an
 /// EPIPE error on this connection, not a process-killing SIGPIPE — one
 /// vanishing tenant cannot be allowed to take down the daemon.
-Status writeAll(int Fd, const char *Data, size_t Size) {
-  while (Size > 0) {
-    ssize_t N = ::send(Fd, Data, Size, MSG_NOSIGNAL);
+Status writeAll(int Fd, iovec *Iov, size_t Count) {
+  for (;;) {
+    while (Count > 0 && Iov->iov_len == 0) {
+      ++Iov;
+      --Count;
+    }
+    if (Count == 0)
+      return Status::success();
+    msghdr Msg{};
+    Msg.msg_iov = Iov;
+    Msg.msg_iovlen = Count;
+    ssize_t N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
     if (N < 0) {
       if (errno == EINTR)
         continue;
       return Status::error(std::string("write failed: ") +
                            std::strerror(errno));
     }
-    Data += N;
-    Size -= static_cast<size_t>(N);
+    // Consume the bytes sent; the write may stop inside any buffer.
+    for (size_t Sent = static_cast<size_t>(N); Sent > 0;) {
+      size_t Step = std::min(Sent, Iov->iov_len);
+      Iov->iov_base = static_cast<char *>(Iov->iov_base) + Step;
+      Iov->iov_len -= Step;
+      Sent -= Step;
+      if (Iov->iov_len == 0) {
+        ++Iov;
+        --Count;
+      }
+    }
   }
-  return Status::success();
 }
 
 /// Reads exactly \p Size bytes. \p SawAnyByte distinguishes a clean EOF at
@@ -67,9 +89,11 @@ Status eva::writeFrame(int Fd, MessageType Type, std::string_view Payload) {
   uint32_t Len = static_cast<uint32_t>(Payload.size());
   for (int I = 0; I < 4; ++I)
     Header[6 + I] = static_cast<char>((Len >> (8 * I)) & 0xFF);
-  if (Status S = writeAll(Fd, Header, sizeof(Header)); !S.ok())
-    return S;
-  return writeAll(Fd, Payload.data(), Payload.size());
+  // The payload is sent from the caller's buffer, not copied; sendmsg only
+  // reads through the non-const iov_base.
+  iovec Iov[2] = {{Header, sizeof(Header)},
+                  {const_cast<char *>(Payload.data()), Payload.size()}};
+  return writeAll(Fd, Iov, 2);
 }
 
 Expected<Frame> eva::readFrame(int Fd) {

@@ -167,9 +167,17 @@ std::shared_ptr<Session> SessionManager::find(uint64_t Id) const {
 }
 
 bool SessionManager::close(uint64_t Id) {
+  // Declared before the lock so it is destroyed after the lock is dropped:
+  // tearing a session down joins its executor pool and frees its keys
+  // (gigabytes for a LeNet session), which must not block find/open for
+  // every other tenant.
+  std::shared_ptr<Session> Released;
   LockGuard Lock(M);
-  if (Sessions.erase(Id) == 0)
+  auto SessionIt = Sessions.find(Id);
+  if (SessionIt == Sessions.end())
     return false;
+  Released = std::move(SessionIt->second);
+  Sessions.erase(SessionIt);
   size_t PinnedBytes = 0;
   if (auto It = KeyBytes.find(Id); It != KeyBytes.end()) {
     PinnedBytes = It->second;

@@ -12,11 +12,14 @@
 #include "eva/ckks/Galois.h"
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/math/Primes.h"
+#include "eva/service/Audit.h"
 #include "eva/support/Random.h"
+#include "eva/support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 using namespace eva;
 
@@ -390,6 +393,74 @@ TEST(Galois, ApplyGaloisCompPermutesWithSign) {
   EXPECT_EQ(Out[7], 97u - 6u);
   EXPECT_EQ(Out[2], 7u);
   EXPECT_EQ(Out[5], 8u);
+}
+
+/// FNV-1a over the little-endian bytes of \p V.
+uint64_t hashWord(uint64_t V, uint64_t State) {
+  char Bytes[8];
+  for (int I = 0; I < 8; ++I)
+    Bytes[I] = static_cast<char>((V >> (8 * I)) & 0xFF);
+  return fnv1a64(std::string_view(Bytes, 8), State);
+}
+
+/// FNV-1a over every residue and every expansion seed of a key-switching
+/// key, in digit order.
+uint64_t hashKSwitchKey(const KSwitchKey &Key, uint64_t State) {
+  for (const std::array<RnsPoly, 2> &Digit : Key.Keys)
+    for (const RnsPoly &P : Digit)
+      for (const std::vector<uint64_t> &Comp : P.Comps)
+        for (uint64_t V : Comp)
+          State = hashWord(V, State);
+  for (uint64_t Seed : Key.C1Seeds)
+    State = hashWord(Seed, State);
+  return State;
+}
+
+struct KeyGenOutcome {
+  uint64_t Hash = 0;
+  uint64_t NextUniform = 0; ///< rng().uniform64() after key generation
+  uint64_t NextSeed = 0;    ///< deriveSeed() after key generation
+};
+
+/// Relinearization key plus 24 Galois keys at N = 16384 in reproducible
+/// mode, on a pool of \p PoolSize threads (0 = the default transient pool).
+KeyGenOutcome generateKeys(size_t PoolSize) {
+  auto Ctx = makeContext(16384, {50, 40, 40, 50});
+  KeyGenerator Gen(Ctx, 4242, /*ReproducibleExpansionSeeds=*/true);
+  std::set<uint64_t> Steps;
+  for (uint64_t S = 1; S <= 20; ++S)
+    Steps.insert(S);
+  Steps.insert({64, 100, 1000, 4095});
+  std::optional<ThreadPool> Pool;
+  if (PoolSize != 0)
+    Pool.emplace(PoolSize);
+  ThreadPool *P = Pool ? &*Pool : nullptr;
+  RelinKeys Rk = Gen.createRelinKeys(P);
+  GaloisKeys Gk = Gen.createGaloisKeys(Steps, P);
+  EXPECT_EQ(Gk.Keys.size(), 24u);
+  KeyGenOutcome Out;
+  Out.Hash = hashKSwitchKey(Rk.Key, fnv1a64({}));
+  for (const auto &[G, Key] : Gk.Keys)
+    Out.Hash = hashKSwitchKey(Key, hashWord(G, Out.Hash));
+  Out.NextUniform = Gen.rng().uniform64();
+  Out.NextSeed = Gen.deriveSeed();
+  return Out;
+}
+
+TEST(KeyGen, ParallelKeysBitIdenticalAtEveryPoolSize) {
+  // Pinned on the serial key generator that predates the pool: any change
+  // to the draw order or to the build arithmetic moves this hash.
+  constexpr uint64_t GoldenHash = 0x2dc71969fb5b71aeull;
+  KeyGenOutcome Serial = generateKeys(1);
+  EXPECT_EQ(Serial.Hash, GoldenHash);
+  for (size_t PoolSize : {2, 4, 0}) {
+    KeyGenOutcome Parallel = generateKeys(PoolSize);
+    EXPECT_EQ(Parallel.Hash, GoldenHash) << "pool size " << PoolSize;
+    // The secret-sampling and seed streams end where the serial run's do.
+    EXPECT_EQ(Parallel.NextUniform, Serial.NextUniform)
+        << "pool size " << PoolSize;
+    EXPECT_EQ(Parallel.NextSeed, Serial.NextSeed) << "pool size " << PoolSize;
+  }
 }
 
 TEST_F(CkksFixture, NoiseStaysBoundedThroughDeepChain) {

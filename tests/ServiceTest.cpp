@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -651,6 +652,34 @@ TEST(Service, TwoConcurrentTenantsOverLoopback) {
   EXPECT_EQ(Stats.Completed, 2u);
   EXPECT_EQ(Stats.Failed, 0u);
   EXPECT_EQ(Svc.activeSessionCount(), 0u) << "sessions should be closed";
+  Server.stop();
+}
+
+// A frame is one sendmsg, header and payload together. Sent as two writes,
+// a small frame's payload waited for the ACK of its header (Nagle), which
+// the peer delays by ~40 ms: a loopback closeSession took 40-90 ms.
+TEST(Service, LoopbackCloseSessionIsFast) {
+  Service Svc;
+  ASSERT_TRUE(Svc.registry().registerSource(*buildServedProgram()).ok());
+  ServiceServer Server(Svc);
+  ASSERT_TRUE(Server.start(0).ok());
+  Expected<std::unique_ptr<SocketTransport>> T =
+      SocketTransport::connectLoopback(Server.port());
+  ASSERT_TRUE(T.ok()) << (T.ok() ? "" : T.message());
+  ServiceClient Client(**T);
+  Expected<std::vector<ParamSignature>> Sigs = Client.listPrograms();
+  ASSERT_TRUE(Sigs.ok()) << (Sigs.ok() ? "" : Sigs.message());
+  std::vector<double> Millis;
+  for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
+    ASSERT_TRUE(Client.openSession((*Sigs)[0], Seed).ok());
+    auto Start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(Client.closeSession().ok());
+    Millis.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - Start)
+                         .count());
+  }
+  std::sort(Millis.begin(), Millis.end());
+  EXPECT_LT(Millis[2], 20.0) << "median loopback closeSession round trip";
   Server.stop();
 }
 
