@@ -164,9 +164,8 @@ struct BenchResult {
   /// Rotation-cost results carry the run's key-switch decomposition count
   /// (ExecutionStats::KeySwitchDecompositions); 0 omits the field.
   double Decompositions = 0;
-  /// EVA_PROFILE per-iteration counter deltas (NTT invocations, modular
-  /// multiplies, arena heap bytes); 0 — including every non-profile build —
-  /// omits the fields.
+  /// Cost-ledger counts of one iteration (ExecutionStats::Ntts, MulMods,
+  /// ArenaHeapBytes); 0 omits the field.
   double Ntts = 0;
   double MulMods = 0;
   double ArenaHeapBytes = 0;

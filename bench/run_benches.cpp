@@ -28,7 +28,7 @@
 #include "eva/math/NTT.h"
 #include "eva/math/Primes.h"
 #include "eva/math/Simd.h"
-#include "eva/support/Profile.h"
+#include "eva/support/CostLedger.h"
 #include "eva/support/Random.h"
 
 #ifndef EVA_GIT_SHA
@@ -40,18 +40,17 @@ using namespace evabench;
 
 namespace {
 
-/// Attaches the EVA_PROFILE counter deltas of ONE extra invocation of
-/// \p Fn to \p R — per-iteration NTT/mulmod/arena-byte counts alongside the
-/// timing. No-op (fields stay 0 and are omitted) in non-profile builds.
-template <typename FnT> void annotateProfile(BenchResult &R, FnT &&Fn) {
-  if (!profileEnabled())
-    return;
-  ProfileCounters Before = profileSnapshot();
-  Fn();
-  ProfileCounters D = profileDelta(Before, profileSnapshot());
-  R.Ntts = static_cast<double>(D.Ntts);
-  R.MulMods = static_cast<double>(D.MulMods);
-  R.ArenaHeapBytes = static_cast<double>(D.ArenaHeapBytes);
+/// Charges ONE extra invocation of \p Fn to a fresh cost ledger and attaches
+/// its NTT/mulmod/arena-byte counts to \p R alongside the timing.
+template <typename FnT> void annotateLedger(BenchResult &R, FnT &&Fn) {
+  ExecutionStats Ledger;
+  {
+    LedgerScope Scope(&Ledger);
+    Fn();
+  }
+  R.Ntts = static_cast<double>(Ledger.Ntts);
+  R.MulMods = static_cast<double>(Ledger.MulMods);
+  R.ArenaHeapBytes = static_cast<double>(Ledger.ArenaHeapBytes);
 }
 
 void report(const BenchResult &R) {
@@ -79,7 +78,7 @@ JsonReport microBaseline() {
       V = Rng.uniformBelow(Prime);
     auto Body = [&] { T.forward(X); };
     BenchResult R = measure("ntt_forward_n8192", Body);
-    annotateProfile(R, Body);
+    annotateLedger(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -109,7 +108,7 @@ JsonReport microBaseline() {
     Plaintext Tmp;
     auto Body = [&] { Enc.encode(V, std::ldexp(1.0, 40), 4, Tmp); };
     BenchResult R = measure("encode_n8192", Body);
-    annotateProfile(R, Body);
+    annotateLedger(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -119,7 +118,7 @@ JsonReport microBaseline() {
       (void)C;
     };
     BenchResult R = measure("encrypt_n8192", Body);
-    annotateProfile(R, Body);
+    annotateLedger(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -129,7 +128,7 @@ JsonReport microBaseline() {
       (void)C;
     };
     BenchResult R = measure("multiply_n8192", Body);
-    annotateProfile(R, Body);
+    annotateLedger(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -139,7 +138,7 @@ JsonReport microBaseline() {
       (void)C;
     };
     BenchResult R = measure("multiply_relinearize_n8192", Body);
-    annotateProfile(R, Body);
+    annotateLedger(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -149,7 +148,7 @@ JsonReport microBaseline() {
       (void)C;
     };
     BenchResult R = measure("rotate_n8192", Body);
-    annotateProfile(R, Body);
+    annotateLedger(R, Body);
     report(R);
     Report.add(std::move(R));
   }
@@ -217,9 +216,8 @@ JsonReport scalingBaseline() {
 int main(int Argc, char **Argv) {
   std::string OutDir = Argc > 1 ? Argv[1] : ".";
 
-  std::printf("micro baseline (N=8192, simd=%s%s):\n",
-              simdLevelName(activeSimdLevel()),
-              profileEnabled() ? ", profiled" : "");
+  std::printf("micro baseline (N=8192, simd=%s):\n",
+              simdLevelName(activeSimdLevel()));
   JsonReport Micro = microBaseline();
   std::printf("\nfig7 scaling baseline (LeNet-5-small, EVA executor):\n");
   JsonReport Scaling = scalingBaseline();

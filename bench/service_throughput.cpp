@@ -15,8 +15,10 @@
 // Two telemetry-backed sections ride along:
 //  * span attribution — the server's own decode/queue/execute/encode span
 //    histograms (scraped over the GET_METRICS wire path, same as `evacall
-//    stats`) broken out as mean and p95 rows, so queue wait and compute
-//    are separable in the perf trajectory;
+//    stats`) broken out as mean rows, so queue wait and compute are
+//    separable in the perf trajectory. Means are exact (sum / count);
+//    histogram quantiles are interpolations between buckets about 2.5x
+//    apart, so no quantile row is emitted;
 //  * telemetry overhead A/B — the 1-session point re-run against a
 //    ServiceConfig::Telemetry=false server; min-latency overhead above 2%
 //    is a fatal error (the metrics hot path must stay in the noise).
@@ -138,23 +140,23 @@ SweepResult runSweepPoint(Service &Svc, size_t Sessions,
   return R;
 }
 
-/// One span histogram -> one report row. MeanSeconds carries the chosen
-/// statistic; MinSeconds is the lower edge of the first populated bucket
-/// (clamped below the statistic so the reporter's min<=mean invariant holds
-/// for coarse single-bucket distributions).
+/// One span histogram -> one report row carrying its mean. MinSeconds is the
+/// lower edge of the first populated bucket (clamped below the mean so the
+/// reporter's min<=mean invariant holds for coarse single-bucket
+/// distributions).
 void addSpanRow(JsonReport &Report, const HistogramSnapshot &H,
-                const std::string &Op, double Statistic) {
+                const std::string &Op) {
   BenchResult R;
   R.Op = Op;
   R.Iterations = H.Count;
   R.SamplesInMean = H.Count;
-  R.MeanSeconds = Statistic;
-  R.MinSeconds = std::min(Statistic, H.quantile(0.0));
+  R.MeanSeconds = H.mean();
+  R.MinSeconds = std::min(H.mean(), H.quantile(0.0));
   Report.add(R);
 }
 
 /// Scrapes the server's span histograms over the same wire path `evacall
-/// stats` uses and emits queue-wait vs compute means plus per-span p95s.
+/// stats` uses and emits the queue-wait vs compute means.
 void reportSpans(Service &Svc, JsonReport &Report) {
   InProcessTransport T(Svc);
   ServiceClient Client(T);
@@ -178,11 +180,9 @@ void reportSpans(Service &Svc, JsonReport &Report) {
     if (!H || H->Count == 0)
       eva::fatalError(std::string("bench: span histogram missing or empty: ") +
                       S.Metric);
-    std::printf("  %-28s n=%-5llu mean=%9.6fs p95=%9.6fs\n", S.Metric,
-                static_cast<unsigned long long>(H->Count), H->mean(),
-                H->quantile(0.95));
-    addSpanRow(Report, *H, std::string(S.Row) + "_mean", H->mean());
-    addSpanRow(Report, *H, std::string(S.Row) + "_p95", H->quantile(0.95));
+    std::printf("  %-28s n=%-5llu mean=%9.6fs\n", S.Metric,
+                static_cast<unsigned long long>(H->Count), H->mean());
+    addSpanRow(Report, *H, std::string(S.Row) + "_mean");
   }
 }
 

@@ -25,6 +25,10 @@
 /// workers pick up limb chunks of the ops in flight (Section 6.1's "as much
 /// parallelism as the schedule exposes").
 ///
+/// Every operation charges its invocation, its key-switch decompositions
+/// and its modular multiplies to the calling thread's cost ledger
+/// (CostLedger.h), so one evaluator can serve concurrent runs.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVA_CKKS_EVALUATOR_H
@@ -36,7 +40,6 @@
 #include "eva/ckks/Plaintext.h"
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -44,30 +47,6 @@
 namespace eva {
 
 class ThreadPool;
-
-/// Snapshot of the evaluator's operation counters. Key-switch
-/// decompositions are the dominant rotation cost (one inverse NTT per limb
-/// plus the full RNS re-extension of every digit); the hoisted rotation
-/// path shares one decomposition across a whole batch of rotations of the
-/// same ciphertext, which these counters make observable to benches and
-/// tests (via ExecutionStats).
-struct EvaluatorCounters {
-  uint64_t KeySwitchDecompositions = 0; ///< relinearize + every rotation path
-  uint64_t Rotations = 0;               ///< rotations evaluated (serial + hoisted)
-  uint64_t HoistedRotations = 0;        ///< rotations served from a shared decomposition
-  uint64_t HoistBatches = 0;            ///< rotateHoisted batches executed
-  // Per-op invocation counts (one per EVA instruction opcode the evaluator
-  // executed); together with the EVA_PROFILE NTT/mulmod totals these locate
-  // the next hot spot by measurement instead of inference.
-  uint64_t Adds = 0;             ///< add + addPlain
-  uint64_t Subs = 0;             ///< sub + subPlain + subFromPlain
-  uint64_t Negates = 0;          ///< negate (standalone, not inside sub)
-  uint64_t Multiplies = 0;       ///< ciphertext-ciphertext multiplies
-  uint64_t PlainMultiplies = 0;  ///< ciphertext-plaintext multiplies
-  uint64_t Relinearizations = 0; ///< relinearize calls that key-switched
-  uint64_t Rescales = 0;         ///< rescale invocations
-  uint64_t ModSwitches = 0;      ///< modSwitch invocations
-};
 
 class Evaluator {
 public:
@@ -119,11 +98,6 @@ public:
                                         const std::vector<uint64_t> &Steps,
                                         const GaloisKeys &Keys) const;
 
-  /// Zeroes the operation counters (executors call this at run start).
-  void resetCounters() const;
-  /// Snapshot of the operation counters since the last reset.
-  EvaluatorCounters counters() const;
-
 private:
   /// Coefficient-domain key-switch decomposition digits: digit I is the
   /// inverse NTT of Target's component I (a representative of Target mod
@@ -165,22 +139,6 @@ private:
 
   std::shared_ptr<const CkksContext> Ctx;
   ThreadPool *Pool = nullptr;
-
-  /// Operation counters. Mutable atomics: computeNode dispatches through a
-  /// const Evaluator from many threads at once, and the counts are
-  /// observability, not semantics.
-  mutable std::atomic<uint64_t> NumDecompositions{0};
-  mutable std::atomic<uint64_t> NumRotations{0};
-  mutable std::atomic<uint64_t> NumHoistedRotations{0};
-  mutable std::atomic<uint64_t> NumHoistBatches{0};
-  mutable std::atomic<uint64_t> NumAdds{0};
-  mutable std::atomic<uint64_t> NumSubs{0};
-  mutable std::atomic<uint64_t> NumNegates{0};
-  mutable std::atomic<uint64_t> NumMultiplies{0};
-  mutable std::atomic<uint64_t> NumPlainMultiplies{0};
-  mutable std::atomic<uint64_t> NumRelinearizations{0};
-  mutable std::atomic<uint64_t> NumRescales{0};
-  mutable std::atomic<uint64_t> NumModSwitches{0};
 };
 
 } // namespace eva

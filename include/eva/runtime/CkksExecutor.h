@@ -45,10 +45,11 @@
 #include "eva/ckks/Evaluator.h"
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/core/Compiler.h"
-#include "eva/support/Profile.h"
+#include "eva/support/CostLedger.h"
 #include "eva/support/ThreadAnnotations.h"
 #include "eva/support/ThreadPool.h"
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -114,40 +115,6 @@ struct SealedInputs {
   std::map<std::string, std::vector<double>> Plain;
 };
 
-/// Execution statistics: memory reuse (Section 6.1) plus the rotation-cost
-/// counters of the most recent run (key-switch decompositions are the
-/// dominant rotation cost; hoisting shares one across a batch).
-struct ExecutionStats {
-  size_t PeakLiveBytes = 0;
-  size_t TotalNodeCount = 0;
-  size_t PeakLiveNodes = 0;
-  /// Key-switch decompositions performed (relinearize + rotations; a
-  /// hoisted batch counts once).
-  size_t KeySwitchDecompositions = 0;
-  /// Non-identity rotations evaluated.
-  size_t Rotations = 0;
-  /// Rotations served from a shared (hoisted) decomposition.
-  size_t HoistedRotations = 0;
-  /// Hoist batches executed.
-  size_t HoistBatches = 0;
-  /// Per-op invocation counts of this run (mirrors EvaluatorCounters).
-  size_t Adds = 0;
-  size_t Subs = 0;
-  size_t Negates = 0;
-  size_t Multiplies = 0;
-  size_t PlainMultiplies = 0;
-  size_t Relinearizations = 0;
-  size_t Rescales = 0;
-  size_t ModSwitches = 0;
-  /// EVA_PROFILE deltas over this run (all zero in non-profile builds).
-  /// Process-global counters snapshotted in beginRun/finishRun, so
-  /// concurrent runs in one process fold into whichever finishes last.
-  uint64_t ProfNtts = 0;
-  uint64_t ProfMulMods = 0;
-  uint64_t ProfArenaAcquires = 0;
-  uint64_t ProfArenaHeapBytes = 0;
-};
-
 class CkksExecutor {
 public:
   /// \p UseHoisting consumes the compiled program's RotationPlan: rotations
@@ -165,7 +132,8 @@ public:
   SealedInputs
   encryptInputs(const std::map<std::string, std::vector<double>> &Inputs);
 
-  /// Runs the program; returns encrypted outputs by name.
+  /// Runs the program; returns encrypted outputs by name. Everything the
+  /// run computes, on this thread or on pool workers, is charged to stats().
   virtual std::map<std::string, Ciphertext> run(const SealedInputs &Inputs);
 
   /// Decrypts and decodes an output to vec_size values.
@@ -175,6 +143,7 @@ public:
   std::map<std::string, std::vector<double>>
   runPlain(const std::map<std::string, std::vector<double>> &Inputs);
 
+  /// The cost ledger of the most recent run.
   const ExecutionStats &stats() const { return Stats; }
 
 protected:
@@ -214,11 +183,10 @@ protected:
     std::map<uint64_t, Ciphertext> Results EVA_GUARDED_BY(M);
   };
 
-  /// Resets statistics and evaluator counters and materializes the hoist
-  /// state; every run() implementation calls this first.
-  void beginRun();
-  /// Folds the evaluator counters of this run into Stats.
-  void finishRun();
+  /// Resets Stats, materializes the hoist state, and installs Stats as the
+  /// calling thread's ledger until the returned scope ends; every run()
+  /// implementation holds that scope for its whole body.
+  LedgerScope beginRun();
 
   const CompiledProgram &CP;
   const Program &P;
@@ -239,8 +207,6 @@ protected:
   mutable std::atomic<size_t> HoistStashBytes{0};
   mutable std::atomic<size_t> HoistStashNodes{0};
   ExecutionStats Stats;
-  /// EVA_PROFILE snapshot taken by beginRun(); finishRun() reports deltas.
-  ProfileCounters ProfileStart;
   /// Leaf lock: serializes Output-node writes into the result map when the
   /// parallel executor retires several output nodes at once. The map itself
   /// is a computeNode parameter, so the guard is the lock contract on that

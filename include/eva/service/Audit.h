@@ -22,9 +22,13 @@
 /// and must land on byte-identical wire bytes on both sides. auditReplay()
 /// does exactly that (it is what `evacall audit-verify` runs): rebuild the
 /// client crypto stack, re-encrypt in signature order, re-execute,
-/// re-serialize, and compare both hashes. A server that computed something
-/// other than the registered program — or tampered with a result — cannot
-/// produce a matching outputs hash.
+/// re-serialize, and compare both hashes. A mismatch exposes accidental
+/// corruption and non-adversarial divergence: a server that computed
+/// something other than the registered program, or a result damaged in
+/// transit or at rest. FNV-1a is not collision-resistant, so a deliberate
+/// tamperer could forge bytes that match a recorded hash; holding up
+/// against an adversary needs a cryptographic hash (the SHA-256 item under
+/// ROADMAP.md's robustness work).
 ///
 //===----------------------------------------------------------------------===//
 

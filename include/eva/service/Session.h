@@ -27,6 +27,8 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 namespace eva {
 
@@ -49,8 +51,8 @@ public:
   /// back as diagnostics, not aborts. Requests of the same session are
   /// serialized (they share the executor); the scheduler overlaps requests
   /// of different sessions. \p Trace, when non-null, receives the execute
-  /// span; the session also publishes compute-latency and executor-stat
-  /// roll-ups into its MetricsRegistry.
+  /// span; the session also publishes the compute latency and the run's
+  /// cost ledger into its MetricsRegistry.
   Expected<std::map<std::string, Ciphertext>>
   execute(SealedInputs Inputs, TraceContext *Trace = nullptr)
       EVA_EXCLUDES(ExecMutex);
@@ -65,7 +67,11 @@ private:
   /// across execute() but never while touching SessionManager::M.
   std::unique_ptr<Runner> Exec EVA_PT_GUARDED_BY(ExecMutex);
   Mutex ExecMutex;
-  MetricsRegistry *Metrics;
+  /// Instruments each run rolls up into, resolved once at construction
+  /// (null / empty without a metrics registry).
+  Histogram *ComputeSeconds = nullptr;
+  std::vector<std::pair<Counter *, uint64_t (*)(const ExecutionStats &)>>
+      Rollups;
 };
 
 /// Approximate resident size of a session's pinned evaluation keys (the

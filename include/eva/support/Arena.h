@@ -18,7 +18,9 @@
 /// destroying thread (buffers may migrate between pool threads; each
 /// bucket's cache is bounded, so migration cannot grow memory without
 /// bound). Contents of an acquired buffer are unspecified — callers either
-/// overwrite fully or use the zeroed variant.
+/// overwrite fully or use the zeroed variant. Acquisitions and the bytes the
+/// arena had to heap-allocate are charged to the current run's cost ledger
+/// (CostLedger.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,24 +85,6 @@ private:
   std::vector<uint64_t> Buf;
   size_t Words = 0;
 };
-
-/// Always-on (not EVA_PROFILE-gated) statistics of the calling thread's
-/// arena — cheap per-thread counters the reuse tests assert against.
-struct LimbArenaStats {
-  uint64_t Acquires = 0;      ///< buffers handed out
-  uint64_t Hits = 0;          ///< acquisitions served from the free list
-  uint64_t HeapAllocations = 0; ///< acquisitions that hit the heap
-  uint64_t HeapBytes = 0;       ///< total bytes heap-allocated
-  uint64_t CachedBuffers = 0;   ///< buffers currently in the free lists
-  uint64_t CachedBytes = 0;     ///< bytes currently cached
-};
-
-/// Snapshot of the calling thread's arena statistics.
-LimbArenaStats limbArenaStats();
-
-/// Drops every cached buffer of the calling thread (tests and
-/// memory-pressure paths; not needed in normal operation).
-void limbArenaReleaseCached();
 
 } // namespace eva
 

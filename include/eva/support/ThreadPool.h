@@ -23,6 +23,10 @@
 /// enqueued tasks and slept, serialized nested loops and deadlocked once all
 /// workers were blocked inside one.
 ///
+/// Every task runs under the cost ledger (CostLedger.h) that was current on
+/// the thread that submitted it, wherever and whenever it executes, and the
+/// executing thread's own ledger is restored afterwards.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVA_SUPPORT_THREADPOOL_H
@@ -39,6 +43,8 @@
 #include <vector>
 
 namespace eva {
+
+struct ExecutionStats;
 
 class ThreadPool {
 public:
@@ -109,11 +115,17 @@ private:
   /// observes no net change).
   void runOneTask() EVA_REQUIRES(PoolMutex);
 
+  /// A queued task and the submitter's ledger it charges.
+  struct QueuedTask {
+    std::function<void()> Fn;
+    ExecutionStats *Ledger = nullptr;
+  };
+
   std::vector<std::thread> Workers;
   Mutex PoolMutex;
   CondVar TaskAvailable;
   CondVar Idle;
-  std::queue<std::function<void()>> Tasks EVA_GUARDED_BY(PoolMutex);
+  std::queue<QueuedTask> Tasks EVA_GUARDED_BY(PoolMutex);
   size_t ActiveTasks EVA_GUARDED_BY(PoolMutex) = 0;
   bool Stopping EVA_GUARDED_BY(PoolMutex) = false;
 };

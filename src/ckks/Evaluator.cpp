@@ -9,7 +9,7 @@
 #include "eva/ckks/Galois.h"
 #include "eva/math/Simd.h"
 #include "eva/support/Arena.h"
-#include "eva/support/Profile.h"
+#include "eva/support/CostLedger.h"
 #include "eva/support/ThreadPool.h"
 
 #include <algorithm>
@@ -53,7 +53,7 @@ void Evaluator::checkScaleMatch(double SA, double SB) const {
 }
 
 Ciphertext Evaluator::negate(const Ciphertext &A) const {
-  NumNegates.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::Negates);
   Ciphertext Out = A;
   for (RnsPoly &P : Out.Polys)
     for (size_t C = 0; C < P.primeCount(); ++C)
@@ -63,7 +63,7 @@ Ciphertext Evaluator::negate(const Ciphertext &A) const {
 
 Ciphertext Evaluator::addSub(const Ciphertext &A, const Ciphertext &B,
                              bool Subtract) const {
-  (Subtract ? NumSubs : NumAdds).fetch_add(1, std::memory_order_relaxed);
+  charge(Subtract ? &ExecutionStats::Subs : &ExecutionStats::Adds);
   checkBinaryOperands(A, B);
   checkScaleMatch(A.Scale, B.Scale);
   const Ciphertext &Big = A.size() >= B.size() ? A : B;
@@ -105,7 +105,7 @@ Ciphertext Evaluator::sub(const Ciphertext &A, const Ciphertext &B) const {
 }
 
 Ciphertext Evaluator::addPlain(const Ciphertext &A, const Plaintext &B) const {
-  NumAdds.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::Adds);
   assert(A.primeCount() == B.primeCount() && "plaintext level mismatch");
   checkScaleMatch(A.Scale, B.Scale);
   Ciphertext Out = A;
@@ -116,7 +116,7 @@ Ciphertext Evaluator::addPlain(const Ciphertext &A, const Plaintext &B) const {
 }
 
 Ciphertext Evaluator::subPlain(const Ciphertext &A, const Plaintext &B) const {
-  NumSubs.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::Subs);
   assert(A.primeCount() == B.primeCount() && "plaintext level mismatch");
   checkScaleMatch(A.Scale, B.Scale);
   Ciphertext Out = A;
@@ -154,13 +154,13 @@ Ciphertext Evaluator::multiply(const Ciphertext &A,
       }
     }
   });
-  NumMultiplies.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::Multiplies);
   return Out;
 }
 
 Ciphertext Evaluator::multiplyPlain(const Ciphertext &A,
                                     const Plaintext &B) const {
-  NumPlainMultiplies.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::PlainMultiplies);
   assert(A.primeCount() == B.primeCount() && "plaintext level mismatch");
   Ciphertext Out = A;
   Out.Scale = A.Scale * B.Scale;
@@ -186,7 +186,7 @@ Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
     TCoeff[I] = Target.Comps[I];
     Ctx->ntt(I).inverse(TCoeff[I]);
   });
-  NumDecompositions.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::KeySwitchDecompositions);
   return TCoeff;
 }
 
@@ -232,7 +232,7 @@ std::array<RnsPoly, 2> Evaluator::keySwitchAccumulate(
       const std::vector<uint64_t> &K1 = Key.Keys[I][1].Comps[PrimeIdx];
       simd::fusedMulAcc128(Tmp.data(), K0.data(), K1.data(), Lo0.data(),
                            Hi0.data(), Lo1.data(), Hi1.data(), N);
-      EVA_PROF_ADD(MulMods, 2 * N);
+      charge(&ExecutionStats::MulMods, 2 * N);
     }
     for (uint64_t X = 0; X < N; ++X) {
       Acc[0].Comps[R][X] =
@@ -240,7 +240,7 @@ std::array<RnsPoly, 2> Evaluator::keySwitchAccumulate(
       Acc[1].Comps[R][X] =
           Qr.reduce128((Uint128(Hi1[X]) << 64) | Lo1[X]);
     }
-    EVA_PROF_ADD(MulMods, 2 * N);
+    charge(&ExecutionStats::MulMods, 2 * N);
   });
 
   // Divide by the special prime (rounding) to return to the data chain.
@@ -286,7 +286,7 @@ void Evaluator::divideRoundDropLast(
     std::vector<uint64_t> &C = Comps[T];
     for (uint64_t X = 0; X < N; ++X)
       C[X] = mulModShoup(subMod(C[X], Tmp[X], Qt), Inv, Qt);
-    EVA_PROF_ADD(MulMods, N);
+    charge(&ExecutionStats::MulMods, N);
   });
   Comps.pop_back();
 }
@@ -302,7 +302,7 @@ Ciphertext Evaluator::relinearize(const Ciphertext &A,
   if (Keys.empty())
     fatalError("relinearization keys not generated");
   std::array<RnsPoly, 2> Ks = keySwitch(A.Polys[2], Keys.Key);
-  NumRelinearizations.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::Relinearizations);
   Ciphertext Out;
   Out.Scale = A.Scale;
   Out.Polys = {A.Polys[0], A.Polys[1]};
@@ -320,7 +320,7 @@ Ciphertext Evaluator::rescale(const Ciphertext &A) const {
   if (A.primeCount() < 2)
     fatalError("rescale with no prime left to drop: the modulus chain is "
                "exhausted");
-  NumRescales.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::Rescales);
   size_t Count = A.primeCount();
   std::vector<size_t> Idx(Count);
   for (size_t I = 0; I < Count; ++I)
@@ -336,7 +336,7 @@ Ciphertext Evaluator::rescale(const Ciphertext &A) const {
 Ciphertext Evaluator::modSwitch(const Ciphertext &A) const {
   if (A.primeCount() < 2)
     fatalError("modswitch with no prime left to drop");
-  NumModSwitches.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::ModSwitches);
   Ciphertext Out = A;
   for (RnsPoly &P : Out.Polys)
     P.dropLastComp();
@@ -368,7 +368,7 @@ Ciphertext Evaluator::rotateLeft(const Ciphertext &A, uint64_t Steps,
   RnsPoly C1 = applyGaloisNttPoly(*Ctx, A.Polys[1], G,
                                   /*SpansSpecialPrime=*/false, Pool);
   std::array<RnsPoly, 2> Ks = keySwitch(C1, Keys.at(G));
-  NumRotations.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::Rotations);
   return assembleRotation(std::move(C0), std::move(Ks), A.Scale);
 }
 
@@ -390,7 +390,7 @@ Evaluator::rotateHoisted(const Ciphertext &A,
   size_t Count = A.primeCount();
   uint64_t N = Ctx->polyDegree();
   std::vector<std::vector<uint64_t>> Digits = keySwitchDecompose(A.Polys[1]);
-  NumHoistBatches.fetch_add(1, std::memory_order_relaxed);
+  charge(&ExecutionStats::HoistBatches);
 
   std::vector<std::vector<uint64_t>> Permuted(Count);
   for (size_t K = 0; K < Steps.size(); ++K) {
@@ -416,34 +416,8 @@ Evaluator::rotateHoisted(const Ciphertext &A,
     });
     std::array<RnsPoly, 2> Ks = keySwitchAccumulate(Permuted, Keys.at(G));
     Out[K] = assembleRotation(std::move(C0), std::move(Ks), A.Scale);
-    NumRotations.fetch_add(1, std::memory_order_relaxed);
-    NumHoistedRotations.fetch_add(1, std::memory_order_relaxed);
+    charge(&ExecutionStats::Rotations);
+    charge(&ExecutionStats::HoistedRotations);
   }
   return Out;
-}
-
-void Evaluator::resetCounters() const {
-  for (auto *C : {&NumDecompositions, &NumRotations, &NumHoistedRotations,
-                  &NumHoistBatches, &NumAdds, &NumSubs, &NumNegates,
-                  &NumMultiplies, &NumPlainMultiplies, &NumRelinearizations,
-                  &NumRescales, &NumModSwitches})
-    C->store(0, std::memory_order_relaxed);
-}
-
-EvaluatorCounters Evaluator::counters() const {
-  EvaluatorCounters C;
-  C.KeySwitchDecompositions =
-      NumDecompositions.load(std::memory_order_relaxed);
-  C.Rotations = NumRotations.load(std::memory_order_relaxed);
-  C.HoistedRotations = NumHoistedRotations.load(std::memory_order_relaxed);
-  C.HoistBatches = NumHoistBatches.load(std::memory_order_relaxed);
-  C.Adds = NumAdds.load(std::memory_order_relaxed);
-  C.Subs = NumSubs.load(std::memory_order_relaxed);
-  C.Negates = NumNegates.load(std::memory_order_relaxed);
-  C.Multiplies = NumMultiplies.load(std::memory_order_relaxed);
-  C.PlainMultiplies = NumPlainMultiplies.load(std::memory_order_relaxed);
-  C.Relinearizations = NumRelinearizations.load(std::memory_order_relaxed);
-  C.Rescales = NumRescales.load(std::memory_order_relaxed);
-  C.ModSwitches = NumModSwitches.load(std::memory_order_relaxed);
-  return C;
 }

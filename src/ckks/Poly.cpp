@@ -6,7 +6,7 @@
 
 #include "eva/ckks/Poly.h"
 
-#include "eva/support/Profile.h"
+#include "eva/support/CostLedger.h"
 
 using namespace eva;
 
@@ -34,7 +34,7 @@ void eva::negatePolyComp(std::span<const uint64_t> A, std::span<uint64_t> Out,
 void eva::mulPolyComp(std::span<const uint64_t> A, std::span<const uint64_t> B,
                       std::span<uint64_t> Out, const Modulus &Q) {
   assert(A.size() == B.size() && A.size() == Out.size());
-  EVA_PROF_ADD(MulMods, A.size());
+  charge(&ExecutionStats::MulMods, A.size());
   for (size_t I = 0, E = A.size(); I < E; ++I)
     Out[I] = mulMod(A[I], B[I], Q);
 }
@@ -43,7 +43,7 @@ void eva::mulAccPolyComp(std::span<const uint64_t> A,
                          std::span<const uint64_t> B, std::span<uint64_t> Out,
                          const Modulus &Q) {
   assert(A.size() == B.size() && A.size() == Out.size());
-  EVA_PROF_ADD(MulMods, A.size());
+  charge(&ExecutionStats::MulMods, A.size());
   for (size_t I = 0, E = A.size(); I < E; ++I)
     Out[I] = addMod(Out[I], mulMod(A[I], B[I], Q), Q);
 }

@@ -8,7 +8,7 @@
 
 #include "eva/math/Simd.h"
 #include "eva/support/BitOps.h"
-#include "eva/support/Profile.h"
+#include "eva/support/CostLedger.h"
 #include "eva/support/Random.h"
 
 #include <string>
@@ -79,8 +79,8 @@ NttTables::NttTables(uint64_t Degree, const Modulus &Modul)
 
 void NttTables::forward(std::span<uint64_t> Values) const {
   assert(Values.size() == N && "value count mismatch");
-  EVA_PROF_ADD(Ntts, 1);
-  EVA_PROF_ADD(MulMods, (N / 2) * log2Exact(N));
+  charge(&ExecutionStats::Ntts);
+  charge(&ExecutionStats::MulMods, (N / 2) * log2Exact(N));
   if (activeSimdLevel() == SimdLevel::Avx2 &&
       simd::nttForwardAvx2(Values.data(), N, RootOp.data(), RootQuot.data(),
                            Q.value()))
@@ -90,8 +90,8 @@ void NttTables::forward(std::span<uint64_t> Values) const {
 
 void NttTables::inverse(std::span<uint64_t> Values) const {
   assert(Values.size() == N && "value count mismatch");
-  EVA_PROF_ADD(Ntts, 1);
-  EVA_PROF_ADD(MulMods, (N / 2) * log2Exact(N) + N);
+  charge(&ExecutionStats::Ntts);
+  charge(&ExecutionStats::MulMods, (N / 2) * log2Exact(N) + N);
   if (activeSimdLevel() == SimdLevel::Avx2 &&
       simd::nttInverseAvx2(Values.data(), N, InvRootOp.data(),
                            InvRootQuot.data(), InvDegree.Operand,

@@ -167,39 +167,16 @@ uint64_t CkksExecutor::normalizedLeftSteps(const Node *N) const {
   return eva::normalizedLeftSteps(N, P.vecSize());
 }
 
-void CkksExecutor::beginRun() {
+LedgerScope CkksExecutor::beginRun() {
   Stats = ExecutionStats();
   Stats.TotalNodeCount = P.nodeCount();
-  ProfileStart = profileSnapshot();
-  ActiveEval->resetCounters();
   HoistStashBytes.store(0);
   HoistStashNodes.store(0);
   HoistState.clear();
   if (UseHoisting)
     for (size_t I = 0; I < CP.RotPlan.Groups.size(); ++I)
       HoistState.push_back(std::make_unique<HoistGroupState>());
-}
-
-void CkksExecutor::finishRun() {
-  EvaluatorCounters C = ActiveEval->counters();
-  Stats.KeySwitchDecompositions = C.KeySwitchDecompositions;
-  Stats.Rotations = C.Rotations;
-  Stats.HoistedRotations = C.HoistedRotations;
-  Stats.HoistBatches = C.HoistBatches;
-  Stats.Adds = C.Adds;
-  Stats.Subs = C.Subs;
-  Stats.Negates = C.Negates;
-  Stats.Multiplies = C.Multiplies;
-  Stats.PlainMultiplies = C.PlainMultiplies;
-  Stats.Relinearizations = C.Relinearizations;
-  Stats.Rescales = C.Rescales;
-  Stats.ModSwitches = C.ModSwitches;
-  ProfileCounters D = profileDelta(ProfileStart, profileSnapshot());
-  Stats.ProfNtts = D.Ntts;
-  Stats.ProfMulMods = D.MulMods;
-  Stats.ProfArenaAcquires = D.ArenaAcquires;
-  Stats.ProfArenaHeapBytes = D.ArenaHeapBytes;
-  HoistState.clear();
+  return LedgerScope(&Stats);
 }
 
 void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
@@ -361,7 +338,7 @@ CkksExecutor::run(const SealedInputs &Inputs) {
   std::vector<Value> Values(P.maxNodeId());
   std::vector<size_t> PendingUses(P.maxNodeId(), 0);
   std::map<std::string, Ciphertext> Outputs;
-  beginRun();
+  LedgerScope Ledger = beginRun();
 
   size_t LiveBytes = 0;
   size_t LiveNodes = 0;
@@ -387,7 +364,6 @@ CkksExecutor::run(const SealedInputs &Inputs) {
       }
     }
   }
-  finishRun();
   return Outputs;
 }
 
@@ -405,7 +381,7 @@ std::map<std::string, Ciphertext>
 ParallelCkksExecutor::run(const SealedInputs &Inputs) {
   std::vector<Value> Values(P.maxNodeId());
   std::map<std::string, Ciphertext> Outputs;
-  beginRun();
+  LedgerScope Ledger = beginRun();
 
   std::vector<Node *> Order = P.forwardOrder();
   std::vector<std::atomic<int>> Deps(P.maxNodeId());
@@ -468,7 +444,6 @@ ParallelCkksExecutor::run(const SealedInputs &Inputs) {
   Pool.waitIdle();
   Stats.PeakLiveBytes = PeakBytes.load();
   Stats.PeakLiveNodes = PeakNodes.load();
-  finishRun();
   return Outputs;
 }
 
@@ -476,7 +451,7 @@ std::map<std::string, Ciphertext>
 KernelBulkCkksExecutor::run(const SealedInputs &Inputs) {
   std::vector<Value> Values(P.maxNodeId());
   std::map<std::string, Ciphertext> Outputs;
-  beginRun();
+  LedgerScope Ledger = beginRun();
 
   // Chunk the topological order at kernel boundaries; each chunk executes
   // bulk-synchronously (wavefronts with barriers), chunks run in sequence.
@@ -515,6 +490,5 @@ KernelBulkCkksExecutor::run(const SealedInputs &Inputs) {
     }
     I = J;
   }
-  finishRun();
   return Outputs;
 }

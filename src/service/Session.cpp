@@ -10,6 +10,42 @@
 
 using namespace eva;
 
+namespace {
+
+/// The fleet totals a run's ledger adds into: metric name and the value
+/// summed. adds counts subtractions and rescales counts level drops.
+using LedgerField = uint64_t (*)(const ExecutionStats &);
+const std::pair<const char *, LedgerField> LedgerRollups[] = {
+    {"eva_exec_rotations_total",
+     [](const ExecutionStats &S) -> uint64_t { return S.Rotations; }},
+    {"eva_exec_hoisted_rotations_total",
+     [](const ExecutionStats &S) -> uint64_t { return S.HoistedRotations; }},
+    {"eva_exec_keyswitch_decompositions_total",
+     [](const ExecutionStats &S) -> uint64_t {
+       return S.KeySwitchDecompositions;
+     }},
+    {"eva_exec_multiplies_total",
+     [](const ExecutionStats &S) -> uint64_t { return S.Multiplies; }},
+    {"eva_exec_adds_total",
+     [](const ExecutionStats &S) -> uint64_t { return S.Adds + S.Subs; }},
+    {"eva_exec_relinearizations_total",
+     [](const ExecutionStats &S) -> uint64_t { return S.Relinearizations; }},
+    {"eva_exec_rescales_total",
+     [](const ExecutionStats &S) -> uint64_t {
+       return S.Rescales + S.ModSwitches;
+     }},
+    {"eva_exec_ntts_total",
+     [](const ExecutionStats &S) -> uint64_t { return S.Ntts; }},
+    {"eva_exec_mulmods_total",
+     [](const ExecutionStats &S) -> uint64_t { return S.MulMods; }},
+    {"eva_exec_arena_acquires_total",
+     [](const ExecutionStats &S) -> uint64_t { return S.ArenaAcquires; }},
+    {"eva_exec_arena_heap_bytes_total",
+     [](const ExecutionStats &S) -> uint64_t { return S.ArenaHeapBytes; }},
+};
+
+} // namespace
+
 size_t eva::pinnedKeyBytes(const RelinKeys &Rk, const GaloisKeys &Gk) {
   auto polyBytes = [](const RnsPoly &P) {
     size_t N = 0;
@@ -32,8 +68,13 @@ size_t eva::pinnedKeyBytes(const RelinKeys &Rk, const GaloisKeys &Gk) {
 Session::Session(uint64_t IdIn, std::shared_ptr<const RegisteredProgram> ProgIn,
                  std::shared_ptr<CkksWorkspace> WSIn, size_t ExecThreads,
                  MetricsRegistry *MetricsIn)
-    : Id(IdIn), Prog(std::move(ProgIn)), WS(std::move(WSIn)),
-      Metrics(MetricsIn) {
+    : Id(IdIn), Prog(std::move(ProgIn)), WS(std::move(WSIn)) {
+  if (MetricsIn) {
+    ComputeSeconds = &MetricsIn->latencyHistogram(labeledMetric(
+        "eva_compute_seconds", "program", Prog->Signature.ProgramName));
+    for (const auto &[Name, Field] : LedgerRollups)
+      Rollups.emplace_back(&MetricsIn->counter(Name), Field);
+  }
   LocalRunnerOptions Opts;
   Opts.Threads = ExecThreads;
   Opts.Style = LocalStyle::ParallelDag;
@@ -66,39 +107,14 @@ Session::execute(SealedInputs Inputs, TraceContext *Trace) {
     Trace->Program = Prog->Signature.ProgramName;
     Trace->ExecuteSeconds = ExecuteSeconds;
   }
-  // Publish roll-ups only for runs that executed: a request refused at
-  // validation leaves executionStats() stale from the previous run, and a
-  // near-zero "compute" sample would skew the latency histogram.
-  if (Metrics && Out.ok()) {
-    Metrics
-        ->latencyHistogram(labeledMetric("eva_compute_seconds", "program",
-                                         Prog->Signature.ProgramName))
-        .observe(ExecuteSeconds);
-    // Roll the executor's per-run stats up into fleet totals: the same
-    // counters EVA_PROFILE exposes in-process become scrapeable.
-    if (const ExecutionStats *ES = Exec->executionStats()) {
-      Metrics->counter("eva_exec_rotations_total").add(ES->Rotations);
-      Metrics->counter("eva_exec_hoisted_rotations_total")
-          .add(ES->HoistedRotations);
-      Metrics->counter("eva_exec_keyswitch_decompositions_total")
-          .add(ES->KeySwitchDecompositions);
-      Metrics->counter("eva_exec_multiplies_total").add(ES->Multiplies);
-      Metrics->counter("eva_exec_adds_total").add(ES->Adds + ES->Subs);
-      Metrics->counter("eva_exec_relinearizations_total")
-          .add(ES->Relinearizations);
-      Metrics->counter("eva_exec_rescales_total")
-          .add(ES->Rescales + ES->ModSwitches);
-      if (ES->ProfNtts)
-        Metrics->counter("eva_prof_ntts_total").add(ES->ProfNtts);
-      if (ES->ProfMulMods)
-        Metrics->counter("eva_prof_mulmods_total").add(ES->ProfMulMods);
-      if (ES->ProfArenaAcquires)
-        Metrics->counter("eva_prof_arena_acquires_total")
-            .add(ES->ProfArenaAcquires);
-      if (ES->ProfArenaHeapBytes)
-        Metrics->counter("eva_prof_arena_heap_bytes_total")
-            .add(ES->ProfArenaHeapBytes);
-    }
+  // Publish only runs that executed: a request refused at validation
+  // leaves executionStats() stale from the previous run, and a near-zero
+  // "compute" sample would skew the latency histogram.
+  if (ComputeSeconds && Out.ok()) {
+    ComputeSeconds->observe(ExecuteSeconds);
+    const ExecutionStats &Ledger = *Exec->executionStats();
+    for (const auto &[Total, Field] : Rollups)
+      Total->add(Field(Ledger));
   }
   if (!Out)
     return Out.takeStatus();

@@ -6,7 +6,7 @@
 
 #include "eva/support/Arena.h"
 
-#include "eva/support/Profile.h"
+#include "eva/support/CostLedger.h"
 
 #include <algorithm>
 #include <array>
@@ -22,14 +22,11 @@ namespace {
 constexpr size_t MaxBucket = 33; // up to 2^32 words (32 GiB) per buffer
 constexpr size_t MaxCachedPerBucket = 32;
 
-struct ArenaState {
-  std::array<std::vector<std::vector<uint64_t>>, MaxBucket> Buckets;
-  LimbArenaStats Stats;
-};
+using FreeLists = std::array<std::vector<std::vector<uint64_t>>, MaxBucket>;
 
-ArenaState &state() {
-  thread_local ArenaState S;
-  return S;
+FreeLists &freeLists() {
+  thread_local FreeLists Lists;
+  return Lists;
 }
 
 size_t bucketFor(size_t Words) {
@@ -39,23 +36,16 @@ size_t bucketFor(size_t Words) {
 } // namespace
 
 LimbScratch eva::acquireLimbScratch(size_t Words) {
-  ArenaState &S = state();
-  ++S.Stats.Acquires;
-  EVA_PROF_ADD(ArenaAcquires, 1);
+  charge(&ExecutionStats::ArenaAcquires);
   size_t B = bucketFor(Words);
   size_t ClassWords = size_t(1) << B;
-  auto &Bucket = S.Buckets[B];
+  auto &Bucket = freeLists()[B];
   if (!Bucket.empty()) {
     std::vector<uint64_t> Buf = std::move(Bucket.back());
     Bucket.pop_back();
-    ++S.Stats.Hits;
-    S.Stats.CachedBuffers -= 1;
-    S.Stats.CachedBytes -= ClassWords * sizeof(uint64_t);
     return LimbScratch(std::move(Buf), Words);
   }
-  ++S.Stats.HeapAllocations;
-  S.Stats.HeapBytes += ClassWords * sizeof(uint64_t);
-  EVA_PROF_ADD(ArenaHeapBytes, ClassWords * sizeof(uint64_t));
+  charge(&ExecutionStats::ArenaHeapBytes, ClassWords * sizeof(uint64_t));
   return LimbScratch(std::vector<uint64_t>(ClassWords), Words);
 }
 
@@ -70,27 +60,13 @@ void LimbScratch::release() {
     Words = 0;
     return;
   }
-  ArenaState &S = state();
   // Buffers are created at their class size; a moved-from or shrunken vector
   // is simply dropped rather than resized back (never happens on the normal
   // path).
   size_t B = bucketFor(Buf.size());
-  if (Buf.size() == (size_t(1) << B) &&
-      S.Buckets[B].size() < MaxCachedPerBucket) {
-    S.Stats.CachedBuffers += 1;
-    S.Stats.CachedBytes += Buf.size() * sizeof(uint64_t);
-    S.Buckets[B].push_back(std::move(Buf));
-  }
+  auto &Bucket = freeLists()[B];
+  if (Buf.size() == (size_t(1) << B) && Bucket.size() < MaxCachedPerBucket)
+    Bucket.push_back(std::move(Buf));
   Buf = {};
   Words = 0;
-}
-
-LimbArenaStats eva::limbArenaStats() { return state().Stats; }
-
-void eva::limbArenaReleaseCached() {
-  ArenaState &S = state();
-  for (auto &Bucket : S.Buckets)
-    Bucket.clear();
-  S.Stats.CachedBuffers = 0;
-  S.Stats.CachedBytes = 0;
 }

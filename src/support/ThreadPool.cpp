@@ -6,6 +6,8 @@
 
 #include "eva/support/ThreadPool.h"
 
+#include "eva/support/CostLedger.h"
+
 #include <algorithm>
 
 using namespace eva;
@@ -36,9 +38,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> Task) {
+  ExecutionStats *Ledger = currentLedger();
   {
     LockGuard Lock(PoolMutex);
-    Tasks.push(std::move(Task));
+    Tasks.push({std::move(Task), Ledger});
   }
   TaskAvailable.notify_one();
   // A size-1 pool has no workers: wake cooperating threads in waitIdle.
@@ -47,13 +50,16 @@ void ThreadPool::submit(std::function<void()> Task) {
 }
 
 void ThreadPool::runOneTask() {
-  std::function<void()> Task = std::move(Tasks.front());
+  QueuedTask Task = std::move(Tasks.front());
   Tasks.pop();
   ++ActiveTasks;
   // Run the task itself unlocked; the caller's UniqueLock wraps the same
   // underlying mutex and observes it re-held on return.
   PoolMutex.unlock();
-  Task();
+  {
+    LedgerScope Scope(Task.Ledger);
+    Task.Fn();
+  }
   PoolMutex.lock();
   --ActiveTasks;
   if (Tasks.empty() && ActiveTasks == 0)

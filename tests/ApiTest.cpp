@@ -11,7 +11,9 @@
 /// non-finite values, wrong ciphertext scale/level), and the backend
 /// interchangeability guarantee — the same program and inputs produce
 /// bit-identical outputs on the local serial, local parallel, and remote
-/// service backends (reference agrees within the CKKS error bound).
+/// service backends (reference agrees within the CKKS error bound) — and
+/// the per-run cost ledger every local run reports through
+/// executionStats().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cmath>
 #include <limits>
+#include <thread>
 
 using namespace eva;
 
@@ -387,6 +391,119 @@ TEST(Runner, PreEncryptedCipherInputsAreAccepted) {
   ASSERT_TRUE(Want.ok()) << Want.message();
   for (size_t I = 0; I < 64; ++I)
     EXPECT_NEAR(Out->vector("out")[I], Want->vector("out")[I], 1e-2);
+}
+
+//===----------------------------------------------------------------------===//
+// The per-run cost ledger
+//===----------------------------------------------------------------------===//
+
+/// The ledger's work counts: every field except the memory peaks and the
+/// arena heap bytes, which depend on scheduling and per-thread caches.
+std::vector<uint64_t> workCounts(const ExecutionStats &S) {
+  return {S.TotalNodeCount,   S.KeySwitchDecompositions, S.Rotations,
+          S.HoistedRotations, S.HoistBatches,            S.Adds,
+          S.Subs,             S.Negates,                 S.Multiplies,
+          S.PlainMultiplies,  S.Relinearizations,        S.Rescales,
+          S.ModSwitches,      S.Ntts,                    S.MulMods,
+          S.ArenaAcquires};
+}
+
+/// Runners over one evaluation-only workspace, so they share its evaluator
+/// and encoder, fed a pre-encrypted input: the runs do no encryption or
+/// decryption, only evaluation.
+class LedgerFixture : public ::testing::Test {
+protected:
+  void SetUp() override {
+    Expected<std::shared_ptr<CkksWorkspace>> Client =
+        CkksWorkspace::createClient(CP, 5);
+    ASSERT_TRUE(Client.ok()) << Client.message();
+    const CkksWorkspace &C = **Client;
+    Expected<std::shared_ptr<CkksWorkspace>> Server =
+        CkksWorkspace::createServer(CP, C.Context, C.Rk, C.Gk);
+    ASSERT_TRUE(Server.ok()) << Server.message();
+    WS = *Server;
+    Plaintext Pt;
+    C.Encoder->encode(ramp(64, 0.5), std::exp2(30),
+                      C.Context->dataPrimeCount(), Pt);
+    uint64_t Seed = 0;
+    Inputs.set("x", C.Enc->encryptSymmetric(Pt, C.KeyGen->secretKey(), Seed))
+        .set("w", 0.5);
+  }
+
+  std::unique_ptr<Runner> runner(LocalStyle Style, size_t Threads) {
+    LocalRunnerOptions Opts;
+    Opts.Style = Style;
+    Opts.Threads = Threads;
+    Expected<std::unique_ptr<Runner>> R = Runner::local(CP, WS, Opts);
+    EXPECT_TRUE(R.ok()) << R.message();
+    return std::move(R.value());
+  }
+
+  /// Runs \p R once and returns its ledger.
+  static ExecutionStats runOnce(Runner &R, const Valuation &In) {
+    Expected<Valuation> Out = R.run(In);
+    EXPECT_TRUE(Out.ok()) << Out.message();
+    return *R.executionStats();
+  }
+
+  CompiledProgram CP = compiled();
+  std::shared_ptr<CkksWorkspace> WS;
+  Valuation Inputs;
+};
+
+TEST_F(LedgerFixture, ConcurrentRunsOnOneEvaluatorEachChargeTheirOwnRun) {
+  std::unique_ptr<Runner> A = runner(LocalStyle::Serial, 1);
+  std::unique_ptr<Runner> B = runner(LocalStyle::Serial, 1);
+  ExecutionStats Solo = runOnce(*A, Inputs);
+  EXPECT_GT(Solo.KeySwitchDecompositions, 0u);
+  EXPECT_GT(Solo.Relinearizations, 0u);
+  EXPECT_GT(Solo.Rotations, 0u);
+  EXPECT_GT(Solo.Ntts, 0u);
+  EXPECT_GT(Solo.MulMods, 0u);
+  EXPECT_GT(Solo.ArenaAcquires, 0u);
+
+  // Both threads start each round together, so the two runs overlap on the
+  // shared evaluator; neither may see the other's work.
+  constexpr size_t Rounds = 4;
+  std::barrier Start(2);
+  auto Drive = [&](Runner &R, std::vector<std::vector<uint64_t>> &Seen) {
+    for (size_t I = 0; I < Rounds; ++I) {
+      Start.arrive_and_wait();
+      Seen.push_back(workCounts(runOnce(R, Inputs)));
+    }
+  };
+  std::vector<std::vector<uint64_t>> SeenA, SeenB;
+  std::thread TA(Drive, std::ref(*A), std::ref(SeenA));
+  std::thread TB(Drive, std::ref(*B), std::ref(SeenB));
+  TA.join();
+  TB.join();
+  ASSERT_EQ(SeenA.size(), Rounds);
+  ASSERT_EQ(SeenB.size(), Rounds);
+  for (size_t I = 0; I < Rounds; ++I) {
+    EXPECT_EQ(SeenA[I], workCounts(Solo)) << "runner A, round " << I;
+    EXPECT_EQ(SeenB[I], workCounts(Solo)) << "runner B, round " << I;
+  }
+}
+
+TEST_F(LedgerFixture, CountsDoNotDependOnTheExecutorOrThreadCount) {
+  std::vector<uint64_t> Want =
+      workCounts(runOnce(*runner(LocalStyle::Serial, 1), Inputs));
+  EXPECT_EQ(workCounts(runOnce(*runner(LocalStyle::ParallelDag, 1), Inputs)),
+            Want);
+  EXPECT_EQ(workCounts(runOnce(*runner(LocalStyle::ParallelDag, 4), Inputs)),
+            Want);
+  EXPECT_EQ(workCounts(runOnce(*runner(LocalStyle::KernelBulk, 4), Inputs)),
+            Want);
+}
+
+TEST_F(LedgerFixture, SecondSerialRunAllocatesNoArenaMemory) {
+  // The limb arena's steady state: once one run has filled this thread's
+  // free lists, an identical run is served from them entirely.
+  std::unique_ptr<Runner> R = runner(LocalStyle::Serial, 1);
+  runOnce(*R, Inputs);
+  ExecutionStats Second = runOnce(*R, Inputs);
+  EXPECT_GT(Second.ArenaAcquires, 0u);
+  EXPECT_EQ(Second.ArenaHeapBytes, 0u);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/math/Primes.h"
 #include "eva/service/Audit.h"
+#include "eva/support/CostLedger.h"
 #include "eva/support/Random.h"
 #include "eva/support/ThreadPool.h"
 
@@ -337,9 +338,12 @@ TEST_F(CkksFixture, RotateHoistedBitIdenticalToSerialRotations) {
   std::vector<double> In = randomVector(2048, -1.0, 1.0, 29);
   Ciphertext Ct = encryptVec(In, std::ldexp(1.0, 40), 3);
 
-  Eval->resetCounters();
-  std::vector<Ciphertext> Hoisted = Eval->rotateHoisted(Ct, Steps, Gk);
-  EvaluatorCounters C = Eval->counters();
+  ExecutionStats C;
+  std::vector<Ciphertext> Hoisted;
+  {
+    LedgerScope Scope(&C);
+    Hoisted = Eval->rotateHoisted(Ct, Steps, Gk);
+  }
   EXPECT_EQ(C.KeySwitchDecompositions, 1u);
   EXPECT_EQ(C.HoistBatches, 1u);
   EXPECT_EQ(C.HoistedRotations, 5u); // step 0 is a copy, not a rotation

@@ -196,6 +196,25 @@ TEST(EvacCli, RunIsSeedReproducible) {
   EXPECT_NE(A.Stdout, C.Stdout);
 }
 
+// The run's cost ledger goes to stderr in every build. Every count but the
+// arena's heap bytes depends only on the program, so they are pinned.
+TEST(EvacCli, RunReportsTheCostLedgerOnStderr) {
+  RunResult R = runEvac("run " + shellQuote(fixture("poly3.evabin")) +
+                        " --inputs " + shellQuote(fixture("poly3.inputs.json")) +
+                        " --backend local --seed 42 --show 0 2>&1 >/dev/null");
+  ASSERT_EQ(R.ExitCode, 0);
+  EXPECT_NE(R.Stdout.find("evac: ops: add=2 sub=0 negate=0 multiply=2 "
+                          "multiply_plain=4 relinearize=2 rescale=1 "
+                          "modswitch=2 rotate=1 (hoisted=0 in 0 batches) "
+                          "decompositions=3\n"),
+            std::string::npos)
+      << R.Stdout;
+  EXPECT_NE(R.Stdout.find("evac: kernels: ntts=76 mulmods=11370496 "
+                          "arena_acquires=85 "),
+            std::string::npos)
+      << R.Stdout;
+}
+
 TEST(EvacCli, RunDiagnosesBadInputs) {
   // Missing input: precise diagnostic, nonzero exit, nothing on stdout.
   RunResult R = runEvac("run " + shellQuote(fixture("poly3.evabin")) +

@@ -508,6 +508,10 @@ TEST(Service, MetricsObserveTheTrafficAClientSends) {
   EXPECT_GE(Snap.counterValue("eva_exec_multiplies_total"), Requests);
   EXPECT_GE(Snap.counterValue("eva_exec_rotations_total"), Requests);
   EXPECT_GE(Snap.counterValue("eva_exec_relinearizations_total"), Requests);
+  // The kernel counts of the cost ledger roll up in every build.
+  EXPECT_GT(Snap.counterValue("eva_exec_ntts_total"), 0u);
+  EXPECT_GT(Snap.counterValue("eva_exec_mulmods_total"), 0u);
+  EXPECT_GT(Snap.counterValue("eva_exec_arena_acquires_total"), 0u);
 
   // Errors land in per-cause counters.
   OpenSessionMsg Bad;

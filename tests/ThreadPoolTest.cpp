@@ -7,15 +7,19 @@
 // limb-level parallelism, so its barrier and idle-tracking semantics must
 // hold under oversubscription, nested submission, parallelFor called from
 // inside worker tasks (node-level × limb-level composition), and the
-// zero-thread (hardware concurrency) fallback.
+// zero-thread (hardware concurrency) fallback. Every task must also charge
+// the cost ledger of the run that submitted it, wherever it executes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "eva/support/ThreadPool.h"
 
+#include "eva/support/CostLedger.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -294,6 +298,93 @@ TEST(ThreadPool, HelpUntilRunsQueuedTasksOnTheCaller) {
     });
   Pool.helpUntil([&] { return Done.load() == Tasks; });
   EXPECT_EQ(Done.load(), Tasks);
+}
+
+TEST(ThreadPool, WorkerTaskChargesTheSubmittersLedger) {
+  ThreadPool Pool(2);
+  ExecutionStats Ledger;
+  std::promise<ExecutionStats *> Seen;
+  {
+    LedgerScope Scope(&Ledger);
+    Pool.submit([&] {
+      charge(&ExecutionStats::Ntts, 3);
+      Seen.set_value(currentLedger());
+    });
+  }
+  // The caller never cooperates here, so the worker runs the task after
+  // the submitting scope has closed.
+  EXPECT_EQ(Seen.get_future().get(), &Ledger);
+  EXPECT_EQ(Ledger.Ntts, 3u);
+  EXPECT_EQ(currentLedger(), nullptr);
+  Pool.waitIdle();
+}
+
+TEST(ThreadPool, NestedSubmitAndParallelForHelpersInheritTheLedger) {
+  ThreadPool Pool(4);
+  ExecutionStats Ledger;
+  std::atomic<int> Foreign(0);
+  auto Check = [&] {
+    if (currentLedger() != &Ledger)
+      Foreign.fetch_add(1);
+  };
+  {
+    LedgerScope Scope(&Ledger);
+    Pool.submit([&] {
+      Check();
+      Pool.submit([&] {
+        Check();
+        charge(&ExecutionStats::Ntts);
+      });
+      Pool.parallelFor(64, [&](size_t) {
+        Check();
+        charge(&ExecutionStats::MulMods);
+      });
+    });
+  }
+  // The draining caller has no ledger of its own; whatever it runs must
+  // still charge the submitter's.
+  Pool.waitIdle();
+  EXPECT_EQ(Foreign.load(), 0);
+  EXPECT_EQ(Ledger.Ntts, 1u);
+  EXPECT_EQ(Ledger.MulMods, 64u);
+}
+
+TEST(ThreadPool, HelperGetsItsOwnLedgerBackAfterAnotherRunsTask) {
+  ThreadPool Pool(1); // no workers: the helping caller runs every task
+  ExecutionStats Mine, Theirs;
+  std::atomic<bool> Done(false);
+  auto Submit = [&] {
+    LedgerScope Scope(&Theirs);
+    Pool.submit([&] {
+      charge(&ExecutionStats::Rotations);
+      Done.store(true);
+    });
+  };
+  LedgerScope Scope(&Mine);
+  Submit();
+  Pool.waitIdle();
+  EXPECT_EQ(currentLedger(), &Mine);
+  Done.store(false);
+  Submit();
+  Pool.helpUntil([&] { return Done.load(); });
+  EXPECT_EQ(currentLedger(), &Mine);
+  EXPECT_EQ(Theirs.Rotations, 2u);
+  EXPECT_EQ(Mine.Rotations, 0u);
+}
+
+TEST(ThreadPool, TasksSubmittedWithoutALedgerChargeNothing) {
+  ThreadPool Pool(1);
+  ExecutionStats Mine;
+  ExecutionStats *Seen = &Mine;
+  Pool.submit([&] {
+    Seen = currentLedger();
+    charge(&ExecutionStats::Ntts);
+  });
+  // Even a caller with a ledger runs the task under the submitter's none.
+  LedgerScope Scope(&Mine);
+  Pool.waitIdle();
+  EXPECT_EQ(Seen, nullptr);
+  EXPECT_EQ(Mine.Ntts, 0u);
 }
 
 } // namespace

@@ -34,7 +34,6 @@
 #include "eva/core/Analysis.h"
 #include "eva/core/Compiler.h"
 #include "eva/math/Simd.h"
-#include "eva/support/Profile.h"
 #include "eva/ir/Printer.h"
 #include "eva/ir/TextFormat.h"
 #include "eva/serialize/ProtoIO.h"
@@ -492,8 +491,9 @@ int runCommand(int Argc, char **Argv) {
   }
   printRunJson((*P)->name(), BackendName, R->signature().VecSize, *Out,
                Show);
-  // Per-op counters go to stderr: stdout is the machine-readable result
-  // document (golden-compared across backends), stderr is diagnostics.
+  // The run's cost ledger goes to stderr: stdout is the machine-readable
+  // result document (golden-compared across backends), stderr is
+  // diagnostics.
   if (const ExecutionStats *St = R->executionStats()) {
     std::fprintf(stderr,
                  "evac: ops: add=%zu sub=%zu negate=%zu multiply=%zu "
@@ -504,15 +504,14 @@ int runCommand(int Argc, char **Argv) {
                  St->PlainMultiplies, St->Relinearizations, St->Rescales,
                  St->ModSwitches, St->Rotations, St->HoistedRotations,
                  St->HoistBatches, St->KeySwitchDecompositions);
-    if (profileEnabled())
-      std::fprintf(stderr,
-                   "evac: profile: ntts=%llu mulmods=%llu "
-                   "arena_acquires=%llu arena_heap_bytes=%llu (simd=%s)\n",
-                   static_cast<unsigned long long>(St->ProfNtts),
-                   static_cast<unsigned long long>(St->ProfMulMods),
-                   static_cast<unsigned long long>(St->ProfArenaAcquires),
-                   static_cast<unsigned long long>(St->ProfArenaHeapBytes),
-                   simdLevelName(activeSimdLevel()));
+    std::fprintf(stderr,
+                 "evac: kernels: ntts=%llu mulmods=%llu arena_acquires=%llu "
+                 "arena_heap_bytes=%llu (simd=%s)\n",
+                 static_cast<unsigned long long>(St->Ntts),
+                 static_cast<unsigned long long>(St->MulMods),
+                 static_cast<unsigned long long>(St->ArenaAcquires),
+                 static_cast<unsigned long long>(St->ArenaHeapBytes),
+                 simdLevelName(activeSimdLevel()));
   }
   R.reset();
   return 0;
