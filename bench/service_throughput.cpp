@@ -6,11 +6,14 @@
 // transport (the full serialized-message path — encode, symmetric encrypt,
 // wire encode/decode, validation, scheduling, execution, decrypt — minus
 // only the socket I/O, so numbers are not confounded by kernel networking):
-// sustained requests/sec and p50/p95 request latency at {1, 4, 16}
+// sustained requests/sec and p50/p95 request latency at {1, 4, 16, 64}
 // concurrent tenant sessions submitting back-to-back requests against one
-// small program. Each tenant drives the unified api/Runner remote backend,
-// so a request is the complete typed client loop (validate, encrypt,
-// submit, decrypt).
+// small program. Each point runs for at least 200 requests and at least
+// 1 s, so every session count is measured over the same order of work.
+// Each tenant drives the unified api/Runner remote backend, so a request is
+// the complete typed client loop (validate, encrypt, submit, decrypt).
+// The service executes at most one request per hardware thread at once, so
+// the JSON header records the host's thread count ("host_threads").
 //
 // Two telemetry-backed sections ride along:
 //  * span attribution — the server's own decode/queue/execute/encode span
@@ -38,6 +41,8 @@
 #include "eva/support/Random.h"
 
 #include <algorithm>
+#include <atomic>
+#include <fstream>
 #include <thread>
 
 #ifndef EVA_GIT_SHA
@@ -71,8 +76,10 @@ struct SweepResult {
   double MinLatency = 0;
 };
 
-SweepResult runSweepPoint(Service &Svc, size_t Sessions,
-                          size_t RequestsPerSession) {
+/// Runs \p Sessions tenants until together they completed at least
+/// \p MinRequests requests and at least \p MinSeconds passed.
+SweepResult runSweepPoint(Service &Svc, size_t Sessions, size_t MinRequests,
+                          double MinSeconds) {
   InProcessTransport T(Svc);
 
   // Set up tenants (remote runners + per-tenant inputs) outside the
@@ -100,17 +107,19 @@ SweepResult runSweepPoint(Service &Svc, size_t Sessions,
   // concurrently; per-request latency is wall time of the full typed call
   // (validate, encrypt, submit, decrypt).
   std::vector<std::vector<double>> Latencies(Sessions);
+  std::atomic<size_t> Done{0};
   eva::Timer Wall;
   std::vector<std::thread> Threads;
   for (size_t S = 0; S < Sessions; ++S) {
     Threads.emplace_back([&, S] {
-      Latencies[S].reserve(RequestsPerSession);
-      for (size_t R = 0; R < RequestsPerSession; ++R) {
+      while (Done.load(std::memory_order_relaxed) < MinRequests ||
+             Wall.seconds() < MinSeconds) {
         eva::Timer T1;
         Expected<Valuation> Out = Tenants[S]->run(Requests[S]);
         if (!Out)
           eva::fatalError("bench: request failed: " + Out.message());
         Latencies[S].push_back(T1.seconds());
+        Done.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -192,25 +201,21 @@ int main(int Argc, char **Argv) {
   std::string OutDir = Argc > 1 ? Argv[1] : ".";
 
   ServiceConfig Config;
-  // Two requests in flight: enough to overlap tenants without measuring
-  // oversubscription on small CI hosts. EVA_BENCH_THREADS raises it.
-  Config.Scheduler.Workers = std::min<size_t>(maxThreads(), 2);
-  Config.ExecThreadsPerSession = 1;
   Service Svc(Config);
   if (Status S = Svc.registry().registerSource(*buildProgram()); !S.ok())
     eva::fatalError("bench: register failed: " + S.message());
 
   JsonReport Report("service", EVA_GIT_SHA);
-  const size_t RequestsPerPoint = 32;
+  const size_t HostThreads =
+      std::max(1u, std::thread::hardware_concurrency());
+  const size_t ABRequests = 32;
 
-  std::printf("service_throughput: workers=%zu\n", Config.Scheduler.Workers);
+  std::printf("service_throughput: host_threads=%zu\n", HostThreads);
   // Warmup: populate executor/encoder caches before the first timed point.
-  runSweepPoint(Svc, 1, 4);
+  runSweepPoint(Svc, 1, 4, 0);
 
-  for (size_t Sessions : {1u, 4u, 16u}) {
-    size_t PerSession =
-        std::max<size_t>(1, RequestsPerPoint / Sessions);
-    SweepResult R = runSweepPoint(Svc, Sessions, PerSession);
+  for (size_t Sessions : {1u, 4u, 16u, 64u}) {
+    SweepResult R = runSweepPoint(Svc, Sessions, 200, 1.0);
 
     double Rps = static_cast<double>(R.Requests) / R.WallSeconds;
     std::printf("  sessions=%-3zu requests=%-3zu wall=%7.3fs  "
@@ -253,7 +258,7 @@ int main(int Argc, char **Argv) {
     Service OffSvc(OffConfig);
     if (Status S = OffSvc.registry().registerSource(*buildProgram()); !S.ok())
       eva::fatalError("bench: register failed: " + S.message());
-    runSweepPoint(OffSvc, 1, 4); // warmup: executor/encoder caches
+    runSweepPoint(OffSvc, 1, 4, 0); // warmup: executor/encoder caches
 
     // Paired A/B: each round runs on then off back to back and contributes
     // one min-latency ratio; the BEST (smallest) ratio across rounds is the
@@ -264,8 +269,8 @@ int main(int Argc, char **Argv) {
     SweepResult On, Off;
     std::vector<double> Ratios;
     for (int Round = 0; Round < 5; ++Round) {
-      SweepResult A = runSweepPoint(Svc, 1, RequestsPerPoint);
-      SweepResult B = runSweepPoint(OffSvc, 1, RequestsPerPoint);
+      SweepResult A = runSweepPoint(Svc, 1, ABRequests, 0);
+      SweepResult B = runSweepPoint(OffSvc, 1, ABRequests, 0);
       Ratios.push_back(A.MinLatency / B.MinLatency);
       if (Round == 0 || A.MinLatency < On.MinLatency)
         On = A;
@@ -291,8 +296,12 @@ int main(int Argc, char **Argv) {
     Report.add(OffRow);
   }
 
+  std::string Doc = Report.str();
+  Doc.insert(Doc.find("  \"unit\""),
+             "  \"host_threads\": " + std::to_string(HostThreads) + ",\n");
   std::string Path = OutDir + "/BENCH_service.json";
-  if (!Report.write(Path)) {
+  std::ofstream File(Path, std::ios::binary);
+  if (!(File << Doc)) {
     std::fprintf(stderr, "service_throughput: cannot write %s\n",
                  Path.c_str());
     return 1;

@@ -8,9 +8,11 @@
 /// The socket front-end of the service (what `evaserve` runs): accepts TCP
 /// connections on 127.0.0.1, reads request frames, funnels them through
 /// Service::dispatch, and writes response frames. One thread per
-/// connection; concurrency across tenants comes from the RequestScheduler
-/// behind dispatch. Binding port 0 picks an ephemeral port (port() reports
-/// it), which is how tests run a real server without port collisions.
+/// connection, and each request executes on its connection's thread once
+/// the admission gate behind dispatch lets it in, so a server with k
+/// connections runs 1 + k threads however many sessions are open. Binding
+/// port 0 picks an ephemeral port (port() reports it), which is how tests
+/// run a real server without port collisions.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,11 +6,16 @@
 ///
 /// \file
 /// The transport-independent service core: program registry + session
-/// manager + request scheduler behind a single dispatch() over serialized
+/// manager + admission gate behind a single dispatch() over serialized
 /// messages. The socket server (Server.h) and the in-process transport
 /// (Client.h) both funnel through dispatch, so tests exercise byte-for-byte
 /// the same path a remote client exercises — including every defensive
 /// deserialization step — without socket flakiness.
+///
+/// Threading: a Service starts no thread. dispatch() runs on its caller's
+/// thread, and so does an EXECUTE, once the RequestScheduler gate admits
+/// it; concurrent callers execute concurrently, up to one request per
+/// hardware thread.
 ///
 /// Threat model: the server operates on ciphertexts and evaluation keys
 /// only. No dispatch path deserializes a secret key (the wire schema has no
@@ -36,10 +41,9 @@
 namespace eva {
 
 struct ServiceConfig {
-  SchedulerConfig Scheduler;
-  /// Cooperative pool size of each session's executor (1 = the scheduler
-  /// worker runs the whole DAG itself).
-  size_t ExecThreadsPerSession = 1;
+  /// EXECUTE requests allowed to wait for an execution slot; beyond this
+  /// many waiting, a request is refused ("queue full").
+  size_t MaxQueueDepth = 256;
   /// Open sessions pin their key material; beyond this many, OPEN_SESSION
   /// is rejected (untrusted clients must not be able to OOM the server).
   size_t MaxSessions = 64;
@@ -89,6 +93,12 @@ private:
   SessionManager Sessions;
   RequestScheduler Scheduler;
   AuditLog Audit;
+  /// Instruments every served request updates, resolved once at
+  /// construction (null with telemetry off).
+  Counter *RequestsTotal = nullptr;
+  Histogram *DecodeSeconds = nullptr;
+  Histogram *ExecuteSeconds = nullptr;
+  Histogram *EncodeSeconds = nullptr;
   std::atomic<uint64_t> NextRequestId{1};
 };
 

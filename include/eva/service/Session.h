@@ -7,12 +7,13 @@
 /// \file
 /// A session binds one client's evaluation keys to one registered program.
 /// The server-side workspace holds only what evaluation needs — context,
-/// encoder, and the client-supplied relinearization/Galois keys; the secret
-/// key exists solely on the client (CkksWorkspace::createServer leaves the
-/// key generator, encryptor, and decryptor null). Each session owns a
-/// ParallelCkksExecutor whose cooperative thread pool executes that
-/// client's requests; a per-session mutex serializes them, while different
-/// sessions run concurrently under the RequestScheduler.
+/// encoder, evaluator, and the client-supplied relinearization/Galois keys;
+/// the secret key exists solely on the client (CkksWorkspace::createServer
+/// leaves the key generator, encryptor, and decryptor null). A session is
+/// those keys plus the program's typed signature: it owns no thread, pool or
+/// lock. Each request runs on the thread that received it, through a fresh
+/// serial executor over the session's workspace, so requests of one session
+/// may overlap; the keys, evaluator and encoder they share are read-only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,41 +35,41 @@ namespace eva {
 
 class Session {
 public:
-  /// The session executes through the same api/Runner every other caller
-  /// uses, in cipher-in/cipher-out mode: the evaluation-only workspace has
-  /// no decryptor, so the runner validates the request against the typed
-  /// program signature, schedules it on the parallel executor, and hands
-  /// the output ciphertexts back.
+  /// \p WS is the evaluation-only workspace createServer built and
+  /// validated from the client's keys.
   Session(uint64_t Id, std::shared_ptr<const RegisteredProgram> Prog,
-          std::shared_ptr<CkksWorkspace> WS, size_t ExecThreads,
+          std::shared_ptr<CkksWorkspace> WS,
           MetricsRegistry *Metrics = nullptr);
 
   uint64_t id() const { return Id; }
-  const RegisteredProgram &program() const { return *Prog; }
   const CkksContext &context() const { return *WS->Context; }
+  /// The typed I/O contract every request is validated against.
+  const ProgramSignature &signature() const { return Sig; }
 
-  /// Runs one encrypted request to completion; malformed requests come
-  /// back as diagnostics, not aborts. Requests of the same session are
-  /// serialized (they share the executor); the scheduler overlaps requests
-  /// of different sessions. \p Trace, when non-null, receives the execute
-  /// span; the session also publishes the compute latency and the run's
-  /// cost ledger into its MetricsRegistry.
+  /// Runs one encrypted request to completion on the calling thread, through
+  /// the same api/Runner every other caller uses, in cipher-in/cipher-out
+  /// mode: the runner checks \p Inputs against signature() (again: the
+  /// service validates before admission), runs the serial executor, and
+  /// hands the output ciphertexts back. Malformed requests come back as
+  /// diagnostics, not aborts. \p Trace, when non-null, receives the execute
+  /// span; the run's compute latency and cost ledger roll up into the
+  /// session's metrics.
   Expected<std::map<std::string, Ciphertext>>
-  execute(SealedInputs Inputs, TraceContext *Trace = nullptr)
-      EVA_EXCLUDES(ExecMutex);
+  execute(const Valuation &Inputs, TraceContext *Trace = nullptr) const;
+
+  /// Counts one served request and its end-to-end latency under the
+  /// program's label.
+  void recordServed(double TotalSeconds) const;
 
 private:
   uint64_t Id;
   std::shared_ptr<const RegisteredProgram> Prog;
   std::shared_ptr<CkksWorkspace> WS;
-  /// The runner (and the executor pool behind it) admits one request at a
-  /// time; ExecMutex serializes a session's requests while the scheduler
-  /// overlaps distinct sessions. Leaf in the declared lock order: held
-  /// across execute() but never while touching SessionManager::M.
-  std::unique_ptr<Runner> Exec EVA_PT_GUARDED_BY(ExecMutex);
-  Mutex ExecMutex;
-  /// Instruments each run rolls up into, resolved once at construction
-  /// (null / empty without a metrics registry).
+  ProgramSignature Sig;
+  /// Per-program instruments, resolved once at construction (null / empty
+  /// without a metrics registry).
+  Counter *Served = nullptr;
+  Histogram *ServedSeconds = nullptr;
   Histogram *ComputeSeconds = nullptr;
   std::vector<std::pair<Counter *, uint64_t (*)(const ExecutionStats &)>>
       Rollups;
@@ -87,18 +88,16 @@ class SessionManager {
 public:
   /// \p Metrics, when non-null, tracks open sessions, lifetime
   /// opened/rejected/closed counts, and pinned evaluation-key bytes.
-  explicit SessionManager(size_t ExecThreadsPerSession = 1,
-                          size_t MaxSessions = 64,
+  explicit SessionManager(size_t MaxSessions = 64,
                           MetricsRegistry *Metrics = nullptr)
-      : ExecThreads(ExecThreadsPerSession), MaxSessions(MaxSessions),
-        Metrics(Metrics) {}
+      : MaxSessions(MaxSessions), Metrics(Metrics) {}
 
-  /// Validates the keys against the program (createServer checks Galois
-  /// coverage and relin presence) and publishes a fresh session. Fails
-  /// when the session limit is reached.
+  /// Publishes a fresh session over \p WS, an evaluation-only workspace
+  /// createServer validated against the program. Fails only when the
+  /// session limit is reached.
   Expected<std::shared_ptr<Session>>
-  open(std::shared_ptr<const RegisteredProgram> Prog, RelinKeys Rk,
-       GaloisKeys Gk) EVA_EXCLUDES(M);
+  open(std::shared_ptr<const RegisteredProgram> Prog,
+       std::shared_ptr<CkksWorkspace> WS) EVA_EXCLUDES(M);
 
   std::shared_ptr<Session> find(uint64_t Id) const EVA_EXCLUDES(M);
   bool close(uint64_t Id) EVA_EXCLUDES(M);
@@ -108,12 +107,10 @@ public:
   bool atCapacity() const EVA_EXCLUDES(M);
 
 private:
-  /// Declared lock order: SessionManager::M before Session::ExecMutex
-  /// (open() constructs sessions under M; execution never reaches back into
-  /// the manager). tools/evalint-cpp rejects the inversion.
+  /// Guards the session map and the key accounting. Sessions are built
+  /// under it; nothing under it reaches back into the manager or blocks.
   mutable Mutex M;
   uint64_t NextId EVA_GUARDED_BY(M) = 1;
-  size_t ExecThreads;
   size_t MaxSessions;
   MetricsRegistry *Metrics;
   std::map<uint64_t, std::shared_ptr<Session>> Sessions EVA_GUARDED_BY(M);

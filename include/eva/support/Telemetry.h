@@ -29,8 +29,8 @@
 ///
 /// TraceContext is the per-request companion: a server-assigned request id
 /// plus span timings (decode, queue wait, execute, encode) carried through
-/// dispatch -> scheduler -> session, landing both in the histograms above
-/// and (at -v) in one structured log line per request.
+/// dispatch -> admission gate -> session, landing both in the histograms
+/// above and (at -v) in one structured log line per request.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -201,16 +201,15 @@ std::string labeledMetric(std::string_view Base, std::string_view Key,
 //===----------------------------------------------------------------------===//
 
 /// Follows one request through the service: dispatch assigns the id and
-/// times decode/encode, the scheduler fills the queue-wait span, the
-/// session fills the execute span. Lives on the dispatching thread's stack
-/// (dispatch blocks on the request future, and the scheduler worker writes
-/// its spans before resolving the promise, so the accesses are ordered).
+/// times decode/encode, the admission gate fills the queue-wait span, the
+/// session fills the execute span. Lives on the dispatching thread's stack;
+/// the request executes on that same thread.
 struct TraceContext {
   uint64_t RequestId = 0;
   uint64_t SessionId = 0;
   std::string Program;
-  double DecodeSeconds = 0;  ///< wire decode + ciphertext deserialization
-  double QueueSeconds = 0;   ///< scheduler queue wait
+  double DecodeSeconds = 0;  ///< wire decode, deserialization, validation
+  double QueueSeconds = 0;   ///< wait for an execution slot
   double ExecuteSeconds = 0; ///< session execute (validate + run)
   double EncodeSeconds = 0;  ///< response serialization
   double TotalSeconds = 0;   ///< dispatch entry to response ready

@@ -1,4 +1,4 @@
-//===- RequestScheduler.cpp - Request queue/batching ---------------------------===//
+//===- RequestScheduler.cpp - Request admission gate ----------------------------===//
 //
 // Part of the EVA-CKKS project (PLDI 2020 "EVA" reproduction).
 //
@@ -7,138 +7,77 @@
 #include "eva/service/RequestScheduler.h"
 
 #include <algorithm>
+#include <chrono>
 
 using namespace eva;
 
-RequestScheduler::RequestScheduler(SchedulerConfig ConfigIn,
-                                   MetricsRegistry *MetricsIn)
-    : Config(ConfigIn), Metrics(MetricsIn) {
-  if (Config.Workers == 0)
-    Config.Workers = 1;
-  if (Config.MaxBatch == 0)
-    Config.MaxBatch = 1;
-  Workers.reserve(Config.Workers);
-  for (size_t I = 0; I < Config.Workers; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
-}
-
-RequestScheduler::~RequestScheduler() {
-  {
-    LockGuard Lock(M);
-    Stopping = true;
-  }
-  QueueCv.notify_all();
-  for (std::thread &W : Workers)
-    W.join();
-  // Fail whatever never ran so no future blocks forever. Runs after every
-  // worker joined, so no lock is needed (TSA exempts destructors).
-  for (Request &R : Queue)
-    R.Promise.set_value(Result::error("scheduler shut down"));
-}
-
-Expected<std::future<RequestScheduler::Result>>
-RequestScheduler::submit(std::shared_ptr<Session> S, SealedInputs Inputs,
-                         TraceContext *Trace) {
-  using SubmitResult = Expected<std::future<Result>>;
-  if (!S)
-    return SubmitResult::error("request references no session");
-  Request R;
-  R.S = std::move(S);
-  R.Inputs = std::move(Inputs);
-  R.Trace = Trace;
-  R.EnqueueTime = std::chrono::steady_clock::now();
-  std::future<Result> F = R.Promise.get_future();
-  size_t Depth;
-  {
-    LockGuard Lock(M);
-    if (Stopping)
-      return SubmitResult::error("scheduler is shutting down");
-    if (Queue.size() >= Config.MaxQueueDepth) {
-      ++Stats.Rejected;
-      if (Metrics)
-        Metrics->counter("eva_scheduler_rejected_total").add();
-      return SubmitResult::error("request queue full (" +
-                                 std::to_string(Config.MaxQueueDepth) +
-                                 " deep): retry later");
-    }
-    Queue.push_back(std::move(R));
-    ++Stats.Submitted;
-    Depth = Queue.size();
-  }
+RequestScheduler::RequestScheduler(size_t MaxQueueDepthIn,
+                                   MetricsRegistry *Metrics,
+                                   size_t MaxRunningIn)
+    : MaxQueueDepth(MaxQueueDepthIn),
+      MaxRunning(std::max<size_t>(1, MaxRunningIn)) {
   if (Metrics) {
-    Metrics->counter("eva_scheduler_submitted_total").add();
-    Metrics->gauge("eva_queue_depth").set(static_cast<int64_t>(Depth));
-  }
-  QueueCv.notify_one();
-  return F;
-}
-
-void RequestScheduler::workerLoop() {
-  for (;;) {
-    std::vector<Request> Batch;
-    {
-      UniqueLock Lock(M);
-      while (!Stopping && Queue.empty())
-        QueueCv.wait(Lock);
-      if (Stopping && Queue.empty())
-        return;
-      // Claim a FIFO batch in one critical section; requests of many
-      // sessions ride one wakeup. Claim only a fair share of the queue
-      // (never all of it) so concurrent workers keep overlapping distinct
-      // sessions instead of one worker serializing the whole burst.
-      size_t FairShare =
-          (Queue.size() + Workers.size() - 1) / Workers.size();
-      size_t Claim = std::min(Config.MaxBatch, std::max<size_t>(1, FairShare));
-      while (!Queue.empty() && Batch.size() < Claim) {
-        Batch.push_back(std::move(Queue.front()));
-        Queue.pop_front();
-      }
-      if (!Queue.empty())
-        QueueCv.notify_one();
-      InFlight += Batch.size();
-      ++Stats.Batches;
-      if (Metrics) {
-        Metrics->counter("eva_scheduler_batches_total").add();
-        Metrics->gauge("eva_queue_depth")
-            .set(static_cast<int64_t>(Queue.size()));
-      }
-    }
-    for (Request &R : Batch) {
-      double QueueSeconds = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() -
-                                R.EnqueueTime)
-                                .count();
-      // Fill the trace BEFORE resolving the promise: the submitter blocks
-      // on the future, so set_value gives the write a happens-before edge.
-      if (R.Trace)
-        R.Trace->QueueSeconds = QueueSeconds;
-      if (Metrics)
-        Metrics->latencyHistogram("eva_request_queue_seconds")
-            .observe(QueueSeconds);
-      Result Res = Result::error("unreachable");
-      bool Ok = false;
-      try {
-        Res = R.S->execute(std::move(R.Inputs), R.Trace);
-        Ok = true;
-      } catch (const std::exception &E) {
-        Res = Result::error(std::string("execution failed: ") + E.what());
-      } catch (...) {
-        Res = Result::error("execution failed with unknown exception");
-      }
-      R.Promise.set_value(std::move(Res));
-      LockGuard Lock(M);
-      --InFlight;
-      ++(Ok ? Stats.Completed : Stats.Failed);
-      if (InFlight == 0 && Queue.empty())
-        IdleCv.notify_all();
-    }
+    SubmittedTotal = &Metrics->counter("eva_scheduler_submitted_total");
+    RejectedTotal = &Metrics->counter("eva_scheduler_rejected_total");
+    QueueDepth = &Metrics->gauge("eva_queue_depth");
+    QueueSeconds = &Metrics->latencyHistogram("eva_request_queue_seconds");
   }
 }
 
-void RequestScheduler::drain() {
-  UniqueLock Lock(M);
-  while (!Queue.empty() || InFlight != 0)
-    IdleCv.wait(Lock);
+Expected<RequestScheduler::Result>
+RequestScheduler::run(const std::function<Result()> &Work,
+                      TraceContext *Trace) {
+  auto Arrival = std::chrono::steady_clock::now();
+  {
+    UniqueLock Lock(M);
+    if (Running == MaxRunning && Waiting >= MaxQueueDepth) {
+      ++Stats.Rejected;
+      if (RejectedTotal)
+        RejectedTotal->add();
+      return Expected<Result>::error("request queue full (" +
+                                     std::to_string(MaxQueueDepth) +
+                                     " deep): retry later");
+    }
+    ++Stats.Submitted;
+    if (SubmittedTotal)
+      SubmittedTotal->add();
+    if (Running == MaxRunning) {
+      ++Waiting;
+      if (QueueDepth)
+        QueueDepth->set(static_cast<int64_t>(Waiting));
+      while (Running == MaxRunning)
+        SlotFreed.wait(Lock);
+      --Waiting;
+      if (QueueDepth)
+        QueueDepth->set(static_cast<int64_t>(Waiting));
+    }
+    ++Running;
+    ++Stats.Batches;
+  }
+  double QueueWait = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - Arrival)
+                         .count();
+  if (Trace)
+    Trace->QueueSeconds = QueueWait;
+  if (QueueSeconds)
+    QueueSeconds->observe(QueueWait);
+
+  Result R = [&]() -> Result {
+    try {
+      return Work();
+    } catch (const std::exception &E) {
+      return Result::error(std::string("execution failed: ") + E.what());
+    } catch (...) {
+      return Result::error("execution failed with unknown exception");
+    }
+  }();
+  {
+    LockGuard Lock(M);
+    --Running;
+    ++(R.ok() ? Stats.Completed : Stats.Failed);
+  }
+  SlotFreed.notify_one();
+  return R;
 }
 
 SchedulerStats RequestScheduler::stats() const {

@@ -14,9 +14,14 @@ using namespace eva;
 
 Service::Service(ServiceConfig ConfigIn)
     : Config(ConfigIn),
-      Sessions(Config.ExecThreadsPerSession, Config.MaxSessions,
-               Config.Telemetry ? &Metrics : nullptr),
-      Scheduler(Config.Scheduler, Config.Telemetry ? &Metrics : nullptr) {
+      Sessions(Config.MaxSessions, Config.Telemetry ? &Metrics : nullptr),
+      Scheduler(Config.MaxQueueDepth, Config.Telemetry ? &Metrics : nullptr) {
+  if (Config.Telemetry) {
+    RequestsTotal = &Metrics.counter("eva_requests_total");
+    DecodeSeconds = &Metrics.latencyHistogram("eva_request_decode_seconds");
+    ExecuteSeconds = &Metrics.latencyHistogram("eva_request_execute_seconds");
+    EncodeSeconds = &Metrics.latencyHistogram("eva_request_encode_seconds");
+  }
   if (!Config.AuditLog.empty())
     if (Status S = Audit.open(Config.AuditLog); !S.ok())
       LogLine(LogLevel::Error, "audit_open_failed")
@@ -101,8 +106,14 @@ Service::handleOpenSession(std::string_view Payload) {
     Gk = std::move(*G);
   }
 
+  // createServer refuses keys that do not fit the program: a missing relin
+  // key or Galois step, or keys for another context.
+  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::createServer(
+      Prog->CP, Prog->Context, std::move(Rk), std::move(Gk));
+  if (!WS)
+    return errorResponse("bad_keys", WS.message());
   Expected<std::shared_ptr<Session>> S =
-      Sessions.open(std::move(Prog), std::move(Rk), std::move(Gk));
+      Sessions.open(std::move(Prog), std::move(*WS));
   if (!S)
     return errorResponse("session_limit", S.message());
   LogLine(LogLevel::Info, "session_open")
@@ -134,37 +145,46 @@ Service::handleExecute(std::string_view Payload) {
   if (Audit.enabled())
     InputsHash = auditHashInputs(M->CipherInputs, M->PlainInputs);
 
-  // Deserialize defensively (malformed bytes, duplicate names). The full
-  // schema validation — inputs complete, ciphertexts well-formed at the
-  // declared scale and level, values finite, no undeclared extras — happens
-  // in the session's Runner (api/Valuation), which checks every request
-  // against the typed program signature BEFORE it can reach the executor:
-  // executor invariant violations are process-fatal, and a hostile tenant
-  // must not be able to take the service down.
-  SealedInputs Inputs;
+  // Deserialize defensively (malformed bytes, duplicate names), then check
+  // the request against the typed program signature — inputs complete,
+  // ciphertexts well-formed at the declared scale and level, values finite,
+  // no undeclared extras — before it takes a slot in the gate: executor
+  // invariant violations are process-fatal, and a hostile tenant must not
+  // be able to take the service down. The session's runner checks again.
+  Valuation Inputs;
   for (const auto &[Name, Bytes] : M->CipherInputs) {
     Expected<Ciphertext> Ct = deserializeCiphertext(Ctx, Bytes);
     if (!Ct)
       return errorResponse("bad_input",
                            "cipher input '" + Name + "': " + Ct.message());
-    if (!Inputs.Cipher.emplace(Name, std::move(*Ct)).second)
+    if (Inputs.has(Name))
       return errorResponse("bad_input",
                            "duplicate cipher input '" + Name + "'");
+    Inputs.set(Name, std::move(*Ct));
   }
-  for (auto &[Name, Values] : M->PlainInputs)
-    if (!Inputs.Plain.emplace(Name, std::move(Values)).second)
-      return errorResponse("bad_input",
-                           "duplicate plain input '" + Name + "'");
+  for (auto &[Name, Values] : M->PlainInputs) {
+    if (Inputs.has(Name))
+      return errorResponse(
+          "bad_input", Inputs.isCipher(Name)
+                           ? "input '" + Name +
+                                 "' supplied as both ciphertext and plain"
+                           : "duplicate plain input '" + Name + "'");
+    Inputs.set(Name, std::move(Values));
+  }
+  if (Status Valid = validateInputs(S->signature(), Inputs); !Valid.ok())
+    return errorResponse("bad_input", Valid.message());
+  // The server cannot encrypt: a cipher input must arrive encrypted.
+  for (const IoSpec &Spec : S->signature().Inputs)
+    if (Spec.isCipher() && !Inputs.isCipher(Spec.Name))
+      return errorResponse("bad_input", "cipher input '" + Spec.Name +
+                                            "' arrived as plain values");
   Trace.DecodeSeconds = DecodeTimer.seconds();
 
-  // The trace context lives on this stack frame; the scheduler worker and
-  // the session write their spans into it before the promise resolves, and
-  // F->get() below orders those writes before our reads.
-  Expected<std::future<RequestScheduler::Result>> F =
-      Scheduler.submit(std::move(S), std::move(Inputs), &Trace);
-  if (!F)
-    return errorResponse("queue_full", F.message());
-  RequestScheduler::Result R = F->get();
+  Expected<RequestScheduler::Result> Run =
+      Scheduler.run([&] { return S->execute(Inputs, &Trace); }, &Trace);
+  if (!Run)
+    return errorResponse("queue_full", Run.message());
+  RequestScheduler::Result &R = *Run;
   if (!R)
     return errorResponse("execute_failed", R.message());
 
@@ -177,22 +197,12 @@ Service::handleExecute(std::string_view Payload) {
   Trace.EncodeSeconds = EncodeTimer.seconds();
   Trace.TotalSeconds = TotalTimer.seconds();
 
-  if (Config.Telemetry) {
-    Metrics.counter("eva_requests_total").add();
-    Metrics
-        .counter(
-            labeledMetric("eva_requests_total", "program", Trace.Program))
-        .add();
-    Metrics
-        .latencyHistogram(
-            labeledMetric("eva_request_seconds", "program", Trace.Program))
-        .observe(Trace.TotalSeconds);
-    Metrics.latencyHistogram("eva_request_decode_seconds")
-        .observe(Trace.DecodeSeconds);
-    Metrics.latencyHistogram("eva_request_execute_seconds")
-        .observe(Trace.ExecuteSeconds);
-    Metrics.latencyHistogram("eva_request_encode_seconds")
-        .observe(Trace.EncodeSeconds);
+  if (RequestsTotal) {
+    RequestsTotal->add();
+    S->recordServed(Trace.TotalSeconds);
+    DecodeSeconds->observe(Trace.DecodeSeconds);
+    ExecuteSeconds->observe(Trace.ExecuteSeconds);
+    EncodeSeconds->observe(Trace.EncodeSeconds);
   }
   LogLine(LogLevel::Info, "request")
       .kv("req", Trace.RequestId)

@@ -66,50 +66,43 @@ size_t eva::pinnedKeyBytes(const RelinKeys &Rk, const GaloisKeys &Gk) {
 }
 
 Session::Session(uint64_t IdIn, std::shared_ptr<const RegisteredProgram> ProgIn,
-                 std::shared_ptr<CkksWorkspace> WSIn, size_t ExecThreads,
+                 std::shared_ptr<CkksWorkspace> WSIn,
                  MetricsRegistry *MetricsIn)
-    : Id(IdIn), Prog(std::move(ProgIn)), WS(std::move(WSIn)) {
+    : Id(IdIn), Prog(std::move(ProgIn)), WS(std::move(WSIn)),
+      Sig(ProgramSignature::of(Prog->CP)) {
   if (MetricsIn) {
-    ComputeSeconds = &MetricsIn->latencyHistogram(labeledMetric(
-        "eva_compute_seconds", "program", Prog->Signature.ProgramName));
-    for (const auto &[Name, Field] : LedgerRollups)
-      Rollups.emplace_back(&MetricsIn->counter(Name), Field);
+    const std::string &Name = Prog->Signature.ProgramName;
+    Served = &MetricsIn->counter(
+        labeledMetric("eva_requests_total", "program", Name));
+    ServedSeconds = &MetricsIn->latencyHistogram(
+        labeledMetric("eva_request_seconds", "program", Name));
+    ComputeSeconds = &MetricsIn->latencyHistogram(
+        labeledMetric("eva_compute_seconds", "program", Name));
+    for (const auto &[Metric, Field] : LedgerRollups)
+      Rollups.emplace_back(&MetricsIn->counter(Metric), Field);
   }
-  LocalRunnerOptions Opts;
-  Opts.Threads = ExecThreads;
-  Opts.Style = LocalStyle::ParallelDag;
-  // The registered program outlives the session (shared_ptr member), and
-  // the workspace was validated by createServer, so this cannot fail.
-  Exec = std::move(Runner::local(Prog->CP, WS, Opts).value());
 }
 
 Expected<std::map<std::string, Ciphertext>>
-Session::execute(SealedInputs Inputs, TraceContext *Trace) {
+Session::execute(const Valuation &Inputs, TraceContext *Trace) const {
   using Result = Expected<std::map<std::string, Ciphertext>>;
-  Valuation V;
-  for (auto &[Name, Ct] : Inputs.Cipher)
-    V.set(Name, std::move(Ct));
-  for (auto &[Name, Values] : Inputs.Plain) {
-    // Valuation::set overwrites; a name arriving as both a ciphertext and
-    // a plain vector is a malformed request, not a silent override.
-    if (V.has(Name))
-      return Result::error("input '" + Name +
-                           "' supplied as both ciphertext and plain");
-    V.set(Name, std::move(Values));
-  }
-
-  LockGuard Lock(ExecMutex);
+  LocalRunnerOptions Opts;
+  Opts.Threads = 1;
+  Opts.Style = LocalStyle::Serial;
+  // The registered program outlives the session (shared_ptr member), and
+  // the workspace is non-null, so this cannot fail.
+  std::unique_ptr<Runner> Exec =
+      std::move(Runner::local(Prog->CP, WS, Opts).value());
   Timer ExecTimer;
-  Expected<Valuation> Out = Exec->run(V);
+  Expected<Valuation> Out = Exec->run(Inputs);
   double ExecuteSeconds = ExecTimer.seconds();
   if (Trace) {
     Trace->SessionId = Id;
     Trace->Program = Prog->Signature.ProgramName;
     Trace->ExecuteSeconds = ExecuteSeconds;
   }
-  // Publish only runs that executed: a request refused at validation
-  // leaves executionStats() stale from the previous run, and a near-zero
-  // "compute" sample would skew the latency histogram.
+  // Publish only runs that executed: a near-zero "compute" sample from a
+  // request refused at validation would skew the latency histogram.
   if (ComputeSeconds && Out.ok()) {
     ComputeSeconds->observe(ExecuteSeconds);
     const ExecutionStats &Ledger = *Exec->executionStats();
@@ -129,30 +122,20 @@ Session::execute(SealedInputs Inputs, TraceContext *Trace) {
   return Result(std::move(Cts));
 }
 
+void Session::recordServed(double TotalSeconds) const {
+  if (!Served)
+    return;
+  Served->add();
+  ServedSeconds->observe(TotalSeconds);
+}
+
 Expected<std::shared_ptr<Session>>
 SessionManager::open(std::shared_ptr<const RegisteredProgram> Prog,
-                     RelinKeys Rk, GaloisKeys Gk) {
+                     std::shared_ptr<CkksWorkspace> WS) {
   using Result = Expected<std::shared_ptr<Session>>;
-  if (!Prog)
-    return Result::error("session references no program");
-  {
-    // Check the limit before the (expensive) workspace build too, so a
-    // session flood fails fast; the post-build re-check under the lock is
-    // the authoritative one.
-    LockGuard Lock(M);
-    if (Sessions.size() >= MaxSessions) {
-      if (Metrics)
-        Metrics->counter("eva_sessions_rejected_total").add();
-      return Result::error("session limit reached (" +
-                           std::to_string(MaxSessions) + "): close one or retry later");
-    }
-  }
-  size_t PinnedBytes = pinnedKeyBytes(Rk, Gk);
-  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::createServer(
-      Prog->CP, Prog->Context, std::move(Rk), std::move(Gk));
-  if (!WS)
-    return WS.takeStatus();
-
+  if (!Prog || !WS)
+    return Result::error("session references no program or keys");
+  size_t PinnedBytes = pinnedKeyBytes(WS->Rk, WS->Gk);
   LockGuard Lock(M);
   if (Sessions.size() >= MaxSessions) {
     if (Metrics)
@@ -162,8 +145,8 @@ SessionManager::open(std::shared_ptr<const RegisteredProgram> Prog,
                          "): close one or retry later");
   }
   uint64_t Id = NextId++;
-  auto S = std::make_shared<Session>(Id, std::move(Prog), WS.value(),
-                                     ExecThreads, Metrics);
+  auto S = std::make_shared<Session>(Id, std::move(Prog), std::move(WS),
+                                     Metrics);
   Sessions.emplace(Id, S);
   KeyBytes.emplace(Id, PinnedBytes);
   if (Metrics) {
@@ -184,9 +167,8 @@ std::shared_ptr<Session> SessionManager::find(uint64_t Id) const {
 
 bool SessionManager::close(uint64_t Id) {
   // Declared before the lock so it is destroyed after the lock is dropped:
-  // tearing a session down joins its executor pool and frees its keys
-  // (gigabytes for a LeNet session), which must not block find/open for
-  // every other tenant.
+  // tearing a session down frees its keys (gigabytes for a LeNet session),
+  // which must not block find/open for every other tenant.
   std::shared_ptr<Session> Released;
   LockGuard Lock(M);
   auto SessionIt = Sessions.find(Id);

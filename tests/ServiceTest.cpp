@@ -15,6 +15,9 @@
 ///    loopback socket server produce results bit-identical to a direct
 ///    in-process CkksExecutor::run, with the secret key provably absent
 ///    from every frame on the wire.
+///  * The threading model: requests run on the thread that received them,
+///    behind an admission gate that refuses past its queue depth, and
+///    requests of one session overlap bit-identically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +34,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <future>
+#include <latch>
 #include <limits>
 #include <sys/socket.h>
 #include <thread>
@@ -703,6 +709,11 @@ struct ServiceFixture {
     EXPECT_NE(E->Message.find(Want), std::string::npos)
         << "got: " << E->Message;
   }
+  /// Refusals counted under \p Cause in eva_request_errors_total.
+  uint64_t errors(const char *Cause) const {
+    return Svc.metricsSnapshot().counterValue(
+        labeledMetric("eva_request_errors_total", "cause", Cause));
+  }
 };
 
 TEST(Service, RejectsUnknownProgramAndSession) {
@@ -742,6 +753,8 @@ TEST(Service, RejectsSessionWithoutRequiredKeys) {
   Open.ProgramName = "served";
   F.expectError(MessageType::OpenSession, serializeOpenSession(Open),
                 "relin");
+  EXPECT_EQ(F.errors("bad_keys"), 1u);
+  EXPECT_EQ(F.errors("session_limit"), 0u);
 }
 
 TEST(Service, RejectsSessionMissingAPlannedGaloisStep) {
@@ -780,6 +793,8 @@ TEST(Service, RejectsSessionMissingAPlannedGaloisStep) {
   Open.GaloisKeyBytes = serializeGaloisKeys(Gen.createGaloisKeys(Partial));
   F.expectError(MessageType::OpenSession, serializeOpenSession(Open),
                 "missing galois key");
+  EXPECT_EQ(F.errors("bad_keys"), 1u);
+  EXPECT_EQ(F.errors("session_limit"), 0u);
 
   // The full basis opens fine.
   Open.GaloisKeyBytes = serializeGaloisKeys(Gen.createGaloisKeys(
@@ -852,10 +867,86 @@ TEST(Service, RejectsMalformedAndMismatchedRequests) {
   F.expectError(MessageType::Execute, serializeExecute(Extra),
                 "is not an input");
 
+  // A cipher input sent as plain values: the server holds no key to
+  // encrypt it with.
+  ExecuteMsg PlainCipher;
+  PlainCipher.SessionId = Sid;
+  PlainCipher.PlainInputs = {{"x", servedInputs(5).at("x")},
+                             {"w", Req->Inputs.Plain.at("w")}};
+  F.expectError(MessageType::Execute, serializeExecute(PlainCipher),
+                "arrived as plain");
+
+  // Every refusal above happened before admission: none took a slot in
+  // the gate or counts as executed.
+  EXPECT_EQ(F.errors("bad_input"), 7u);
+  EXPECT_EQ(F.errors("execute_failed"), 0u);
+  SchedulerStats Refused = F.Svc.schedulerStats();
+  EXPECT_EQ(Refused.Submitted, 0u);
+  EXPECT_EQ(Refused.Completed, 0u);
+  EXPECT_EQ(Refused.Failed, 0u);
+
   // The session survives all of the above abuse and still works.
   Expected<std::map<std::string, std::vector<double>>> Out =
       Client.call(servedInputs(6));
   EXPECT_TRUE(Out.ok()) << (Out.ok() ? "" : Out.message());
+  EXPECT_EQ(F.Svc.schedulerStats().Submitted, 1u);
+  EXPECT_EQ(F.Svc.schedulerStats().Completed, 1u);
+}
+
+// Requests of one session may overlap: each runs its own serial executor
+// over the session's read-only keys, evaluator and encoder.
+TEST(Service, ConcurrentRequestsOnOneSessionAreBitIdentical) {
+  ServiceFixture F;
+  ServiceClient Client(F.T);
+  Expected<std::vector<ParamSignature>> Sigs = Client.listPrograms();
+  ASSERT_TRUE(Sigs.ok());
+  ASSERT_TRUE(Client.openSession((*Sigs)[0], 71).ok());
+
+  CompiledProgram CP = compileServedProgram();
+  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::createServer(
+      CP, Client.context(), Client.relinKeys(), Client.galoisKeys());
+  ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
+  CkksExecutor Direct(CP, WS.value());
+
+  constexpr size_t Threads = 2, Rounds = 3;
+  std::vector<std::string> Payloads;
+  std::vector<Ciphertext> Want;
+  for (size_t T = 0; T < Threads; ++T) {
+    Expected<SealedRequest> Req = Client.encryptInputs(servedInputs(40 + T));
+    ASSERT_TRUE(Req.ok());
+    ExecuteMsg Exec;
+    Exec.SessionId = Client.sessionId();
+    for (const auto &[Name, Ct] : Req->Inputs.Cipher)
+      Exec.CipherInputs.emplace_back(Name, serializeCiphertext(Ct));
+    for (const auto &[Name, V] : Req->Inputs.Plain)
+      Exec.PlainInputs.emplace_back(Name, V);
+    Payloads.push_back(serializeExecute(Exec));
+    Want.push_back(Direct.run(Req->Inputs).at("out"));
+  }
+
+  std::latch Start(Threads);
+  std::vector<std::thread> Senders;
+  for (size_t T = 0; T < Threads; ++T)
+    Senders.emplace_back([&, T] {
+      Start.arrive_and_wait();
+      for (size_t R = 0; R < Rounds; ++R) {
+        std::pair<MessageType, std::string> Resp =
+            F.Svc.dispatch(MessageType::Execute, Payloads[T]);
+        ASSERT_EQ(Resp.first, MessageType::ExecuteResult);
+        Expected<ExecuteResultMsg> Res = deserializeExecuteResult(Resp.second);
+        ASSERT_TRUE(Res.ok());
+        ASSERT_EQ(Res->Outputs.size(), 1u);
+        Expected<Ciphertext> Ct =
+            deserializeCiphertext(*Client.context(), Res->Outputs[0].second);
+        ASSERT_TRUE(Ct.ok());
+        EXPECT_TRUE(ciphertextsEqual(*Ct, Want[T]))
+            << "request " << T << " round " << R
+            << " is not bit-identical to direct execution";
+      }
+    });
+  for (std::thread &S : Senders)
+    S.join();
+  EXPECT_EQ(F.Svc.schedulerStats().Completed, Threads * Rounds);
 }
 
 TEST(Service, SessionsAreIsolated) {
@@ -922,21 +1013,145 @@ TEST(Service, SessionLimitRejectsFloods) {
 }
 
 TEST(Service, SchedulerBackpressureRejectsWhenQueueFull) {
-  ServiceConfig Config;
-  Config.Scheduler.Workers = 1;
-  Config.Scheduler.MaxQueueDepth = 0; // every submission beyond capacity
-  Service Svc(Config);
+  // An idle gate admits a request even when no request may wait.
+  {
+    ServiceConfig Config;
+    Config.MaxQueueDepth = 0;
+    Service Svc(Config);
+    ASSERT_TRUE(Svc.registry().registerSource(*buildServedProgram()).ok());
+    InProcessTransport T(Svc);
+    ServiceClient Client(T);
+    Expected<std::vector<ParamSignature>> Sigs = Client.listPrograms();
+    ASSERT_TRUE(Sigs.ok());
+    ASSERT_TRUE(Client.openSession((*Sigs)[0], 31).ok());
+    Expected<std::map<std::string, std::vector<double>>> Out =
+        Client.call(servedInputs(1));
+    ASSERT_TRUE(Out.ok()) << (Out.ok() ? "" : Out.message());
+    EXPECT_EQ(Svc.schedulerStats().Rejected, 0u);
+  }
+
+  // One slot and room for one waiter: hold the slot, queue a request
+  // behind it, and the next one is refused.
+  using Result = RequestScheduler::Result;
+  MetricsRegistry Metrics;
+  RequestScheduler Gate(/*MaxQueueDepth=*/1, &Metrics, /*MaxRunning=*/1);
+  auto Empty = [] { return Result(std::map<std::string, Ciphertext>{}); };
+  auto WaitUntil = [&](bool (*Pred)(const SchedulerStats &)) {
+    while (!Pred(Gate.stats()))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  std::promise<void> Release;
+  std::shared_future<void> Released = Release.get_future().share();
+  std::thread Holder([&] {
+    Expected<Result> R = Gate.run([&] {
+      Released.wait();
+      return Empty();
+    });
+    EXPECT_TRUE(R.ok() && R->ok());
+  });
+  WaitUntil([](const SchedulerStats &S) { return S.Batches == 1; });
+  std::thread Waiter([&] {
+    Expected<Result> R = Gate.run(Empty);
+    EXPECT_TRUE(R.ok() && R->ok());
+  });
+  WaitUntil([](const SchedulerStats &S) { return S.Submitted == 2; });
+  ASSERT_NE(Metrics.snapshot().gauge("eva_queue_depth"), nullptr);
+  EXPECT_EQ(Metrics.snapshot().gauge("eva_queue_depth")->Value, 1);
+
+  Expected<Result> Refused = Gate.run(Empty);
+  ASSERT_FALSE(Refused.ok());
+  EXPECT_NE(Refused.message().find("queue full"), std::string::npos);
+  Release.set_value();
+  Holder.join();
+  Waiter.join();
+
+  // A request whose execution throws fails on its own and frees its slot.
+  Expected<Result> Threw =
+      Gate.run([]() -> Result { throw std::runtime_error("boom"); });
+  ASSERT_TRUE(Threw.ok());
+  ASSERT_FALSE(Threw->ok());
+  EXPECT_NE(Threw->message().find("boom"), std::string::npos);
+
+  SchedulerStats Stats = Gate.stats();
+  EXPECT_EQ(Stats.Submitted, 3u);
+  EXPECT_EQ(Stats.Batches, 3u);
+  EXPECT_EQ(Stats.Completed, 2u);
+  EXPECT_EQ(Stats.Failed, 1u);
+  EXPECT_EQ(Stats.Rejected, 1u);
+  MetricsSnapshot Snap = Metrics.snapshot();
+  EXPECT_EQ(Snap.counterValue("eva_scheduler_submitted_total"), 3u);
+  EXPECT_EQ(Snap.counterValue("eva_scheduler_rejected_total"), 1u);
+  EXPECT_EQ(Snap.gauge("eva_queue_depth")->Value, 0);
+  ASSERT_NE(Snap.histogram("eva_request_queue_seconds"), nullptr);
+  EXPECT_EQ(Snap.histogram("eva_request_queue_seconds")->Count, 3u);
+}
+
+/// Threads of this process, read from /proc/self/task.
+size_t liveThreads() {
+  size_t N = 0;
+  for ([[maybe_unused]] const auto &Task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++N;
+  return N;
+}
+
+/// Waits up to 2 s for the thread count to reach \p Want and returns it: a
+/// thread can linger in /proc/self/task for a moment after it was joined
+/// (the client's key generation runs on a transient pool).
+size_t settledThreads(size_t Want) {
+  for (int I = 0; I < 200 && liveThreads() != Want; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  return liveThreads();
+}
+
+// Requests execute on the thread that received them: a Service starts no
+// thread, and a loopback server with k connections runs one acceptor plus
+// k connection threads however many sessions are open.
+TEST(Service, ThreadCountDoesNotDependOnSessions) {
+  size_t Base = liveThreads();
+  for (int I = 0; I < 20; ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Base = std::min(Base, liveThreads());
+  }
+  Service Svc;
   ASSERT_TRUE(Svc.registry().registerSource(*buildServedProgram()).ok());
-  InProcessTransport T(Svc);
-  ServiceClient Client(T);
-  Expected<std::vector<ParamSignature>> Sigs = Client.listPrograms();
+  EXPECT_EQ(settledThreads(Base), Base) << "the service started threads";
+
+  ServiceServer Server(Svc);
+  ASSERT_TRUE(Server.start(0).ok());
+  const size_t Connections = 2;
+  std::vector<std::unique_ptr<SocketTransport>> Conns;
+  for (size_t C = 0; C < Connections; ++C) {
+    Expected<std::unique_ptr<SocketTransport>> T =
+        SocketTransport::connectLoopback(Server.port());
+    ASSERT_TRUE(T.ok()) << (T.ok() ? "" : T.message());
+    Conns.push_back(std::move(*T));
+  }
+  Expected<std::vector<ParamSignature>> Sigs =
+      ServiceClient(*Conns[0]).listPrograms();
   ASSERT_TRUE(Sigs.ok());
-  ASSERT_TRUE(Client.openSession((*Sigs)[0], 31).ok());
-  Expected<std::map<std::string, std::vector<double>>> Out =
-      Client.call(servedInputs(1));
-  ASSERT_FALSE(Out.ok());
-  EXPECT_NE(Out.message().find("queue full"), std::string::npos);
-  EXPECT_EQ(Svc.schedulerStats().Rejected, 1u);
+  // A round trip on every connection: each has its thread by now.
+  for (const std::unique_ptr<SocketTransport> &C : Conns)
+    ASSERT_TRUE(ServiceClient(*C).listPrograms().ok());
+
+  std::vector<std::unique_ptr<ServiceClient>> Clients;
+  for (size_t Open : {1u, 16u}) {
+    while (Clients.size() < Open) {
+      Transport &Conn = *Conns[Clients.size() % Connections];
+      Clients.push_back(std::make_unique<ServiceClient>(Conn));
+      ASSERT_TRUE(
+          Clients.back()->openSession((*Sigs)[0], 600 + Clients.size()).ok());
+    }
+    for (const std::unique_ptr<ServiceClient> &C : Clients) {
+      Expected<std::map<std::string, std::vector<double>>> Out =
+          C->call(servedInputs(8));
+      ASSERT_TRUE(Out.ok()) << (Out.ok() ? "" : Out.message());
+    }
+    EXPECT_EQ(Svc.activeSessionCount(), Open);
+    EXPECT_EQ(settledThreads(Base + 1 + Connections), Base + 1 + Connections)
+        << "with " << Open << " sessions open";
+  }
+  Server.stop();
 }
 
 } // namespace

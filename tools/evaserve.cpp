@@ -14,9 +14,8 @@
 // (--audit-log; verify lines offline with `evacall audit-verify`).
 //
 // Usage:
-//   evaserve [--port N] [--workers W] [--exec-threads K] [--chet] [--lazy]
-//            [--log-level L] [-v] [--audit-log PATH] [--no-telemetry]
-//            <program.evabin>...
+//   evaserve [--port N] [--chet] [--lazy] [--log-level L] [-v]
+//            [--audit-log PATH] [--no-telemetry] <program.evabin>...
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,14 +46,10 @@ void onMetricsSignal(int) { GSignals->notifyFromHandler(kMetricsToken); }
 
 int usage(const char *Prog) {
   std::fprintf(stderr,
-               "usage: %s [--port N] [--workers W] [--exec-threads K] "
-               "[--chet] [--lazy] [--log-level L] [-v] [--audit-log PATH] "
-               "[--no-telemetry] <program.evabin>...\n"
+               "usage: %s [--port N] [--chet] [--lazy] [--log-level L] [-v] "
+               "[--audit-log PATH] [--no-telemetry] <program.evabin>...\n"
                "  --port N         listen port on 127.0.0.1 (default: "
                "ephemeral, printed at startup)\n"
-               "  --workers W      concurrent requests in flight (default 2)\n"
-               "  --exec-threads K cooperative pool size per session "
-               "executor (default 1)\n"
                "  --chet / --lazy  compiler policies for the served "
                "programs (as in evac)\n"
                "  --log-level L    debug|info|warn|error|off (default warn)\n"
@@ -91,12 +86,6 @@ int main(int Argc, char **Argv) {
       if (P < 0 || P > 65535)
         return usage(Argv[0]);
       Port = static_cast<uint16_t>(P);
-    } else if (std::strcmp(Argv[I], "--workers") == 0 && I + 1 < Argc) {
-      Config.Scheduler.Workers = static_cast<size_t>(
-          std::max(1, std::atoi(Argv[++I])));
-    } else if (std::strcmp(Argv[I], "--exec-threads") == 0 && I + 1 < Argc) {
-      Config.ExecThreadsPerSession = static_cast<size_t>(
-          std::max(1, std::atoi(Argv[++I])));
     } else if (std::strcmp(Argv[I], "--chet") == 0) {
       Options = CompilerOptions::chet();
     } else if (std::strcmp(Argv[I], "--lazy") == 0) {
