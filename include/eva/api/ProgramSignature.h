@@ -8,7 +8,7 @@
 /// The typed input/output contract of an EVA program: one IoSpec per input
 /// and output (name, value type, fixed-point log scale, expected ciphertext
 /// level, vector size). Every execution backend — the reference semantics,
-/// the local CKKS executors, and the remote encrypted-compute service —
+/// the local CKKS executor, and the remote encrypted-compute service —
 /// exposes the same ProgramSignature, so a Valuation validated against it
 /// runs unchanged on any of them (see eva/api/Runner.h).
 ///

@@ -12,11 +12,11 @@
 ///
 ///  * Runner::reference(P)     — the paper's Section 3 reference semantics
 ///                               (plaintext doubles, no encryption),
-///  * Runner::local(CP, Opts)  — encrypt/execute/decrypt in-process; the
-///                               thread count selects the serial or the
-///                               asynchronous-DAG parallel CKKS executor
-///                               (or the CHET-style bulk executor for
-///                               baseline measurements),
+///  * Runner::local(CP, Opts)  — encrypt/execute/decrypt in-process on the
+///                               CKKS executor, with the paper's
+///                               asynchronous DAG schedule (or the
+///                               CHET-style bulk schedule for baseline
+///                               measurements) on Opts.Threads threads,
 ///  * Runner::remote(T, name)  — the full client loop against an
 ///                               encrypted-compute service over a Transport
 ///                               (socket or in-process).
@@ -43,23 +43,10 @@ namespace eva {
 
 class Transport; // see eva/service/Client.h
 
-/// Which local CKKS executor a local Runner schedules with.
-enum class LocalStyle {
-  Auto,        ///< Threads <= 1 -> Serial, otherwise ParallelDag.
-  Serial,      ///< CkksExecutor: sequential baseline.
-  ParallelDag, ///< ParallelCkksExecutor: the paper's EVA executor.
-  KernelBulk,  ///< KernelBulkCkksExecutor: the CHET-style baseline.
-};
-
-struct LocalRunnerOptions {
-  /// Total execution contexts (the calling thread participates).
-  size_t Threads = 1;
-  LocalStyle Style = LocalStyle::Auto;
-  /// Consume the compiled RotationPlan: rotations sharing a source share
-  /// one key-switch decomposition (bit-identical outputs; see
-  /// executionStats() for the decomposition counts). Off reproduces the
-  /// one-decomposition-per-rotation baseline.
-  bool Hoisting = true;
+/// Options of a local Runner: the executor's thread count, schedule and
+/// hoisting (ExecutorOptions; the default is the DAG schedule on the
+/// calling thread alone) plus the seeding of the client keys.
+struct LocalRunnerOptions : ExecutorOptions {
   /// Key/encryption RNG seed (the secret key is a function of it).
   uint64_t Seed = 1;
   /// When true, ciphertext/key expansion seeds are also derived

@@ -5,27 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs compiled EVA programs against the CKKS backend. Three executors
-/// share one instruction dispatcher:
+/// Runs compiled EVA programs against the CKKS backend. One executor runs
+/// either of the paper's two schedules:
 ///
-///  * CkksExecutor — sequential baseline.
-///  * ParallelCkksExecutor — the paper's EVA executor (Section 6.1):
-///    asynchronous DAG scheduling over a thread pool with
-///    dependency-counting readiness, plus retire-based memory reuse
-///    (a node's ciphertext is released once its last child has consumed it).
-///  * KernelBulkCkksExecutor — the CHET-style baseline: bulk-synchronous
-///    parallelism inside each frontend-tagged kernel with barriers between
-///    kernels (the paper's "static, bulk-synchronous schedule limits the
-///    available parallelism", Section 8.2).
+///  * the EVA schedule (Section 6.1): asynchronous DAG scheduling with
+///    dependency-counting readiness — a node is submitted to the pool the
+///    moment its last parent finishes;
+///  * the CHET-style baseline (Section 8.2): frontend-tagged kernels in
+///    sequence, bulk-synchronous wavefronts with barriers inside each (the
+///    paper's "static, bulk-synchronous schedule limits the available
+///    parallelism").
 ///
-/// Both parallel executors are cooperative: the thread that calls run()
-/// participates in the schedule (executing ready nodes or loop chunks)
-/// instead of sleeping, so an executor built with NumThreads = k uses
-/// exactly k execution contexts. They also own a limb-parallel Evaluator
-/// wired to the same pool, so when the DAG (or a kernel wavefront) is
-/// narrower than the worker count, idle workers pick up per-prime limb
-/// chunks of the CKKS ops in flight instead of idling — the two levels of
-/// parallelism compose.
+/// Both call one per-node step, which computes the node, tallies the live
+/// ciphertext bytes and retires each parent whose last use just ran
+/// (Section 6.1's memory reuse), so both report the same memory statistics.
+///
+/// The executor owns a ThreadPool of Threads execution contexts and a
+/// limb-parallel Evaluator over it. The thread that calls run()
+/// participates in the schedule instead of sleeping, and ThreadPool(1)
+/// starts no thread: the DAG schedule at one thread is the serial
+/// executor. When the DAG (or a kernel wavefront) is narrower than the
+/// pool, idle workers pick up per-prime limb chunks of the CKKS ops in
+/// flight, so the two levels of parallelism compose.
 ///
 /// Scale handling refines footnote 1 of the paper: instead of pretending
 /// each RESCALE divides by 2^bits, the executor tracks the actual
@@ -49,18 +50,16 @@
 #include "eva/support/ThreadAnnotations.h"
 #include "eva/support/ThreadPool.h"
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 namespace eva {
 
 /// The "encryption context" of Table 7: parameters, keys, and the
-/// encoder/encryptor/decryptor/evaluator stack for one compiled program.
+/// encoder/encryptor/decryptor stack for one compiled program. Executors
+/// bring their own evaluator.
 ///
 /// Two flavours exist. create() is the fused client+server workspace used
 /// when one process owns everything (tests, benches, the examples).
@@ -105,7 +104,6 @@ public:
   GaloisKeys Gk;
   std::unique_ptr<Encryptor> Enc;
   std::unique_ptr<Decryptor> Dec;
-  std::unique_ptr<Evaluator> Eval;
 };
 
 /// Named runtime inputs: Cipher inputs are encrypted; Vector/Scalar inputs
@@ -115,17 +113,29 @@ struct SealedInputs {
   std::map<std::string, std::vector<double>> Plain;
 };
 
+/// Which schedule a CkksExecutor runs.
+enum class LocalStyle {
+  Serial,      ///< The DAG schedule on one thread, whatever Threads says.
+  ParallelDag, ///< The paper's EVA executor: the asynchronous DAG schedule.
+  KernelBulk,  ///< The CHET-style baseline: kernel wavefronts with barriers.
+};
+
+/// How a CkksExecutor runs: its thread count, schedule and hoisting.
+struct ExecutorOptions {
+  /// Total execution contexts, the calling thread included (0 means 1).
+  size_t Threads = 1;
+  LocalStyle Style = LocalStyle::ParallelDag;
+  /// Consume the compiled RotationPlan: rotations sharing a source are
+  /// evaluated as one rotateHoisted batch (bit-identical to separate
+  /// rotations). Off reproduces the one-decomposition-per-rotation
+  /// baseline for A/B measurement.
+  bool Hoisting = true;
+};
+
 class CkksExecutor {
 public:
-  /// \p UseHoisting consumes the compiled program's RotationPlan: rotations
-  /// sharing a source are evaluated as one rotateHoisted batch (bit-identical
-  /// to the serial path). Off reproduces the one-decomposition-per-rotation
-  /// baseline for A/B measurement.
   CkksExecutor(const CompiledProgram &CP, std::shared_ptr<CkksWorkspace> WS,
-               bool UseHoisting = true)
-      : CP(CP), P(*CP.Prog), WS(std::move(WS)),
-        ActiveEval(this->WS->Eval.get()), UseHoisting(UseHoisting) {}
-  virtual ~CkksExecutor() = default;
+               const ExecutorOptions &Opts = {});
 
   /// Encrypts the Cipher inputs (at each input node's scale, over the full
   /// data chain) and collects plain inputs.
@@ -134,7 +144,7 @@ public:
 
   /// Runs the program; returns encrypted outputs by name. Everything the
   /// run computes, on this thread or on pool workers, is charged to stats().
-  virtual std::map<std::string, Ciphertext> run(const SealedInputs &Inputs);
+  std::map<std::string, Ciphertext> run(const SealedInputs &Inputs);
 
   /// Decrypts and decodes an output to vec_size values.
   std::vector<double> decryptOutput(const Ciphertext &Ct) const;
@@ -146,19 +156,23 @@ public:
   /// The cost ledger of the most recent run.
   const ExecutionStats &stats() const { return Stats; }
 
-protected:
-  /// One runtime value: an owned ciphertext or a view of a plain vector.
-  struct Value {
-    std::optional<Ciphertext> Ct;
-    std::shared_ptr<const std::vector<double>> Plain;
-    bool isCipher() const { return Ct.has_value(); }
-  };
+private:
+  /// The order, values, pending-use counts, outputs, hoist batches and
+  /// live-memory tallies of one run (CkksExecutor.cpp).
+  struct RunState;
 
-  /// Computes node \p N given its parents' values in \p Values. Thread-safe
-  /// across distinct nodes.
-  void computeNode(const Node *N, std::vector<Value> &Values,
-                   const SealedInputs &Inputs,
-                   std::map<std::string, Ciphertext> &Outputs) const;
+  /// The DAG schedule: a node is submitted once its last parent finishes.
+  void runDag(RunState &S);
+  /// The kernel-bulk schedule: kernels in sequence, wavefronts inside.
+  void runKernelBulk(RunState &S);
+
+  /// The per-node step both schedules call: computes \p N, tallies live
+  /// bytes (hoist stash included) and retires the parents whose last use
+  /// just ran. Thread-safe across distinct nodes.
+  void step(const Node *N, RunState &S) const;
+
+  /// Computes \p N from its parents' values in \p S.
+  void computeNode(const Node *N, RunState &S) const;
 
   /// Encodes a plain value for consumption by a cipher op at the given
   /// level and scale.
@@ -166,93 +180,22 @@ protected:
                           const std::vector<double> &V, size_t PrimeCount,
                           double Scale) const;
 
-  const std::vector<double> &plainValueOf(const Node *N,
-                                          const std::vector<Value> &Values,
-                                          const SealedInputs &Inputs) const;
-
   uint64_t normalizedLeftSteps(const Node *N) const;
-
-  /// Per-run state of one hoist batch. The first member to execute computes
-  /// the whole batch under the group mutex (all members are ready the moment
-  /// the shared source is, so in the parallel executors several may race
-  /// here); the rest collect their precomputed ciphertexts.
-  struct HoistGroupState {
-    Mutex M;
-    bool Done EVA_GUARDED_BY(M) = false;
-    /// member node id -> rotated ct
-    std::map<uint64_t, Ciphertext> Results EVA_GUARDED_BY(M);
-  };
-
-  /// Resets Stats, materializes the hoist state, and installs Stats as the
-  /// calling thread's ledger until the returned scope ends; every run()
-  /// implementation holds that scope for its whole body.
-  LedgerScope beginRun();
 
   const CompiledProgram &CP;
   const Program &P;
   std::shared_ptr<CkksWorkspace> WS;
-  /// The evaluator computeNode dispatches to: the workspace's shared serial
-  /// evaluator by default; parallel executors point it at their own
-  /// limb-parallel instance.
-  const Evaluator *ActiveEval;
-  bool UseHoisting = true;
-  /// One entry per RotationPlan group, rebuilt by beginRun(); mutable
-  /// because computeNode (const, called concurrently for distinct nodes)
-  /// drains the per-group results.
-  mutable std::vector<std::unique_ptr<HoistGroupState>> HoistState;
-  /// Bytes/nodes currently parked in HoistGroupState::Results — rotated
-  /// ciphertexts a batch produced that their member nodes have not yet
-  /// collected. Folded into the PeakLiveBytes/PeakLiveNodes accounting so
-  /// the memory-reuse stats stay honest under hoisting.
-  mutable std::atomic<size_t> HoistStashBytes{0};
-  mutable std::atomic<size_t> HoistStashNodes{0};
+  LocalStyle Style;
+  bool UseHoisting;
+  ThreadPool Pool;
+  /// Limb-parallel over Pool; declared after it, so destroyed first.
+  Evaluator Eval;
   ExecutionStats Stats;
-  /// Leaf lock: serializes Output-node writes into the result map when the
-  /// parallel executor retires several output nodes at once. The map itself
-  /// is a computeNode parameter, so the guard is the lock contract on that
-  /// one critical section rather than a GUARDED_BY on a member.
+  /// Leaf lock: serializes Output-node writes into the run's result map
+  /// when several output nodes execute at once. The map lives in RunState,
+  /// so the guard is the lock contract on that one critical section rather
+  /// than a GUARDED_BY on a member.
   mutable Mutex OutputMutex;
-};
-
-/// The paper's EVA executor: asynchronous DAG scheduling + memory reuse.
-/// run()'s caller cooperates in the schedule, so NumThreads is the total
-/// number of execution contexts (NumThreads == 1 runs everything on the
-/// calling thread through the same scheduler).
-class ParallelCkksExecutor : public CkksExecutor {
-public:
-  ParallelCkksExecutor(const CompiledProgram &CP,
-                       std::shared_ptr<CkksWorkspace> WS, size_t NumThreads,
-                       bool UseHoisting = true)
-      : CkksExecutor(CP, std::move(WS), UseHoisting), Pool(NumThreads),
-        LimbEval(this->WS->Context, &Pool) {
-    ActiveEval = &LimbEval;
-  }
-
-  std::map<std::string, Ciphertext> run(const SealedInputs &Inputs) override;
-
-private:
-  ThreadPool Pool;
-  Evaluator LimbEval;
-};
-
-/// The CHET-style executor: kernels in sequence, bulk-synchronous wavefront
-/// parallelism within each kernel. The caller participates in each
-/// wavefront's parallelFor, so NumThreads is again the total context count.
-class KernelBulkCkksExecutor : public CkksExecutor {
-public:
-  KernelBulkCkksExecutor(const CompiledProgram &CP,
-                         std::shared_ptr<CkksWorkspace> WS, size_t NumThreads,
-                         bool UseHoisting = true)
-      : CkksExecutor(CP, std::move(WS), UseHoisting), Pool(NumThreads),
-        LimbEval(this->WS->Context, &Pool) {
-    ActiveEval = &LimbEval;
-  }
-
-  std::map<std::string, Ciphertext> run(const SealedInputs &Inputs) override;
-
-private:
-  ThreadPool Pool;
-  Evaluator LimbEval;
 };
 
 } // namespace eva

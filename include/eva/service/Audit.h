@@ -130,10 +130,10 @@ struct AuditReplayResult {
 /// hashes byte-for-byte: rebuilds the client crypto stack from \p KeySeed
 /// (exactly as ServiceClient::openSession does), re-encrypts \p Inputs in
 /// signature order, serializes them seed-compressed (the input hash),
-/// executes \p CP with the serial executor (bit-identical to the server's
-/// parallel one), and serializes the outputs (the output hash). \p CP must
-/// be the same compiled program the server registered — compile the same
-/// .evabin with the same options.
+/// executes \p CP on the one-thread DAG schedule the server runs, and
+/// serializes the outputs (the output hash). \p CP must be the same
+/// compiled program the server registered — compile the same .evabin with
+/// the same options.
 Expected<AuditReplayResult>
 auditReplay(const AuditRecord &R, const CompiledProgram &CP, uint64_t KeySeed,
             const std::map<std::string, std::vector<double>> &Inputs);

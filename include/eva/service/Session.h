@@ -7,13 +7,14 @@
 /// \file
 /// A session binds one client's evaluation keys to one registered program.
 /// The server-side workspace holds only what evaluation needs — context,
-/// encoder, evaluator, and the client-supplied relinearization/Galois keys;
-/// the secret key exists solely on the client (CkksWorkspace::createServer
-/// leaves the key generator, encryptor, and decryptor null). A session is
-/// those keys plus the program's typed signature: it owns no thread, pool or
-/// lock. Each request runs on the thread that received it, through a fresh
-/// serial executor over the session's workspace, so requests of one session
-/// may overlap; the keys, evaluator and encoder they share are read-only.
+/// encoder, and the client-supplied relinearization/Galois keys; the secret
+/// key exists solely on the client (CkksWorkspace::createServer leaves the
+/// key generator, encryptor, and decryptor null). A session is those keys
+/// plus the program's typed signature: it owns no thread, pool or lock.
+/// Each request runs on the thread that received it, through a fresh
+/// executor running the DAG schedule on that thread alone, over the
+/// session's workspace; requests of one session may overlap, and the keys
+/// and encoder they share are read-only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,11 +50,11 @@ public:
   /// Runs one encrypted request to completion on the calling thread, through
   /// the same api/Runner every other caller uses, in cipher-in/cipher-out
   /// mode: the runner checks \p Inputs against signature() (again: the
-  /// service validates before admission), runs the serial executor, and
-  /// hands the output ciphertexts back. Malformed requests come back as
-  /// diagnostics, not aborts. \p Trace, when non-null, receives the execute
-  /// span; the run's compute latency and cost ledger roll up into the
-  /// session's metrics.
+  /// service validates before admission), runs the one-thread DAG
+  /// schedule, and hands the output ciphertexts back. Malformed requests
+  /// come back as diagnostics, not aborts. \p Trace, when non-null,
+  /// receives the execute span; the run's compute latency and cost ledger
+  /// roll up into the session's metrics.
   Expected<std::map<std::string, Ciphertext>>
   execute(const Valuation &Inputs, TraceContext *Trace = nullptr) const;
 

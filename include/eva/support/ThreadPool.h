@@ -7,10 +7,10 @@
 /// \file
 /// A fixed-size cooperative worker pool. The paper's executor uses the
 /// Galois parallel library to schedule the instruction DAG asynchronously;
-/// this pool plus the dependency-counting scheduler in
+/// this pool plus the dependency-counting DAG schedule in
 /// eva/runtime/CkksExecutor.cpp plays that role. parallelFor /
-/// parallelForChunks provide the bulk-synchronous (OpenMP-like) schedule the
-/// CHET baseline executor uses within each kernel, and the limb-level
+/// parallelForChunks provide the bulk-synchronous (OpenMP-like) wavefronts
+/// of the executor's CHET-style kernel schedule, and the limb-level
 /// parallelism the Evaluator uses inside a single CKKS operation.
 ///
 /// Threading model: a pool of size N owns N-1 background workers; the Nth
@@ -51,8 +51,9 @@ public:
   /// Creates a pool whose total parallelism is \p NumThreads: NumThreads - 1
   /// background workers plus the cooperating caller (0 means hardware
   /// concurrency). ThreadPool(1) therefore spawns no threads and runs
-  /// everything inline on the caller, which keeps thread-count accounting
-  /// honest in the scaling benchmarks.
+  /// everything inline on the caller: an executor over it is the serial
+  /// executor, and thread-count accounting in the scaling benchmarks stays
+  /// honest.
   explicit ThreadPool(size_t NumThreads = 0);
   ~ThreadPool();
 

@@ -65,11 +65,6 @@ private:
 // Local CKKS backend
 //===----------------------------------------------------------------------===//
 
-class LocalRunner;
-std::unique_ptr<CkksExecutor> makeExecutor(const CompiledProgram &CP,
-                                           std::shared_ptr<CkksWorkspace> WS,
-                                           const LocalRunnerOptions &Opts);
-
 class LocalRunner final : public Runner {
 public:
   /// Either \p OwnedIn holds the program (owning factory) or \p External
@@ -80,7 +75,7 @@ public:
               std::shared_ptr<CkksWorkspace> WSIn,
               const LocalRunnerOptions &Opts)
       : Owned(std::move(OwnedIn)), CP(Owned ? *Owned : *External),
-        WS(std::move(WSIn)), Exec(makeExecutor(CP, WS, Opts)),
+        WS(std::move(WSIn)), Exec(CP, WS, Opts),
         Sig(ProgramSignature::of(CP)) {}
 
   const ProgramSignature &signature() const override { return Sig; }
@@ -123,14 +118,14 @@ public:
     LastTiming.EncryptSeconds = EncryptT.seconds();
 
     Timer ComputeT;
-    std::map<std::string, Ciphertext> Encrypted = Exec->run(Sealed);
+    std::map<std::string, Ciphertext> Encrypted = Exec.run(Sealed);
     LastTiming.ComputeSeconds = ComputeT.seconds();
 
     Timer DecryptT;
     Valuation Out;
     for (auto &[Name, Ct] : Encrypted) {
       if (WS->Dec)
-        Out.set(Name, Exec->decryptOutput(Ct));
+        Out.set(Name, Exec.decryptOutput(Ct));
       else // evaluation-only workspace: hand the ciphertexts back
         Out.set(Name, std::move(Ct));
     }
@@ -140,36 +135,17 @@ public:
 
   Timing lastTiming() const override { return LastTiming; }
   const ExecutionStats *executionStats() const override {
-    return &Exec->stats();
+    return &Exec.stats();
   }
 
 private:
   std::optional<CompiledProgram> Owned;
   const CompiledProgram &CP;
   std::shared_ptr<CkksWorkspace> WS;
-  std::unique_ptr<CkksExecutor> Exec;
+  CkksExecutor Exec;
   ProgramSignature Sig;
   Timing LastTiming;
 };
-
-std::unique_ptr<CkksExecutor>
-makeExecutor(const CompiledProgram &CP, std::shared_ptr<CkksWorkspace> WS,
-             const LocalRunnerOptions &Opts) {
-  LocalStyle Style = Opts.Style;
-  if (Style == LocalStyle::Auto)
-    Style = Opts.Threads <= 1 ? LocalStyle::Serial : LocalStyle::ParallelDag;
-  size_t Threads = std::max<size_t>(1, Opts.Threads);
-  switch (Style) {
-  case LocalStyle::Serial:
-    return std::make_unique<CkksExecutor>(CP, std::move(WS), Opts.Hoisting);
-  case LocalStyle::KernelBulk:
-    return std::make_unique<KernelBulkCkksExecutor>(CP, std::move(WS),
-                                                    Threads, Opts.Hoisting);
-  default:
-    return std::make_unique<ParallelCkksExecutor>(CP, std::move(WS), Threads,
-                                                  Opts.Hoisting);
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Remote backend

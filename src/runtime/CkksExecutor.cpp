@@ -10,11 +10,59 @@
 #include "eva/ir/Printer.h"
 #include "eva/math/Primes.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
+#include <functional>
+#include <optional>
 
 using namespace eva;
+
+namespace {
+
+/// One runtime value: an owned ciphertext or a view of a plain vector.
+struct Value {
+  std::optional<Ciphertext> Ct;
+  std::shared_ptr<const std::vector<double>> Plain;
+  bool isCipher() const { return Ct.has_value(); }
+};
+
+/// Per-run state of one hoist batch. The first member to execute computes
+/// the whole batch under the group mutex (all members are ready the moment
+/// the shared source is, so under the DAG schedule several may race here);
+/// the rest collect their precomputed ciphertexts.
+struct HoistGroupState {
+  Mutex M;
+  bool Done EVA_GUARDED_BY(M) = false;
+  /// member node id -> rotated ct
+  std::map<uint64_t, Ciphertext> Results EVA_GUARDED_BY(M);
+};
+
+void raiseToAtLeast(std::atomic<size_t> &Peak, size_t Current) {
+  size_t Prev = Peak.load();
+  while (Current > Prev && !Peak.compare_exchange_weak(Prev, Current))
+    ;
+}
+
+const std::vector<double> &plainValueOf(const Node *N,
+                                        const SealedInputs &Inputs) {
+  switch (N->op()) {
+  case OpCode::Constant:
+    return N->constValue();
+  case OpCode::Input: {
+    auto It = Inputs.Plain.find(N->name());
+    if (It == Inputs.Plain.end())
+      fatalError("missing plain input @" + N->name());
+    return It->second;
+  }
+  case OpCode::NormalizeScale:
+    return plainValueOf(N->parm(0), Inputs);
+  default:
+    fatalError("unexpected plain node kind");
+  }
+}
+
+} // namespace
 
 Expected<std::shared_ptr<CkksWorkspace>>
 CkksWorkspace::create(const CompiledProgram &CP, uint64_t Seed) {
@@ -37,7 +85,6 @@ CkksWorkspace::create(const CompiledProgram &CP, uint64_t Seed) {
       std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()));
   WS->Enc = std::make_unique<Encryptor>(WS->Context, WS->Pk, Seed + 1);
   WS->Dec = std::make_unique<Decryptor>(WS->Context, WS->KeyGen->secretKey());
-  WS->Eval = std::make_unique<Evaluator>(WS->Context);
   return WS;
 }
 
@@ -67,7 +114,6 @@ CkksWorkspace::createServer(const CompiledProgram &CP,
   WS->Encoder = std::make_unique<CkksEncoder>(WS->Context);
   WS->Rk = std::move(RkIn);
   WS->Gk = std::move(GkIn);
-  WS->Eval = std::make_unique<Evaluator>(WS->Context);
   return WS;
 }
 
@@ -100,9 +146,49 @@ CkksWorkspace::createClient(const CompiledProgram &CP, uint64_t Seed,
     WS->Rk = WS->KeyGen->createRelinKeys();
   WS->Gk = WS->KeyGen->createGaloisKeys(
       std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()));
-  WS->Eval = std::make_unique<Evaluator>(WS->Context);
   return WS;
 }
+
+struct CkksExecutor::RunState {
+  RunState(const Program &P, const SealedInputs &Inputs, size_t HoistGroups)
+      : Inputs(Inputs), Order(P.forwardOrder()), Values(P.maxNodeId()),
+        PendingUses(P.maxNodeId()), Hoist(HoistGroups) {
+    for (const Node *N : Order)
+      PendingUses[N->id()].store(static_cast<int>(N->uses().size()));
+  }
+
+  const SealedInputs &Inputs;
+  /// Topological order of every node.
+  std::vector<Node *> Order;
+  std::vector<Value> Values;
+  /// Uses of each node that have not executed yet; zero retires the node.
+  std::vector<std::atomic<int>> PendingUses;
+  /// Written under CkksExecutor::OutputMutex.
+  std::map<std::string, Ciphertext> Outputs;
+  /// One entry per RotationPlan group; empty when hoisting is off.
+  std::vector<HoistGroupState> Hoist;
+  /// Bytes/nodes currently parked in HoistGroupState::Results — rotated
+  /// ciphertexts a batch produced that their member nodes have not yet
+  /// collected. Folded into the peak accounting so the memory-reuse stats
+  /// stay honest under hoisting.
+  std::atomic<size_t> HoistStashBytes{0};
+  std::atomic<size_t> HoistStashNodes{0};
+  std::atomic<size_t> LiveBytes{0};
+  std::atomic<size_t> PeakBytes{0};
+  std::atomic<size_t> LiveNodes{0};
+  std::atomic<size_t> PeakNodes{0};
+};
+
+CkksExecutor::CkksExecutor(const CompiledProgram &CP,
+                           std::shared_ptr<CkksWorkspace> WS,
+                           const ExecutorOptions &Opts)
+    : CP(CP), P(*CP.Prog), WS(std::move(WS)), Style(Opts.Style),
+      UseHoisting(Opts.Hoisting),
+      // ThreadPool(0) would mean hardware concurrency; here 0 means 1.
+      Pool(Opts.Style == LocalStyle::Serial
+               ? 1
+               : std::max<size_t>(1, Opts.Threads)),
+      Eval(this->WS->Context, &Pool) {}
 
 SealedInputs CkksExecutor::encryptInputs(
     const std::map<std::string, std::vector<double>> &Inputs) {
@@ -133,25 +219,6 @@ std::vector<double> CkksExecutor::decryptOutput(const Ciphertext &Ct) const {
   return Slots;
 }
 
-const std::vector<double> &
-CkksExecutor::plainValueOf(const Node *N, const std::vector<Value> &Values,
-                           const SealedInputs &Inputs) const {
-  switch (N->op()) {
-  case OpCode::Constant:
-    return N->constValue();
-  case OpCode::Input: {
-    auto It = Inputs.Plain.find(N->name());
-    if (It == Inputs.Plain.end())
-      fatalError("missing plain input @" + N->name());
-    return It->second;
-  }
-  case OpCode::NormalizeScale:
-    return plainValueOf(N->parm(0), Values, Inputs);
-  default:
-    fatalError("unexpected plain node kind");
-  }
-}
-
 Plaintext CkksExecutor::encodeOperand(const Node *PlainNode,
                                       const std::vector<double> &V,
                                       size_t PrimeCount, double Scale) const {
@@ -167,29 +234,15 @@ uint64_t CkksExecutor::normalizedLeftSteps(const Node *N) const {
   return eva::normalizedLeftSteps(N, P.vecSize());
 }
 
-LedgerScope CkksExecutor::beginRun() {
-  Stats = ExecutionStats();
-  Stats.TotalNodeCount = P.nodeCount();
-  HoistStashBytes.store(0);
-  HoistStashNodes.store(0);
-  HoistState.clear();
-  if (UseHoisting)
-    for (size_t I = 0; I < CP.RotPlan.Groups.size(); ++I)
-      HoistState.push_back(std::make_unique<HoistGroupState>());
-  return LedgerScope(&Stats);
-}
-
-void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
-                               const SealedInputs &Inputs,
-                               std::map<std::string, Ciphertext> &Outputs)
-    const {
+void CkksExecutor::computeNode(const Node *N, RunState &S) const {
+  std::vector<Value> &Values = S.Values;
   Value &Slot = Values[N->id()];
-  const Evaluator &E = *ActiveEval;
+  const Evaluator &E = Eval;
 
   // Plain-typed nodes are views onto plain vectors; no work at run time.
   if (N->isPlain() && N->op() != OpCode::Output) {
     Slot.Plain = std::shared_ptr<const std::vector<double>>(
-        std::shared_ptr<void>(), &plainValueOf(N, Values, Inputs));
+        std::shared_ptr<void>(), &plainValueOf(N, S.Inputs));
     return;
   }
 
@@ -208,8 +261,8 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
 
   switch (N->op()) {
   case OpCode::Input: {
-    auto It = Inputs.Cipher.find(N->name());
-    if (It == Inputs.Cipher.end())
+    auto It = S.Inputs.Cipher.find(N->name());
+    if (It == S.Inputs.Cipher.end())
       fatalError("missing cipher input @" + N->name());
     Slot.Ct = It->second;
     break;
@@ -219,7 +272,7 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
     if (!V.isCipher())
       fatalError("plaintext outputs are not part of the EVA language");
     LockGuard Lock(OutputMutex);
-    Outputs[N->name()] = *V.Ct;
+    S.Outputs[N->name()] = *V.Ct;
     return;
   }
   case OpCode::Negate:
@@ -270,9 +323,8 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
       Slot.Ct = CA;
       break;
     }
-    auto GIt = UseHoisting && !HoistState.empty()
-                   ? CP.RotPlan.GroupOf.find(N->id())
-                   : CP.RotPlan.GroupOf.end();
+    auto GIt = S.Hoist.empty() ? CP.RotPlan.GroupOf.end()
+                               : CP.RotPlan.GroupOf.find(N->id());
     if (GIt == CP.RotPlan.GroupOf.end()) {
       Slot.Ct = E.rotateLeft(CA, Steps, WS->Gk);
       break;
@@ -283,7 +335,7 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
     // the serial path (see Evaluator::rotateHoisted), so schedules with and
     // without hoisting decrypt to the same bits.
     const RotationPlan::HoistGroup &G = CP.RotPlan.Groups[GIt->second];
-    HoistGroupState &St = *HoistState[GIt->second];
+    HoistGroupState &St = S.Hoist[GIt->second];
     LockGuard Lock(St.M);
     if (!St.Done) {
       std::vector<uint64_t> StepList(G.Members.size());
@@ -298,8 +350,8 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
       // The whole batch is live from this moment; members that have not
       // executed yet hold their results here, outside the Values table, so
       // the peak-memory accounting must see them too.
-      HoistStashBytes.fetch_add(StashBytes);
-      HoistStashNodes.fetch_add(G.Members.size());
+      S.HoistStashBytes.fetch_add(StashBytes);
+      S.HoistStashNodes.fetch_add(G.Members.size());
       St.Done = true;
     }
     auto RIt = St.Results.find(N->id());
@@ -307,8 +359,8 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
       fatalError("hoist batch has no result for node @" +
                  std::to_string(N->id()) + ": node executed twice or the "
                  "rotation plan does not match the program");
-    HoistStashBytes.fetch_sub(RIt->second.memoryBytes());
-    HoistStashNodes.fetch_sub(1);
+    S.HoistStashBytes.fetch_sub(RIt->second.memoryBytes());
+    S.HoistStashNodes.fetch_sub(1);
     Slot.Ct = std::move(RIt->second);
     St.Results.erase(RIt);
     break;
@@ -333,38 +385,41 @@ void CkksExecutor::computeNode(const Node *N, std::vector<Value> &Values,
   // division by 2^bits and accepts a small multiplicative bias per prime).
 }
 
-std::map<std::string, Ciphertext>
-CkksExecutor::run(const SealedInputs &Inputs) {
-  std::vector<Value> Values(P.maxNodeId());
-  std::vector<size_t> PendingUses(P.maxNodeId(), 0);
-  std::map<std::string, Ciphertext> Outputs;
-  LedgerScope Ledger = beginRun();
-
-  size_t LiveBytes = 0;
-  size_t LiveNodes = 0;
-  for (const Node *N : P.forwardOrder()) {
-    computeNode(N, Values, Inputs, Outputs);
-    PendingUses[N->id()] = N->uses().size();
-    if (Values[N->id()].isCipher()) {
-      LiveBytes += Values[N->id()].Ct->memoryBytes();
-      ++LiveNodes;
-      // Hoist-batch results still parked in HoistState count as live.
-      Stats.PeakLiveBytes = std::max(Stats.PeakLiveBytes,
-                                     LiveBytes + HoistStashBytes.load());
-      Stats.PeakLiveNodes = std::max(Stats.PeakLiveNodes,
-                                     LiveNodes + HoistStashNodes.load());
-    }
-    // Retire parents whose last child just consumed them (Section 6.1's
-    // memory reuse).
-    for (const Node *Parm : N->parms()) {
-      if (--PendingUses[Parm->id()] == 0 && Values[Parm->id()].isCipher()) {
-        LiveBytes -= Values[Parm->id()].Ct->memoryBytes();
-        --LiveNodes;
-        Values[Parm->id()].Ct.reset();
-      }
+void CkksExecutor::step(const Node *N, RunState &S) const {
+  computeNode(N, S);
+  if (const std::optional<Ciphertext> &Ct = S.Values[N->id()].Ct) {
+    size_t Bytes = Ct->memoryBytes();
+    // Hoist-batch results not yet collected by their nodes count as live.
+    raiseToAtLeast(S.PeakBytes, S.LiveBytes.fetch_add(Bytes) + Bytes +
+                                    S.HoistStashBytes.load());
+    raiseToAtLeast(S.PeakNodes,
+                   S.LiveNodes.fetch_add(1) + 1 + S.HoistStashNodes.load());
+  }
+  // Retire parents whose last use just ran (Section 6.1's memory reuse).
+  for (const Node *Parm : N->parms()) {
+    Value &V = S.Values[Parm->id()];
+    if (S.PendingUses[Parm->id()].fetch_sub(1) == 1 && V.isCipher()) {
+      S.LiveBytes.fetch_sub(V.Ct->memoryBytes());
+      S.LiveNodes.fetch_sub(1);
+      V.Ct.reset();
     }
   }
-  return Outputs;
+}
+
+std::map<std::string, Ciphertext>
+CkksExecutor::run(const SealedInputs &Inputs) {
+  Stats = ExecutionStats();
+  Stats.TotalNodeCount = P.nodeCount();
+  LedgerScope Ledger(&Stats);
+
+  RunState S(P, Inputs, UseHoisting ? CP.RotPlan.Groups.size() : 0);
+  if (Style == LocalStyle::KernelBulk)
+    runKernelBulk(S);
+  else
+    runDag(S);
+  Stats.PeakLiveBytes = S.PeakBytes.load();
+  Stats.PeakLiveNodes = S.PeakNodes.load();
+  return std::move(S.Outputs);
 }
 
 std::map<std::string, std::vector<double>> CkksExecutor::runPlain(
@@ -377,53 +432,17 @@ std::map<std::string, std::vector<double>> CkksExecutor::runPlain(
   return Out;
 }
 
-std::map<std::string, Ciphertext>
-ParallelCkksExecutor::run(const SealedInputs &Inputs) {
-  std::vector<Value> Values(P.maxNodeId());
-  std::map<std::string, Ciphertext> Outputs;
-  LedgerScope Ledger = beginRun();
-
-  std::vector<Node *> Order = P.forwardOrder();
+void CkksExecutor::runDag(RunState &S) {
   std::vector<std::atomic<int>> Deps(P.maxNodeId());
-  std::vector<std::atomic<int>> Pending(P.maxNodeId());
-  for (Node *N : Order) {
+  for (Node *N : S.Order)
     Deps[N->id()].store(static_cast<int>(N->parmCount()));
-    Pending[N->id()].store(static_cast<int>(N->uses().size()));
-  }
+  std::atomic<size_t> Remaining(S.Order.size());
 
-  std::atomic<size_t> Remaining(Order.size());
-  std::atomic<size_t> LiveBytes(0);
-  std::atomic<size_t> PeakBytes(0);
-  std::atomic<size_t> LiveNodes(0);
-  std::atomic<size_t> PeakNodes(0);
-
-  auto RaiseToAtLeast = [](std::atomic<size_t> &Peak, size_t Current) {
-    size_t Prev = Peak.load();
-    while (Current > Prev && !Peak.compare_exchange_weak(Prev, Current))
-      ;
-  };
-
-  // The scheduler: a node is ready (active) when all parents are computed;
-  // finishing a node may ready its children, which are submitted
-  // immediately — the asynchronous schedule of Section 6.1.
+  // A node is ready (active) when all parents are computed; finishing a
+  // node may ready its children, which are submitted immediately — the
+  // asynchronous schedule of Section 6.1.
   std::function<void(Node *)> Execute = [&](Node *N) {
-    computeNode(N, Values, Inputs, Outputs);
-    if (Values[N->id()].isCipher()) {
-      size_t Bytes = Values[N->id()].Ct->memoryBytes();
-      // Hoist-batch results still parked in HoistState count as live.
-      RaiseToAtLeast(PeakBytes, LiveBytes.fetch_add(Bytes) + Bytes +
-                                    HoistStashBytes.load());
-      RaiseToAtLeast(PeakNodes,
-                     LiveNodes.fetch_add(1) + 1 + HoistStashNodes.load());
-    }
-    for (const Node *Parm : N->parms()) {
-      if (Pending[Parm->id()].fetch_sub(1) == 1 &&
-          Values[Parm->id()].isCipher()) {
-        LiveBytes.fetch_sub(Values[Parm->id()].Ct->memoryBytes());
-        LiveNodes.fetch_sub(1);
-        Values[Parm->id()].Ct.reset();
-      }
-    }
+    step(N, S);
     for (Node *C : N->uses()) {
       if (Deps[C->id()].fetch_sub(1) == 1)
         Pool.submit([&, C] { Execute(C); });
@@ -432,7 +451,7 @@ ParallelCkksExecutor::run(const SealedInputs &Inputs) {
       Pool.poke(); // wake the cooperating caller: the DAG is done
   };
 
-  for (Node *N : Order)
+  for (Node *N : S.Order)
     if (N->parmCount() == 0)
       Pool.submit([&, N] { Execute(N); });
 
@@ -442,20 +461,12 @@ ParallelCkksExecutor::run(const SealedInputs &Inputs) {
   Pool.helpUntil([&] { return Remaining.load() == 0; });
   // Drain workers so no task still references this frame's state.
   Pool.waitIdle();
-  Stats.PeakLiveBytes = PeakBytes.load();
-  Stats.PeakLiveNodes = PeakNodes.load();
-  return Outputs;
 }
 
-std::map<std::string, Ciphertext>
-KernelBulkCkksExecutor::run(const SealedInputs &Inputs) {
-  std::vector<Value> Values(P.maxNodeId());
-  std::map<std::string, Ciphertext> Outputs;
-  LedgerScope Ledger = beginRun();
-
+void CkksExecutor::runKernelBulk(RunState &S) {
   // Chunk the topological order at kernel boundaries; each chunk executes
   // bulk-synchronously (wavefronts with barriers), chunks run in sequence.
-  std::vector<Node *> Order = P.forwardOrder();
+  const std::vector<Node *> &Order = S.Order;
   std::vector<int> Done(P.maxNodeId(), 0);
   size_t I = 0;
   while (I < Order.size()) {
@@ -481,14 +492,11 @@ KernelBulkCkksExecutor::run(const SealedInputs &Inputs) {
         fatalError("no progress inside kernel chunk: a node depends on a "
                    "later kernel (the frontend must tag kernels in "
                    "topological order)");
-      Pool.parallelFor(Wave.size(), [&](size_t K) {
-        computeNode(Wave[K], Values, Inputs, Outputs);
-      });
+      Pool.parallelFor(Wave.size(), [&](size_t K) { step(Wave[K], S); });
       for (Node *N : Wave)
         Done[N->id()] = 1;
       Chunk = std::move(Rest);
     }
     I = J;
   }
-  return Outputs;
 }

@@ -305,10 +305,10 @@ eva::auditReplay(const AuditRecord &R, const CompiledProgram &CP,
   Out.InputsHash = auditHashInputs(CipherBytes, PlainValues);
   Out.InputsMatch = Out.InputsHash == R.InputsHash;
 
-  // The serial executor with hoisting is bit-identical to the server's
-  // parallel-DAG executor (the PR-2 determinism contract), so the output
+  // The server's executor configuration: the DAG schedule on one thread,
+  // with hoisting. Every schedule is bit-identical anyway, so the output
   // ciphertext bytes must match exactly.
-  CkksExecutor Exec(CP, *WS, /*UseHoisting=*/true);
+  CkksExecutor Exec(CP, *WS);
   std::map<std::string, Ciphertext> Cts = Exec.run(Sealed);
   std::vector<std::pair<std::string, std::string>> OutputBytes;
   for (const auto &[Name, Ct] : Cts)

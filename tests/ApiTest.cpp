@@ -37,7 +37,7 @@ namespace {
 
 /// A multi-kernel workload exercising every evaluation-key kind: a
 /// relinearized square, a rotation, a plain operand, and a slot reduction,
-/// tagged as three frontend kernels (so the KernelBulk executor chunks it).
+/// tagged as three frontend kernels (so the kernel schedule chunks it).
 std::unique_ptr<Program> makeMultiKernelProgram() {
   ProgramBuilder B("api_demo", 64);
   Expr X = B.inputCipher("x", 30);
@@ -316,8 +316,8 @@ TEST(Runner, ThreeCkksBackendsAreBitIdenticalAndReferenceIsClose) {
     return std::move(R.value());
   };
 
-  std::unique_ptr<Runner> Serial = MakeLocal(1, LocalStyle::Auto);
-  std::unique_ptr<Runner> Parallel = MakeLocal(2, LocalStyle::Auto);
+  std::unique_ptr<Runner> Serial = MakeLocal(1, LocalStyle::Serial);
+  std::unique_ptr<Runner> Parallel = MakeLocal(2, LocalStyle::ParallelDag);
   std::unique_ptr<Runner> Bulk = MakeLocal(2, LocalStyle::KernelBulk);
 
   // The remote backend over the full serialized-message path.
@@ -408,8 +408,8 @@ std::vector<uint64_t> workCounts(const ExecutionStats &S) {
           S.ArenaAcquires};
 }
 
-/// Runners over one evaluation-only workspace, so they share its evaluator
-/// and encoder, fed a pre-encrypted input: the runs do no encryption or
+/// Runners over one evaluation-only workspace, so they share its keys and
+/// encoder, fed a pre-encrypted input: the runs do no encryption or
 /// decryption, only evaluation.
 class LedgerFixture : public ::testing::Test {
 protected:
@@ -451,7 +451,7 @@ protected:
   Valuation Inputs;
 };
 
-TEST_F(LedgerFixture, ConcurrentRunsOnOneEvaluatorEachChargeTheirOwnRun) {
+TEST_F(LedgerFixture, ConcurrentRunsOnOneWorkspaceEachChargeTheirOwnRun) {
   std::unique_ptr<Runner> A = runner(LocalStyle::Serial, 1);
   std::unique_ptr<Runner> B = runner(LocalStyle::Serial, 1);
   ExecutionStats Solo = runOnce(*A, Inputs);
@@ -463,7 +463,7 @@ TEST_F(LedgerFixture, ConcurrentRunsOnOneEvaluatorEachChargeTheirOwnRun) {
   EXPECT_GT(Solo.ArenaAcquires, 0u);
 
   // Both threads start each round together, so the two runs overlap on the
-  // shared evaluator; neither may see the other's work.
+  // shared workspace; neither may see the other's work.
   constexpr size_t Rounds = 4;
   std::barrier Start(2);
   auto Drive = [&](Runner &R, std::vector<std::vector<uint64_t>> &Seen) {

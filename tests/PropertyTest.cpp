@@ -211,8 +211,9 @@ TEST_P(ExecutorAgreement, ParallelAndBulkMatchSerial) {
       randomInputs(*P, Seed + 2);
 
   CkksExecutor Serial(*CP, WS.value());
-  ParallelCkksExecutor Parallel(*CP, WS.value(), 2);
-  KernelBulkCkksExecutor Bulk(*CP, WS.value(), 2);
+  CkksExecutor Parallel(*CP, WS.value(), {.Threads = 2});
+  CkksExecutor Bulk(*CP, WS.value(),
+                    {.Threads = 2, .Style = LocalStyle::KernelBulk});
   SealedInputs Sealed = Serial.encryptInputs(Inputs);
 
   std::map<std::string, Ciphertext> A = Serial.run(Sealed);

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Integration tests across compiler + CKKS backend + executors: every
+/// Integration tests across compiler + CKKS backend + executor: every
 /// compiled program must produce (approximately) the same outputs as the
-/// reference id-scheme executor, under all executors and both compiler
+/// reference id-scheme executor, under both schedules and both compiler
 /// modes — the paper's correctness guarantee.
 ///
 //===----------------------------------------------------------------------===//
@@ -146,7 +146,7 @@ TEST(EndToEnd, MultipleOutputsAtDifferentDepths) {
 
 struct ExecutorKind {
   const char *Name;
-  int Kind; // 0 serial, 1 parallel, 2 kernel-bulk
+  LocalStyle Style;
   size_t Threads;
 };
 
@@ -180,37 +180,29 @@ TEST_P(AllExecutors, AgreeOnSobelLikeProgram) {
   Expected<std::shared_ptr<CkksWorkspace>> WS =
       CkksWorkspace::create(*CP, 1000);
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
-  std::unique_ptr<CkksExecutor> Exec;
-  if (K.Kind == 0)
-    Exec = std::make_unique<CkksExecutor>(*CP, WS.value());
-  else if (K.Kind == 1)
-    Exec =
-        std::make_unique<ParallelCkksExecutor>(*CP, WS.value(), K.Threads);
-  else
-    Exec =
-        std::make_unique<KernelBulkCkksExecutor>(*CP, WS.value(), K.Threads);
-  std::map<std::string, std::vector<double>> Got = Exec->runPlain(Inputs);
+  CkksExecutor Exec(*CP, WS.value(), {.Threads = K.Threads, .Style = K.Style});
+  std::map<std::string, std::vector<double>> Got = Exec.runPlain(Inputs);
   EXPECT_LT(maxOutputError(Want, Got), 1e-2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, AllExecutors,
-    ::testing::Values(ExecutorKind{"serial", 0, 1},
-                      ExecutorKind{"parallel1", 1, 1},
-                      ExecutorKind{"parallel2", 1, 2},
-                      ExecutorKind{"parallel4", 1, 4},
-                      ExecutorKind{"bulk2", 2, 2}),
+    ::testing::Values(ExecutorKind{"serial", LocalStyle::Serial, 1},
+                      ExecutorKind{"parallel2", LocalStyle::ParallelDag, 2},
+                      ExecutorKind{"parallel4", LocalStyle::ParallelDag, 4},
+                      ExecutorKind{"bulk1", LocalStyle::KernelBulk, 1},
+                      ExecutorKind{"bulk2", LocalStyle::KernelBulk, 2}),
     [](const ::testing::TestParamInfo<ExecutorKind> &I) {
       return std::string(I.param.Name);
     });
 
 TEST(EndToEnd, AllExecutorsProduceIdenticalOutputsOnMultiKernelProgram) {
-  // A program with several frontend-tagged kernels (the CHET executor's
-  // chunk boundaries), run from the SAME encrypted inputs under all three
-  // executors with >= 2 threads. Every CKKS op is exact modular integer
-  // arithmetic, so the decrypted outputs must agree bit-for-bit — any
-  // divergence means a scheduling race (lost limb, stale operand, retire
-  // before last use).
+  // A program with several frontend-tagged kernels (the kernel schedule's
+  // chunk boundaries), run from the SAME encrypted inputs under the DAG
+  // schedule on one thread and on four, and the kernel schedule on four.
+  // Every CKKS op is exact modular integer arithmetic, so the decrypted
+  // outputs must agree bit-for-bit — any divergence means a scheduling race
+  // (lost limb, stale operand, retire before last use).
   ProgramBuilder B("kernels", 64);
   Expr X = B.inputCipher("x", 30);
   Expr Y = B.inputCipher("y", 30);
@@ -234,10 +226,11 @@ TEST(EndToEnd, AllExecutorsProduceIdenticalOutputsOnMultiKernelProgram) {
   std::map<std::string, std::vector<double>> Inputs =
       randomInputs(B.program(), 97);
   CkksExecutor Serial(*CP, WS.value());
-  ParallelCkksExecutor Parallel(*CP, WS.value(), 4);
-  KernelBulkCkksExecutor Bulk(*CP, WS.value(), 4);
+  CkksExecutor Parallel(*CP, WS.value(), {.Threads = 4});
+  CkksExecutor Bulk(*CP, WS.value(),
+                    {.Threads = 4, .Style = LocalStyle::KernelBulk});
 
-  // Encrypt once; every executor consumes the identical ciphertexts.
+  // Encrypt once; every schedule consumes the identical ciphertexts.
   SealedInputs Sealed = Serial.encryptInputs(Inputs);
   std::map<std::string, Ciphertext> SerialOut = Serial.run(Sealed);
   std::map<std::string, Ciphertext> ParallelOut = Parallel.run(Sealed);
@@ -251,23 +244,25 @@ TEST(EndToEnd, AllExecutorsProduceIdenticalOutputsOnMultiKernelProgram) {
     ASSERT_TRUE(ParallelOut.count(Name)) << Name;
     ASSERT_TRUE(BulkOut.count(Name)) << Name;
     EXPECT_EQ(Want, Serial.decryptOutput(ParallelOut.at(Name)))
-        << "parallel executor diverged on " << Name;
+        << "parallel DAG schedule diverged on " << Name;
     EXPECT_EQ(Want, Serial.decryptOutput(BulkOut.at(Name)))
-        << "kernel-bulk executor diverged on " << Name;
+        << "kernel schedule diverged on " << Name;
   }
 
-  // Stats parity: the parallel executor tracks the same counters as the
-  // serial one (PeakLiveNodes used to be left at zero).
+  // Stats parity: every schedule tallies live memory through the same
+  // per-node step.
   EXPECT_GT(Serial.stats().PeakLiveNodes, 0u);
-  EXPECT_GT(Parallel.stats().PeakLiveNodes, 0u);
-  EXPECT_LE(Parallel.stats().PeakLiveNodes,
-            Parallel.stats().TotalNodeCount);
-  EXPECT_GT(Parallel.stats().PeakLiveBytes, 0u);
+  for (const CkksExecutor *E : {&Parallel, &Bulk}) {
+    EXPECT_GT(E->stats().PeakLiveNodes, 0u);
+    EXPECT_LE(E->stats().PeakLiveNodes, E->stats().TotalNodeCount);
+    EXPECT_GT(E->stats().PeakLiveBytes, 0u);
+  }
 }
 
 TEST(EndToEnd, MemoryReuseBoundsLiveCiphertexts) {
-  // A long chain should retire intermediates: peak live nodes must stay far
-  // below the node count (Section 6.1's retire rule).
+  // A long chain should retire intermediates under either schedule: peak
+  // live nodes must stay far below the node count (Section 6.1's retire
+  // rule).
   ProgramBuilder B("chain", 64);
   Expr X = B.inputCipher("x", 40);
   Expr V = X;
@@ -279,12 +274,16 @@ TEST(EndToEnd, MemoryReuseBoundsLiveCiphertexts) {
   Expected<std::shared_ptr<CkksWorkspace>> WS =
       CkksWorkspace::create(*CP, 5);
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
-  CkksExecutor Exec(*CP, WS.value());
   std::map<std::string, std::vector<double>> Inputs = randomInputs(
       B.program(), 3, 0.9, 1.1);
-  Exec.runPlain(Inputs);
-  EXPECT_GT(Exec.stats().TotalNodeCount, 10u);
-  EXPECT_LE(Exec.stats().PeakLiveNodes, 4u);
+  for (LocalStyle Style : {LocalStyle::ParallelDag, LocalStyle::KernelBulk}) {
+    CkksExecutor Exec(*CP, WS.value(), {.Threads = 2, .Style = Style});
+    Exec.runPlain(Inputs);
+    EXPECT_GT(Exec.stats().TotalNodeCount, 10u);
+    EXPECT_LE(Exec.stats().PeakLiveNodes, 4u)
+        << (Style == LocalStyle::ParallelDag ? "DAG" : "kernel")
+        << " schedule";
+  }
 }
 
 TEST(Reference, MatchesHandComputedValues) {

@@ -470,7 +470,8 @@ std::map<std::string, std::vector<double>> servedInputs(uint64_t Seed) {
 
 /// Runs one client conversation over \p T and checks the decrypted result
 /// is bit-identical to a direct CkksExecutor::run of the same compiled
-/// program on the same sealed inputs under the same keys.
+/// program on the same sealed inputs under the same keys. The direct run
+/// uses the kernel schedule, so two independent schedulers agree.
 void runTenant(Transport &T, uint64_t KeySeed, uint64_t InputSeed) {
   ServiceClient Client(T);
   Expected<std::vector<ParamSignature>> Sigs = Client.listPrograms();
@@ -492,7 +493,7 @@ void runTenant(Transport &T, uint64_t KeySeed, uint64_t InputSeed) {
   Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::createServer(
       CP, Client.context(), Client.relinKeys(), Client.galoisKeys());
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
-  CkksExecutor Direct(CP, WS.value());
+  CkksExecutor Direct(CP, WS.value(), {.Style = LocalStyle::KernelBulk});
   std::map<std::string, Ciphertext> DirectCt = Direct.run(Req->Inputs);
   std::map<std::string, std::vector<double>> DirectOut =
       Client.decryptOutputs(DirectCt);
@@ -893,8 +894,9 @@ TEST(Service, RejectsMalformedAndMismatchedRequests) {
   EXPECT_EQ(F.Svc.schedulerStats().Completed, 1u);
 }
 
-// Requests of one session may overlap: each runs its own serial executor
-// over the session's read-only keys, evaluator and encoder.
+// Requests of one session may overlap: each runs its own one-thread executor
+// over the session's read-only keys and encoder. The expected outputs come
+// from the kernel schedule, so two independent schedulers agree.
 TEST(Service, ConcurrentRequestsOnOneSessionAreBitIdentical) {
   ServiceFixture F;
   ServiceClient Client(F.T);
@@ -906,7 +908,7 @@ TEST(Service, ConcurrentRequestsOnOneSessionAreBitIdentical) {
   Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::createServer(
       CP, Client.context(), Client.relinKeys(), Client.galoisKeys());
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
-  CkksExecutor Direct(CP, WS.value());
+  CkksExecutor Direct(CP, WS.value(), {.Style = LocalStyle::KernelBulk});
 
   constexpr size_t Threads = 2, Rounds = 3;
   std::vector<std::string> Payloads;

@@ -2,13 +2,14 @@
 //
 // Part of the EVA-CKKS project (PLDI 2020 "EVA" reproduction).
 //
-// The pool underpins both executors (ParallelCkksExecutor's DAG scheduler and
-// KernelBulkCkksExecutor's per-kernel parallelFor) and the Evaluator's
-// limb-level parallelism, so its barrier and idle-tracking semantics must
-// hold under oversubscription, nested submission, parallelFor called from
-// inside worker tasks (node-level × limb-level composition), and the
-// zero-thread (hardware concurrency) fallback. Every task must also charge
-// the cost ledger of the run that submitted it, wherever it executes.
+// The pool underpins both executor schedules (the DAG schedule's task
+// submission and the kernel schedule's per-wavefront parallelFor) and the
+// Evaluator's limb-level parallelism, so its barrier and idle-tracking
+// semantics must hold under oversubscription, nested submission,
+// parallelFor called from inside worker tasks (node-level × limb-level
+// composition), and the zero-thread (hardware concurrency) fallback. Every
+// task must also charge the cost ledger of the run that submitted it,
+// wherever it executes.
 //
 //===----------------------------------------------------------------------===//
 

@@ -10,7 +10,7 @@
 // `evac run` additionally executes the compiled program end to end through
 // the unified api/Runner surface, so every program file is a CLI-drivable
 // workload on any backend — the reference semantics, the local CKKS
-// executors, or the encrypted-compute service (in-process loopback by
+// executor, or the encrypted-compute service (in-process loopback by
 // default, or a remote evaserve via --port).
 //
 // Usage:
@@ -67,10 +67,10 @@ static int usage(const char *Prog) {
                "JSON (for deploy tooling)\n"
                "run subcommand:\n"
                "  --backend B   reference (plaintext semantics), local\n"
-               "                (encrypt/execute/decrypt in-process; "
-               "--threads picks\n"
-               "                the serial or parallel executor), or service "
-               "(the full\n"
+               "                (encrypt/execute/decrypt in-process on the "
+               "DAG schedule\n"
+               "                over --threads threads), or service (the "
+               "full\n"
                "                client loop; in-process loopback server "
                "unless --port)\n"
                "  --inputs F    JSON object file: {\"name\": [v, ...] | v, "
