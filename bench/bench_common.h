@@ -17,6 +17,7 @@
 #define EVA_BENCH_COMMON_H
 
 #include "eva/api/Runner.h"
+#include "eva/math/Simd.h"
 #include "eva/runtime/CkksExecutor.h"
 #include "eva/support/Timer.h"
 #include "eva/tensor/Network.h"
@@ -230,6 +231,8 @@ inline BenchResult measure(const std::string &Op, FnT &&Fn,
 ///     "schema": "eva-bench-v1",
 ///     "suite": "micro",
 ///     "git_sha": "abc123",
+///     "host_threads": 4,
+///     "simd": "avx2",
 ///     "unit": "seconds",
 ///     "results": [
 ///       {"op": "ntt_forward_n8192", "threads": 1, "iterations": 12,
@@ -239,9 +242,10 @@ inline BenchResult measure(const std::string &Op, FnT &&Fn,
 ///   }
 /// \endcode
 ///
-/// samples_in_mean < iterations means the slowest iteration was excluded
-/// from the mean (measure()'s outlier trim); thread-sweep results also
-/// carry "speedup_vs_1thread".
+/// The header names the host: its hardware thread count and the SIMD level
+/// the kernels dispatched to. samples_in_mean < iterations means the
+/// slowest iteration was excluded from the mean (measure()'s outlier trim);
+/// thread-sweep results also carry "speedup_vs_1thread".
 class JsonReport {
 public:
   JsonReport(std::string Suite, std::string GitSha)
@@ -267,6 +271,10 @@ public:
     Out += "  \"schema\": \"eva-bench-v1\",\n";
     Out += "  \"suite\": \"" + escape(Suite) + "\",\n";
     Out += "  \"git_sha\": \"" + escape(GitSha) + "\",\n";
+    Out += "  \"host_threads\": " +
+           std::to_string(std::thread::hardware_concurrency()) + ",\n";
+    Out += "  \"simd\": \"" +
+           std::string(eva::simdLevelName(eva::activeSimdLevel())) + "\",\n";
     Out += "  \"unit\": \"seconds\",\n";
     Out += "  \"results\": [\n";
     for (size_t I = 0; I < Results.size(); ++I) {

@@ -13,7 +13,7 @@
 // Each tenant drives the unified api/Runner remote backend, so a request is
 // the complete typed client loop (validate, encrypt, submit, decrypt).
 // The service executes at most one request per hardware thread at once, so
-// the JSON header records the host's thread count ("host_threads").
+// the host's thread count ("host_threads" in the JSON header) bounds it.
 //
 // Two telemetry-backed sections ride along:
 //  * span attribution — the server's own decode/queue/execute/encode span
@@ -42,7 +42,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <thread>
 
 #ifndef EVA_GIT_SHA
@@ -296,12 +295,8 @@ int main(int Argc, char **Argv) {
     Report.add(OffRow);
   }
 
-  std::string Doc = Report.str();
-  Doc.insert(Doc.find("  \"unit\""),
-             "  \"host_threads\": " + std::to_string(HostThreads) + ",\n");
   std::string Path = OutDir + "/BENCH_service.json";
-  std::ofstream File(Path, std::ios::binary);
-  if (!(File << Doc)) {
+  if (!Report.write(Path)) {
     std::fprintf(stderr, "service_throughput: cannot write %s\n",
                  Path.c_str());
     return 1;

@@ -10,7 +10,7 @@
 /// plaintext variants), ROTATELEFT/ROTATERIGHT (via Galois automorphism plus
 /// key switching), RELINEARIZE, MODSWITCH, and RESCALE. Operand restrictions
 /// (equal coefficient moduli for binary ops, equal scales for additive ops,
-/// two-polynomial inputs to MULTIPLY) are asserted here; the EVA compiler
+/// two-polynomial inputs to ROTATE) are checked here; the EVA compiler
 /// guarantees they hold for compiled programs, which is the paper's central
 /// "no runtime exceptions" claim.
 ///
@@ -81,36 +81,52 @@ public:
   Ciphertext modSwitch(const Ciphertext &A) const;
 
   /// Rotates all N/2 slots left by \p Steps (in [1, N/2)). Requires the
-  /// Galois key for 5^Steps.
+  /// Galois key for 5^Steps and a relinearized (2-polynomial) \p A.
   Ciphertext rotateLeft(const Ciphertext &A, uint64_t Steps,
                         const GaloisKeys &Keys) const;
 
-  /// Hoisted rotation (Halevi–Shoup): performs the key-switch decomposition
-  /// of \p A's c1 component ONCE — the per-limb inverse NTTs that dominate
-  /// each rotation's fixed cost — and applies every Galois automorphism in
-  /// \p Steps against the shared coefficient-domain digits. Because the
+  /// Coefficient-domain key-switch decomposition digits: digit I is the
+  /// inverse NTT of a polynomial's component I (a representative of it
+  /// mod q_I), N words per data prime.
+  using KeySwitchDigits = std::vector<std::vector<uint64_t>>;
+
+  /// Hoisted rotation (Halevi–Shoup) is two halves. This one is shared by a
+  /// batch: the key-switch decomposition of \p A's c1 component — the
+  /// per-limb inverse NTTs that dominate each rotation's fixed cost.
+  /// Charged as one decomposition and one hoist batch. Requires a
+  /// relinearized (2-polynomial) \p A.
+  KeySwitchDigits decomposeForRotation(const Ciphertext &A) const;
+
+  /// The per-member half: rotates \p A left by \p Steps (in [0, N/2))
+  /// against \p Digits, which decomposeForRotation(A) returned. The Galois
   /// automorphism is applied to exactly the digits the serial path would
-  /// recover (an NTT round trip is exact), each output is bit-identical to
-  /// rotateLeft(A, Steps[K], Keys). A zero step returns a copy of \p A;
-  /// duplicate steps each get their own output. Limb work runs on the
-  /// evaluator's ThreadPool when one is attached.
+  /// recover (an NTT round trip is exact), so the output is bit-identical
+  /// to rotateLeft(A, Steps, Keys). A zero step returns a copy of \p A.
+  /// Only reads \p Digits: members of one batch may run concurrently.
+  Ciphertext rotateDecomposed(const Ciphertext &A,
+                              const KeySwitchDigits &Digits, uint64_t Steps,
+                              const GaloisKeys &Keys) const;
+
+  /// One decomposeForRotation of \p A, then rotateDecomposed for each of
+  /// \p Steps in order; duplicate steps each get their own output. Limb
+  /// work runs on the evaluator's ThreadPool when one is attached.
   std::vector<Ciphertext> rotateHoisted(const Ciphertext &A,
                                         const std::vector<uint64_t> &Steps,
                                         const GaloisKeys &Keys) const;
 
 private:
-  /// Coefficient-domain key-switch decomposition digits: digit I is the
-  /// inverse NTT of Target's component I (a representative of Target mod
-  /// q_I). Counted as one decomposition.
-  std::vector<std::vector<uint64_t>>
-  keySwitchDecompose(const RnsPoly &Target) const;
+  /// The decomposition digits of \p Target. Counted as one decomposition.
+  KeySwitchDigits keySwitchDecompose(const RnsPoly &Target) const;
 
   /// The inner-product half of key switching: extends each digit to every
   /// output prime (+ the special prime), accumulates against \p Key, and
   /// divides the special prime back out.
-  std::array<RnsPoly, 2>
-  keySwitchAccumulate(const std::vector<std::vector<uint64_t>> &Digits,
-                      const KSwitchKey &Key) const;
+  std::array<RnsPoly, 2> keySwitchAccumulate(const KeySwitchDigits &Digits,
+                                             const KSwitchKey &Key) const;
+
+  /// Fails unless \p A has exactly two polynomials: key switching a c1
+  /// leaves any c2 behind, and the result would decrypt to garbage.
+  void checkRotatable(const Ciphertext &A) const;
 
   /// Assembles the rotated ciphertext from the automorphed c0 and the
   /// key-switched (c0', c1') contribution — shared by the serial and the

@@ -53,9 +53,10 @@ size_t cseAndSimplifyPass(Program &P);
 //===----------------------------------------------------------------------===
 
 /// Batches of rotations that share a source ciphertext. The runtime
-/// performs the key-switch decomposition of the source once per batch and
-/// applies every member's Galois automorphism against the shared digits
-/// (Evaluator::rotateHoisted), which is bit-identical to rotating serially.
+/// performs the key-switch decomposition of the source once per batch
+/// (Evaluator::decomposeForRotation) and applies each member's Galois
+/// automorphism against the shared digits (Evaluator::rotateDecomposed),
+/// which is bit-identical to rotating serially.
 /// Node pointers refer into the compiled program's graph and stay valid for
 /// the CompiledProgram's lifetime (Program is held behind a unique_ptr, so
 /// moving the CompiledProgram does not move the nodes).

@@ -125,9 +125,10 @@ struct ExecutorOptions {
   /// Total execution contexts, the calling thread included (0 means 1).
   size_t Threads = 1;
   LocalStyle Style = LocalStyle::ParallelDag;
-  /// Consume the compiled RotationPlan: rotations sharing a source are
-  /// evaluated as one rotateHoisted batch (bit-identical to separate
-  /// rotations). Off reproduces the one-decomposition-per-rotation
+  /// Consume the compiled RotationPlan: the source of each batch of
+  /// rotations is decomposed once, in its own step, and each member
+  /// rotates against those digits as an ordinary node (bit-identical to
+  /// separate rotations). Off reproduces the one-decomposition-per-rotation
   /// baseline for A/B measurement.
   bool Hoisting = true;
 };
@@ -166,9 +167,10 @@ private:
   /// The kernel-bulk schedule: kernels in sequence, wavefronts inside.
   void runKernelBulk(RunState &S);
 
-  /// The per-node step both schedules call: computes \p N, tallies live
-  /// bytes (hoist stash included) and retires the parents whose last use
-  /// just ran. Thread-safe across distinct nodes.
+  /// The per-node step both schedules call: computes \p N, decomposes it
+  /// if it is the source of a hoist batch, tallies live bytes (hoist digits
+  /// included) and retires the parents whose last use just ran.
+  /// Thread-safe across distinct nodes.
   void step(const Node *N, RunState &S) const;
 
   /// Computes \p N from its parents' values in \p S.

@@ -170,7 +170,7 @@ Ciphertext Evaluator::multiplyPlain(const Ciphertext &A,
   return Out;
 }
 
-std::vector<std::vector<uint64_t>>
+Evaluator::KeySwitchDigits
 Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
   size_t Count = Target.primeCount();
   // Decompose: coefficient-domain copy of each component. One inverse NTT
@@ -181,7 +181,7 @@ Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
   // result and outlives the call (hoisting reuses it across a rotation
   // batch), so it cannot live in the per-call LimbScratch arena. One
   // allocation per key switch, not per coefficient.
-  std::vector<std::vector<uint64_t>> TCoeff(Count);
+  KeySwitchDigits TCoeff(Count);
   forEachLimb(Count, [&](size_t I) {
     TCoeff[I] = Target.Comps[I];
     Ctx->ntt(I).inverse(TCoeff[I]);
@@ -190,9 +190,9 @@ Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
   return TCoeff;
 }
 
-std::array<RnsPoly, 2> Evaluator::keySwitchAccumulate(
-    const std::vector<std::vector<uint64_t>> &TCoeff,
-    const KSwitchKey &Key) const {
+std::array<RnsPoly, 2>
+Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
+                               const KSwitchKey &Key) const {
   size_t Count = TCoeff.size();
   size_t SpecialIdx = Ctx->specialPrimeIndex();
   uint64_t N = Ctx->polyDegree();
@@ -354,9 +354,16 @@ Ciphertext Evaluator::assembleRotation(RnsPoly C0, std::array<RnsPoly, 2> Ks,
   return Out;
 }
 
+void Evaluator::checkRotatable(const Ciphertext &A) const {
+  if (A.size() != 2)
+    fatalError("rotation of a " + std::to_string(A.size()) +
+               "-polynomial ciphertext: rotation key-switches c1 only, so "
+               "the input must be relinearized first");
+}
+
 Ciphertext Evaluator::rotateLeft(const Ciphertext &A, uint64_t Steps,
                                  const GaloisKeys &Keys) const {
-  assert(A.size() == 2 && "rotation requires a relinearized ciphertext");
+  checkRotatable(A);
   assert(Steps > 0 && Steps < Ctx->slotCount() && "steps out of range");
   uint64_t G = galoisEltFromStep(Steps, Ctx->polyDegree());
   if (!Keys.has(G))
@@ -372,52 +379,63 @@ Ciphertext Evaluator::rotateLeft(const Ciphertext &A, uint64_t Steps,
   return assembleRotation(std::move(C0), std::move(Ks), A.Scale);
 }
 
+Evaluator::KeySwitchDigits
+Evaluator::decomposeForRotation(const Ciphertext &A) const {
+  checkRotatable(A);
+  // The serial path's digits for rotation g are galois_g(invNTT(c1_i)):
+  // applyGaloisNttPoly permutes in coefficient form and keySwitch
+  // immediately inverts the forward NTT it applied, both exactly. So
+  // permuting these shared digits (rotateDecomposed) reproduces the serial
+  // digits bit for bit; only the redundant NTT round trips are skipped.
+  KeySwitchDigits Digits = keySwitchDecompose(A.Polys[1]);
+  charge(&ExecutionStats::HoistBatches);
+  return Digits;
+}
+
+Ciphertext Evaluator::rotateDecomposed(const Ciphertext &A,
+                                       const KeySwitchDigits &Digits,
+                                       uint64_t Steps,
+                                       const GaloisKeys &Keys) const {
+  checkRotatable(A);
+  if (Steps == 0) // identity rotation: the compiler normalizes these away,
+    return A;     // but a caller-supplied batch may still contain one
+  if (Steps >= Ctx->slotCount())
+    fatalError("hoisted rotation step " + std::to_string(Steps) +
+               " out of range [0, " + std::to_string(Ctx->slotCount()) + ")");
+  size_t Count = A.primeCount();
+  if (Digits.size() != Count)
+    fatalError("hoisted rotation of a " + std::to_string(Count) +
+               "-prime ciphertext against " + std::to_string(Digits.size()) +
+               " digits: they were not decomposed from it");
+  uint64_t G = galoisEltFromStep(Steps, Ctx->polyDegree());
+  if (!Keys.has(G))
+    fatalError("missing Galois key for hoisted rotation by " +
+               std::to_string(Steps));
+
+  uint64_t N = Ctx->polyDegree();
+  RnsPoly C0 = applyGaloisNttPoly(*Ctx, A.Polys[0], G,
+                                  /*SpansSpecialPrime=*/false, Pool);
+  KeySwitchDigits Permuted(Count);
+  forEachLimb(Count, [&](size_t I) {
+    Permuted[I].resize(N);
+    applyGaloisComp(Digits[I], Permuted[I], G, N, Ctx->prime(I));
+  });
+  std::array<RnsPoly, 2> Ks = keySwitchAccumulate(Permuted, Keys.at(G));
+  charge(&ExecutionStats::Rotations);
+  charge(&ExecutionStats::HoistedRotations);
+  return assembleRotation(std::move(C0), std::move(Ks), A.Scale);
+}
+
 std::vector<Ciphertext>
 Evaluator::rotateHoisted(const Ciphertext &A,
                          const std::vector<uint64_t> &Steps,
                          const GaloisKeys &Keys) const {
-  assert(A.size() == 2 && "rotation requires a relinearized ciphertext");
-  std::vector<Ciphertext> Out(Steps.size());
+  std::vector<Ciphertext> Out;
   if (Steps.empty())
     return Out;
-
-  // One shared decomposition for the whole batch. The serial path's digits
-  // for rotation g are galois_g(invNTT(c1_i)) — applyGaloisNttPoly permutes
-  // in coefficient form and the executor's keySwitch immediately inverts
-  // the forward NTT it applied, both exactly. Permuting these shared digits
-  // therefore reproduces the serial digits bit for bit; only the redundant
-  // NTT round trips are skipped.
-  size_t Count = A.primeCount();
-  uint64_t N = Ctx->polyDegree();
-  std::vector<std::vector<uint64_t>> Digits = keySwitchDecompose(A.Polys[1]);
-  charge(&ExecutionStats::HoistBatches);
-
-  std::vector<std::vector<uint64_t>> Permuted(Count);
-  for (size_t K = 0; K < Steps.size(); ++K) {
-    uint64_t S = Steps[K];
-    if (S == 0) { // identity rotation: the compiler normalizes these away,
-      Out[K] = A; // but a caller-supplied batch may still contain one
-      continue;
-    }
-    if (S >= Ctx->slotCount())
-      fatalError("hoisted rotation step " + std::to_string(S) +
-                 " out of range [0, " + std::to_string(Ctx->slotCount()) +
-                 ")");
-    uint64_t G = galoisEltFromStep(S, Ctx->polyDegree());
-    if (!Keys.has(G))
-      fatalError("missing Galois key for hoisted rotation by " +
-                 std::to_string(S));
-
-    RnsPoly C0 = applyGaloisNttPoly(*Ctx, A.Polys[0], G,
-                                    /*SpansSpecialPrime=*/false, Pool);
-    forEachLimb(Count, [&](size_t I) {
-      Permuted[I].resize(N);
-      applyGaloisComp(Digits[I], Permuted[I], G, N, Ctx->prime(I));
-    });
-    std::array<RnsPoly, 2> Ks = keySwitchAccumulate(Permuted, Keys.at(G));
-    Out[K] = assembleRotation(std::move(C0), std::move(Ks), A.Scale);
-    charge(&ExecutionStats::Rotations);
-    charge(&ExecutionStats::HoistedRotations);
-  }
+  KeySwitchDigits Digits = decomposeForRotation(A);
+  Out.reserve(Steps.size());
+  for (uint64_t S : Steps)
+    Out.push_back(rotateDecomposed(A, Digits, S, Keys));
   return Out;
 }

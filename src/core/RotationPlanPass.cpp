@@ -11,7 +11,7 @@
 /// hoist batches: vectorized workloads (matvec diagonals, convolution taps,
 /// reduction trees fanning out of one value) emit many rotations of the
 /// same ciphertext, and the runtime can share one key-switch decomposition
-/// across the whole batch (Evaluator::rotateHoisted) — the dominant
+/// across the whole batch (Evaluator::decomposeForRotation) — the dominant
 /// per-rotation fixed cost drops to a permutation.
 ///
 /// galoisBudgetPass trades rotations for keys in the other direction: every

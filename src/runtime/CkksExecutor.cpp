@@ -27,15 +27,17 @@ struct Value {
   bool isCipher() const { return Ct.has_value(); }
 };
 
-/// Per-run state of one hoist batch. The first member to execute computes
-/// the whole batch under the group mutex (all members are ready the moment
-/// the shared source is, so under the DAG schedule several may race here);
-/// the rest collect their precomputed ciphertexts.
-struct HoistGroupState {
-  Mutex M;
-  bool Done EVA_GUARDED_BY(M) = false;
-  /// member node id -> rotated ct
-  std::map<uint64_t, Ciphertext> Results EVA_GUARDED_BY(M);
+/// Per-run state of one hoist batch. The source's step writes Digits, and
+/// every member's step reads them without a lock: no member can start
+/// before the source's step has returned (see CkksExecutor::step). The
+/// member whose step takes PendingMembers to zero frees them.
+struct HoistBatch {
+  Evaluator::KeySwitchDigits Digits;
+  std::atomic<size_t> PendingMembers{0};
+  size_t bytes() const {
+    return Digits.empty() ? 0
+                          : Digits.size() * Digits[0].size() * sizeof(uint64_t);
+  }
 };
 
 void raiseToAtLeast(std::atomic<size_t> &Peak, size_t Current) {
@@ -150,11 +152,21 @@ CkksWorkspace::createClient(const CompiledProgram &CP, uint64_t Seed,
 }
 
 struct CkksExecutor::RunState {
-  RunState(const Program &P, const SealedInputs &Inputs, size_t HoistGroups)
+  /// \p Plan is null when hoisting is off.
+  RunState(const Program &P, const SealedInputs &Inputs,
+           const RotationPlan *Plan)
       : Inputs(Inputs), Order(P.forwardOrder()), Values(P.maxNodeId()),
-        PendingUses(P.maxNodeId()), Hoist(HoistGroups) {
+        PendingUses(P.maxNodeId()), Hoist(Plan ? Plan->Groups.size() : 0),
+        BatchOfSource(P.maxNodeId()), BatchOfMember(P.maxNodeId()) {
     for (const Node *N : Order)
       PendingUses[N->id()].store(static_cast<int>(N->uses().size()));
+    for (size_t I = 0; I < Hoist.size(); ++I) {
+      const RotationPlan::HoistGroup &G = Plan->Groups[I];
+      BatchOfSource[G.Source->id()] = &Hoist[I];
+      for (const Node *M : G.Members)
+        BatchOfMember[M->id()] = &Hoist[I];
+      Hoist[I].PendingMembers.store(G.Members.size());
+    }
   }
 
   const SealedInputs &Inputs;
@@ -166,13 +178,11 @@ struct CkksExecutor::RunState {
   /// Written under CkksExecutor::OutputMutex.
   std::map<std::string, Ciphertext> Outputs;
   /// One entry per RotationPlan group; empty when hoisting is off.
-  std::vector<HoistGroupState> Hoist;
-  /// Bytes/nodes currently parked in HoistGroupState::Results — rotated
-  /// ciphertexts a batch produced that their member nodes have not yet
-  /// collected. Folded into the peak accounting so the memory-reuse stats
-  /// stay honest under hoisting.
-  std::atomic<size_t> HoistStashBytes{0};
-  std::atomic<size_t> HoistStashNodes{0};
+  std::vector<HoistBatch> Hoist;
+  /// Node id -> the batch the node is the source or a member of, or null.
+  std::vector<HoistBatch *> BatchOfSource;
+  std::vector<HoistBatch *> BatchOfMember;
+  /// Ciphertexts in Values plus hoist digits not yet freed.
   std::atomic<size_t> LiveBytes{0};
   std::atomic<size_t> PeakBytes{0};
   std::atomic<size_t> LiveNodes{0};
@@ -323,46 +333,12 @@ void CkksExecutor::computeNode(const Node *N, RunState &S) const {
       Slot.Ct = CA;
       break;
     }
-    auto GIt = S.Hoist.empty() ? CP.RotPlan.GroupOf.end()
-                               : CP.RotPlan.GroupOf.find(N->id());
-    if (GIt == CP.RotPlan.GroupOf.end()) {
+    // A hoist batch member rotates against the digits its source's step
+    // decomposed; the result is bit-identical to rotateLeft's.
+    if (const HoistBatch *B = S.BatchOfMember[N->id()])
+      Slot.Ct = E.rotateDecomposed(CA, B->Digits, Steps, WS->Gk);
+    else
       Slot.Ct = E.rotateLeft(CA, Steps, WS->Gk);
-      break;
-    }
-    // Hoist batch: whichever member executes first computes every rotation
-    // of the shared source against one key-switch decomposition; the others
-    // pick up their precomputed ciphertexts. Results are bit-identical to
-    // the serial path (see Evaluator::rotateHoisted), so schedules with and
-    // without hoisting decrypt to the same bits.
-    const RotationPlan::HoistGroup &G = CP.RotPlan.Groups[GIt->second];
-    HoistGroupState &St = S.Hoist[GIt->second];
-    LockGuard Lock(St.M);
-    if (!St.Done) {
-      std::vector<uint64_t> StepList(G.Members.size());
-      for (size_t I = 0; I < G.Members.size(); ++I)
-        StepList[I] = normalizedLeftSteps(G.Members[I]);
-      std::vector<Ciphertext> Outs = E.rotateHoisted(CA, StepList, WS->Gk);
-      size_t StashBytes = 0;
-      for (size_t I = 0; I < G.Members.size(); ++I) {
-        StashBytes += Outs[I].memoryBytes();
-        St.Results.emplace(G.Members[I]->id(), std::move(Outs[I]));
-      }
-      // The whole batch is live from this moment; members that have not
-      // executed yet hold their results here, outside the Values table, so
-      // the peak-memory accounting must see them too.
-      S.HoistStashBytes.fetch_add(StashBytes);
-      S.HoistStashNodes.fetch_add(G.Members.size());
-      St.Done = true;
-    }
-    auto RIt = St.Results.find(N->id());
-    if (RIt == St.Results.end())
-      fatalError("hoist batch has no result for node @" +
-                 std::to_string(N->id()) + ": node executed twice or the "
-                 "rotation plan does not match the program");
-    S.HoistStashBytes.fetch_sub(RIt->second.memoryBytes());
-    S.HoistStashNodes.fetch_sub(1);
-    Slot.Ct = std::move(RIt->second);
-    St.Results.erase(RIt);
     break;
   }
   case OpCode::Relinearize:
@@ -387,13 +363,26 @@ void CkksExecutor::computeNode(const Node *N, RunState &S) const {
 
 void CkksExecutor::step(const Node *N, RunState &S) const {
   computeNode(N, S);
-  if (const std::optional<Ciphertext> &Ct = S.Values[N->id()].Ct) {
+  const std::optional<Ciphertext> &Ct = S.Values[N->id()].Ct;
+  if (Ct) {
     size_t Bytes = Ct->memoryBytes();
-    // Hoist-batch results not yet collected by their nodes count as live.
-    raiseToAtLeast(S.PeakBytes, S.LiveBytes.fetch_add(Bytes) + Bytes +
-                                    S.HoistStashBytes.load());
-    raiseToAtLeast(S.PeakNodes,
-                   S.LiveNodes.fetch_add(1) + 1 + S.HoistStashNodes.load());
+    raiseToAtLeast(S.PeakBytes, S.LiveBytes.fetch_add(Bytes) + Bytes);
+    raiseToAtLeast(S.PeakNodes, S.LiveNodes.fetch_add(1) + 1);
+  }
+  // The source of a hoist batch decomposes here, once and limb-parallel.
+  // The DAG schedule submits a node's children only after its step returns,
+  // and a kernel wavefront ends only after all of its steps, so every
+  // member finds the digits written.
+  if (HoistBatch *B = S.BatchOfSource[N->id()]) {
+    B->Digits = Eval.decomposeForRotation(*Ct);
+    size_t Bytes = B->bytes();
+    raiseToAtLeast(S.PeakBytes, S.LiveBytes.fetch_add(Bytes) + Bytes);
+  }
+  // The batch's last member frees the digits.
+  if (HoistBatch *B = S.BatchOfMember[N->id()];
+      B && B->PendingMembers.fetch_sub(1) == 1) {
+    S.LiveBytes.fetch_sub(B->bytes());
+    B->Digits.clear();
   }
   // Retire parents whose last use just ran (Section 6.1's memory reuse).
   for (const Node *Parm : N->parms()) {
@@ -412,7 +401,7 @@ CkksExecutor::run(const SealedInputs &Inputs) {
   Stats.TotalNodeCount = P.nodeCount();
   LedgerScope Ledger(&Stats);
 
-  RunState S(P, Inputs, UseHoisting ? CP.RotPlan.Groups.size() : 0);
+  RunState S(P, Inputs, UseHoisting ? &CP.RotPlan : nullptr);
   if (Style == LocalStyle::KernelBulk)
     runKernelBulk(S);
   else

@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <optional>
+#include <thread>
 
 using namespace eva;
 
@@ -356,6 +357,43 @@ TEST_F(CkksFixture, RotateHoistedBitIdenticalToSerialRotations) {
     EXPECT_EQ(Hoisted[K].Scale, Want.Scale);
     for (size_t P = 0; P < Want.size(); ++P)
       EXPECT_EQ(Hoisted[K].Polys[P].Comps, Want.Polys[P].Comps)
+          << "step " << Steps[K] << " poly " << P;
+  }
+}
+
+TEST_F(CkksFixture, RotateDecomposedOnConcurrentThreadsMatchesRotateLeft) {
+  // The executor's hoist batch: one decomposition, then members rotating
+  // against the shared digits on different threads at once.
+  const std::vector<uint64_t> Steps = {1, 5, 37, 2047};
+  GaloisKeys Gk = Gen->createGaloisKeys({Steps.begin(), Steps.end()});
+  std::vector<double> In = randomVector(2048, -1.0, 1.0, 41);
+  Ciphertext Ct = encryptVec(In, std::ldexp(1.0, 40), 3);
+
+  ExecutionStats C;
+  std::vector<Ciphertext> Rotated(Steps.size());
+  {
+    LedgerScope Scope(&C);
+    const Evaluator::KeySwitchDigits Digits = Eval->decomposeForRotation(Ct);
+    std::vector<std::thread> Members;
+    for (size_t K = 0; K < Steps.size(); ++K)
+      Members.emplace_back([&, K] {
+        LedgerScope MemberScope(&C);
+        Rotated[K] = Eval->rotateDecomposed(Ct, Digits, Steps[K], Gk);
+      });
+    for (std::thread &T : Members)
+      T.join();
+  }
+  EXPECT_EQ(C.KeySwitchDecompositions, 1u);
+  EXPECT_EQ(C.HoistBatches, 1u);
+  EXPECT_EQ(C.HoistedRotations, Steps.size());
+  EXPECT_EQ(C.Rotations, Steps.size());
+
+  for (size_t K = 0; K < Steps.size(); ++K) {
+    Ciphertext Want = Eval->rotateLeft(Ct, Steps[K], Gk);
+    ASSERT_EQ(Rotated[K].size(), Want.size()) << "step " << Steps[K];
+    EXPECT_EQ(Rotated[K].Scale, Want.Scale);
+    for (size_t P = 0; P < Want.size(); ++P)
+      EXPECT_EQ(Rotated[K].Polys[P].Comps, Want.Polys[P].Comps)
           << "step " << Steps[K] << " poly " << P;
   }
 }

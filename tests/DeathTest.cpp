@@ -80,6 +80,18 @@ TEST(RuntimeGuardDeathTest, RotationWithoutKeyAborts) {
   EXPECT_DEATH(Api.Eval->rotateLeft(A, 3, Gk), "missing Galois key");
 }
 
+TEST(RuntimeGuardDeathTest, RotationOfUnrelinearizedCiphertextAborts) {
+  // Rotation key-switches c1 only, so a 3-polynomial input would come back
+  // as a 2-polynomial ciphertext that decrypts to garbage.
+  RawApi Api;
+  Ciphertext A = Api.enc(1.0, 20, 2);
+  Ciphertext Product = Api.Eval->multiply(A, A);
+  ASSERT_EQ(Product.size(), 3u);
+  GaloisKeys Gk = Api.Gen->createGaloisKeys({1});
+  EXPECT_DEATH(Api.Eval->rotateLeft(Product, 1, Gk), "relinearized");
+  EXPECT_DEATH(Api.Eval->rotateHoisted(Product, {1}, Gk), "relinearized");
+}
+
 TEST(RuntimeGuardDeathTest, RescaleOnExhaustedChainAborts) {
   RawApi Api;
   Ciphertext A = Api.enc(1.0, 30, 1); // single prime left

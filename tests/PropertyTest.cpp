@@ -335,6 +335,7 @@ TEST_P(RotationDifferential, HoistingAndBackendsAreBitIdentical) {
       {"bulk", LocalStyle::KernelBulk, 2, false},
   };
   std::map<std::string, std::vector<double>> First;
+  std::map<std::string, ExecutionStats> Ledgers;
   for (const Cfg &C : Cfgs) {
     LocalRunnerOptions O;
     O.Style = C.Style;
@@ -349,6 +350,7 @@ TEST_P(RotationDifferential, HoistingAndBackendsAreBitIdentical) {
     if (!C.Hoist) {
       EXPECT_EQ(S->HoistedRotations, 0u) << C.Name;
     }
+    Ledgers.emplace(C.Name, *S);
     for (const Node *ON : CP.Prog->outputs()) {
       std::vector<double> Got = Out->plainVec(ON->name());
       if (First.count(ON->name()) == 0) {
@@ -363,6 +365,20 @@ TEST_P(RotationDifferential, HoistingAndBackendsAreBitIdentical) {
             << ON->name() << " slot " << I;
     }
   }
+
+  // The hoisting ledger does not depend on the schedule or thread count,
+  // and each batch saves one decomposition per member less its own.
+  const ExecutionStats &On = Ledgers.at("serial+hoist");
+  for (const char *Name : {"parallel+hoist", "bulk+hoist"}) {
+    const ExecutionStats &L = Ledgers.at(Name);
+    EXPECT_EQ(L.KeySwitchDecompositions, On.KeySwitchDecompositions) << Name;
+    EXPECT_EQ(L.HoistBatches, On.HoistBatches) << Name;
+    EXPECT_EQ(L.HoistedRotations, On.HoistedRotations) << Name;
+    EXPECT_EQ(L.Rotations, On.Rotations) << Name;
+  }
+  EXPECT_EQ(On.KeySwitchDecompositions + On.HoistedRotations - On.HoistBatches,
+            Ledgers.at("serial").KeySwitchDecompositions)
+      << "seed " << Seed << " vec " << VecSize;
 
   // Reference closeness: the CKKS result approximates the exact semantics.
   std::map<std::string, std::vector<double>> Want =
