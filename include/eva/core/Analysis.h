@@ -12,10 +12,13 @@
 ///    invariants: no dangling operands, no orphaned instructions, constant
 ///    payload domains, normalized rotation steps). It never trusts the
 ///    graph: every check re-derives its facts, uses its own cycle-tolerant
-///    traversal, and names the offending node in its diagnostic. The
-///    compiler driver sandwiches it between every transformation pass
-///    behind the EVA_VERIFY_PASSES option, so a buggy pass is caught at the
-///    pass boundary with the pass named in the error.
+///    traversal, and names the offending node in its diagnostic. The one
+///    exception is a constant payload's element facts (ConstantPayload in
+///    Node.h): payloads are immutable, so their facts are computed once,
+///    when they are made, and no pass can invalidate them. compile()
+///    always sandwiches the verifier between every transformation pass,
+///    so a buggy pass is caught at the pass boundary with the pass named
+///    in the error; its cost follows nodes and edges, not payload bytes.
 ///
 ///  * analyzeProgram — a forward dataflow analyzer computing per-node facts
 ///    (scale bits, consumed-modulus level, plaintext magnitude range,

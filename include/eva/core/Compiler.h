@@ -61,9 +61,8 @@ struct CompilerOptions {
   size_t GaloisKeyBudget = 0;
   /// Pass-sandwich verification: run the structural IR verifier between
   /// every transformation pass, naming the failing pass in the diagnostic.
-  /// -1 defers to the build default (the EVA_VERIFY_PASSES CMake option)
-  /// overridable by the EVA_VERIFY_PASSES environment variable; 0 forces
-  /// off, 1 forces on. The final whole-result verification runs regardless.
+  /// On unless set to 0 (-1, the default, and 1 both mean on). The final
+  /// structural verification runs regardless.
   int VerifyPasses = -1;
 
   /// The paper's EVA configuration (default).

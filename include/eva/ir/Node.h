@@ -28,6 +28,22 @@ namespace eva {
 
 class Program;
 
+/// A constant's payload together with the facts passes need about it.
+/// Payloads are immutable and shared between clones, so Program computes
+/// these facts once, when it makes the payload; the verifier, the analysis
+/// and CSE read them instead of rescanning the elements.
+struct ConstantPayload {
+  std::vector<double> Values;
+  /// No element is NaN or infinite.
+  bool AllFinite = true;
+  /// The largest |element| (std::max over the elements from 0.0, so NaN
+  /// elements never win).
+  double MaxAbs = 0.0;
+  /// Content hash: payloads whose elements compare equal hash alike, so
+  /// -0.0 and +0.0 do.
+  uint64_t Hash = 0;
+};
+
 class Node {
 public:
   uint64_t id() const { return Id; }
@@ -66,6 +82,10 @@ public:
   /// Constant payload: a vector (broadcast if shorter than vec_size) for
   /// Vector constants, or a single element for Scalar constants.
   const std::vector<double> &constValue() const {
+    return constPayload().Values;
+  }
+  /// The payload with its precomputed facts.
+  const ConstantPayload &constPayload() const {
     assert(Op == OpCode::Constant && "not a constant");
     return *ConstValue;
   }
@@ -92,7 +112,7 @@ private:
   int32_t Rotation = 0;
   int RescaleBits = 0;
   int32_t KernelId = -1;
-  std::shared_ptr<const std::vector<double>> ConstValue;
+  std::shared_ptr<const ConstantPayload> ConstValue;
   std::string Name;
 };
 

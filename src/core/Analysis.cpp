@@ -409,9 +409,7 @@ Expected<AnalysisResult> eva::analyzeProgram(Program &P,
       HasCipherIn = N->isCipher();
       break;
     case OpCode::Constant: {
-      double MaxAbs = 0.0;
-      for (double D : N->constValue())
-        MaxAbs = std::max(MaxAbs, std::abs(D));
+      double MaxAbs = N->constPayload().MaxAbs;
       Mag = MaxAbs > 0.0 ? std::log2(MaxAbs) : -300.0;
       break;
     }

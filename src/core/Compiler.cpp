@@ -8,31 +8,7 @@
 
 #include "eva/core/Analysis.h"
 
-#include <cstdlib>
-
 using namespace eva;
-
-namespace {
-
-/// Build-default + environment resolution for pass-sandwich verification.
-/// The EVA_VERIFY_PASSES CMake option bakes in the default
-/// (EVA_VERIFY_PASSES_DEFAULT); the EVA_VERIFY_PASSES environment variable
-/// overrides it at run time ("0" disables, anything else enables). Cached:
-/// the cost when off is one branch per pass.
-bool verifyPassesDefault() {
-  static const bool Enabled = [] {
-    if (const char *E = std::getenv("EVA_VERIFY_PASSES"))
-      return E[0] != '0';
-#ifdef EVA_VERIFY_PASSES_DEFAULT
-    return EVA_VERIFY_PASSES_DEFAULT != 0;
-#else
-    return true;
-#endif
-  }();
-  return Enabled;
-}
-
-} // namespace
 
 Expected<CompiledProgram> eva::compile(const Program &Input,
                                        const CompilerOptions &Options) {
@@ -50,8 +26,7 @@ Expected<CompiledProgram> eva::compile(const Program &Input,
       return Result::error("input @" + I->name() +
                            " has an out-of-range scale");
 
-  const bool Verify =
-      Options.VerifyPasses < 0 ? verifyPassesDefault() : Options.VerifyPasses;
+  const bool Verify = Options.VerifyPasses != 0;
 
   CompiledProgram Out;
   Out.Options = Options;

@@ -17,8 +17,10 @@
 
 #include "eva/core/Passes.h"
 
+#include <algorithm>
 #include <map>
 #include <tuple>
+#include <unordered_map>
 
 using namespace eva;
 
@@ -48,15 +50,23 @@ InstKey keyOf(const Node *N) {
 size_t eva::cseAndSimplifyPass(Program &P) {
   size_t Eliminated = 0;
 
-  // Merge identical constants first (same scale and payload).
-  std::map<std::pair<double, std::vector<double>>, Node *> Consts;
+  // Merge identical constants first (same scale, elementwise-equal payload;
+  // a NaN element equals nothing). Candidates are found by the payload's
+  // precomputed hash and confirmed by comparison, and the survivor is the
+  // first match in constants() order.
+  std::unordered_map<uint64_t, std::vector<Node *>> ByHash;
   for (Node *C : P.constants()) {
-    auto Key = std::make_pair(C->logScale(), C->constValue());
-    auto [It, Inserted] = Consts.emplace(std::move(Key), C);
-    if (!Inserted && It->second != C) {
-      P.replaceAllUses(C, It->second);
-      ++Eliminated;
+    std::vector<Node *> &Bucket = ByHash[C->constPayload().Hash];
+    auto Match = std::find_if(Bucket.begin(), Bucket.end(), [&](Node *S) {
+      return S->logScale() == C->logScale() &&
+             S->constValue() == C->constValue();
+    });
+    if (Match == Bucket.end()) {
+      Bucket.push_back(C);
+      continue;
     }
+    P.replaceAllUses(C, *Match);
+    ++Eliminated;
   }
 
   std::map<InstKey, Node *> Seen;

@@ -13,6 +13,13 @@
 /// coverage of every rotation, hoist-plan consistency, bit-size sanity, and
 /// a full dataflow re-validation of Constraints 1-4.
 ///
+/// The work is linear in nodes and edges. Membership is an id-indexed
+/// table (a foreign node, such as an operand taken from another program,
+/// must still be alive: its id is read). Constant payloads are immutable,
+/// so their element facts are computed once, when they are made, and the
+/// verifier reads them instead of rescanning every element after every
+/// pass.
+///
 //===----------------------------------------------------------------------===//
 
 #include "eva/core/Analysis.h"
@@ -22,8 +29,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace eva;
 
@@ -62,7 +67,8 @@ size_t expectedArity(OpCode Op) {
 
 Status checkConstant(const Node *N, uint64_t VecSize) {
   // The payload accessor asserts on op(); reach it only for constants.
-  const std::vector<double> &V = N->constValue();
+  const ConstantPayload &Payload = N->constPayload();
+  const std::vector<double> &V = Payload.Values;
   if (V.empty())
     return Status::error("constant " + nodeDesc(N) + " has an empty payload");
   if (!isPowerOfTwo(V.size()) || V.size() > VecSize)
@@ -72,10 +78,9 @@ Status checkConstant(const Node *N, uint64_t VecSize) {
   if (N->type() == ValueType::Scalar && V.size() != 1)
     return Status::error("scalar constant " + nodeDesc(N) +
                          " has a vector payload");
-  for (double D : V)
-    if (!std::isfinite(D))
-      return Status::error("constant " + nodeDesc(N) +
-                           " has a non-finite element");
+  if (!Payload.AllFinite)
+    return Status::error("constant " + nodeDesc(N) +
+                         " has a non-finite element");
   if (N->isCipher())
     return Status::error("constant " + nodeDesc(N) +
                          " is Cipher-typed; constants are plaintext");
@@ -89,29 +94,29 @@ Status eva::verifyProgram(const Program &P, const VerifyOptions &O) {
   const uint64_t MaxId = P.maxNodeId();
 
   // Node identity: ids dense-bounded and unique, so side tables keyed by id
-  // are unambiguous.
-  std::vector<char> SeenId(MaxId, 0);
-  std::unordered_set<const Node *> Members;
-  Members.reserve(Nodes.size());
+  // are unambiguous, and a node is a member iff the id table holds it.
+  std::vector<const Node *> ById(MaxId, nullptr);
   for (const Node *N : Nodes) {
     if (N->id() >= MaxId)
       return Status::error("node id " + std::to_string(N->id()) +
                            " out of range (maxNodeId " +
                            std::to_string(MaxId) + ")");
-    if (SeenId[N->id()])
+    if (ById[N->id()])
       return Status::error("duplicate node id " + std::to_string(N->id()));
-    SeenId[N->id()] = 1;
-    Members.insert(N);
+    ById[N->id()] = N;
   }
+  auto IsMember = [&](const Node *N) {
+    return N->id() < MaxId && ById[N->id()] == N;
+  };
 
   // The I/O lists and the node set must agree in both directions.
-  std::unordered_set<const Node *> Listed;
+  std::vector<char> Listed(MaxId, 0);
   for (const std::vector<Node *> *Group : {&P.inputs(), &P.constants(),
                                            &P.outputs()})
     for (const Node *N : *Group) {
-      if (!Members.count(N))
+      if (!IsMember(N))
         return Status::error("I/O list entry is not a live node");
-      Listed.insert(N);
+      Listed[N->id()] = 1;
     }
   for (const Node *N : P.inputs())
     if (N->op() != OpCode::Input)
@@ -135,7 +140,7 @@ Status eva::verifyProgram(const Program &P, const VerifyOptions &O) {
                            " not allowed at this stage");
     if ((Op == OpCode::Input || Op == OpCode::Constant ||
          Op == OpCode::Output) &&
-        !Listed.count(N))
+        !Listed[N->id()])
       return Status::error(nodeDesc(N) + " is missing from its I/O list");
 
     // Arity, operand membership (dangling detection), and use/operand
@@ -149,7 +154,7 @@ Status eva::verifyProgram(const Program &P, const VerifyOptions &O) {
                            std::to_string(N->parmCount()) + " operands; " +
                            opName(Op) + " takes " + std::to_string(Arity));
     for (const Node *Parm : N->parms()) {
-      if (!Members.count(Parm))
+      if (!IsMember(Parm))
         return Status::error("dangling operand on " + nodeDesc(N) +
                              ": %" + std::to_string(Parm->id()) +
                              " is not a node of this program");
@@ -162,7 +167,7 @@ Status eva::verifyProgram(const Program &P, const VerifyOptions &O) {
                              std::to_string(Parm->id()));
     }
     for (const Node *Use : N->uses())
-      if (!Members.count(Use))
+      if (!IsMember(Use))
         return Status::error("dangling use on " + nodeDesc(N) + ": %" +
                              std::to_string(Use->id()) +
                              " is not a node of this program");
@@ -291,19 +296,22 @@ Status eva::verifyCompiled(const CompiledProgram &CP) {
 
   // Hoist-plan consistency: members are live rotations of their group's
   // source, and the reverse index matches.
-  std::unordered_set<const Node *> Members;
+  std::vector<const Node *> ById(P.maxNodeId(), nullptr);
   for (const Node *N : P.nodes())
-    Members.insert(N);
+    ById[N->id()] = N;
+  auto IsMember = [&](const Node *N) {
+    return N->id() < ById.size() && ById[N->id()] == N;
+  };
   for (size_t G = 0; G < CP.RotPlan.Groups.size(); ++G) {
     const RotationPlan::HoistGroup &Group = CP.RotPlan.Groups[G];
-    if (!Group.Source || !Members.count(Group.Source))
+    if (!Group.Source || !IsMember(Group.Source))
       return Status::error("hoist group " + std::to_string(G) +
                            " has a dead source");
     if (Group.Members.size() < 2)
       return Status::error("hoist group " + std::to_string(G) +
                            " has fewer than 2 members");
     for (const Node *M : Group.Members) {
-      if (!Members.count(M) || !isRotation(M->op()) ||
+      if (!IsMember(M) || !isRotation(M->op()) ||
           M->parm(0) != Group.Source)
         return Status::error("hoist group " + std::to_string(G) +
                              " member is not a live rotation of its source");

@@ -9,10 +9,30 @@
 #include "eva/support/BitOps.h"
 
 #include <algorithm>
-#include <map>
+#include <bit>
+#include <cmath>
 #include <queue>
 
 using namespace eva;
+
+namespace {
+
+/// Wraps \p Values with its facts, computed in one pass over the elements.
+std::shared_ptr<const ConstantPayload> makePayload(std::vector<double> Values) {
+  auto Out = std::make_shared<ConstantPayload>();
+  uint64_t Hash = 0xcbf29ce484222325ull; // FNV-1a over 64-bit words
+  for (double D : Values) {
+    Out->AllFinite = Out->AllFinite && std::isfinite(D);
+    Out->MaxAbs = std::max(Out->MaxAbs, std::abs(D));
+    // D + 0.0 maps -0.0 to +0.0: the two compare equal, so must hash alike.
+    Hash = (Hash ^ std::bit_cast<uint64_t>(D + 0.0)) * 0x100000001b3ull;
+  }
+  Out->Hash = Hash;
+  Out->Values = std::move(Values);
+  return Out;
+}
+
+} // namespace
 
 uint64_t eva::normalizedLeftSteps(const Node *N, uint64_t VecSize) {
   assert(isRotation(N->op()) && "not a rotation node");
@@ -45,8 +65,7 @@ Node *Program::makeConstant(std::vector<double> Values, double LogScale) {
   assert(!Values.empty() && isPowerOfTwo(Values.size()) &&
          Values.size() <= VecSize && "constant size must be a power of two");
   Node *N = allocate(OpCode::Constant, ValueType::Vector);
-  N->ConstValue =
-      std::make_shared<const std::vector<double>>(std::move(Values));
+  N->ConstValue = makePayload(std::move(Values));
   N->LogScale = LogScale;
   Constants.push_back(N);
   return N;
@@ -54,8 +73,7 @@ Node *Program::makeConstant(std::vector<double> Values, double LogScale) {
 
 Node *Program::makeScalarConstant(double Value, double LogScale) {
   Node *N = allocate(OpCode::Constant, ValueType::Scalar);
-  N->ConstValue =
-      std::make_shared<const std::vector<double>>(std::vector<double>{Value});
+  N->ConstValue = makePayload({Value});
   N->LogScale = LogScale;
   Constants.push_back(N);
   return N;

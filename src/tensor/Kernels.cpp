@@ -224,16 +224,8 @@ CipherTensor eva::matVecBsgs(ProgramBuilder &B, const CipherTensor &In,
     // The matrix as cyclic diagonals over the full vector:
     //   y[k] = sum_d diag_d[k] * x[(k+d) mod M],
     //   diag_d[k] = W[k][(k+d) mod M]  (zero-padded outside Out x In).
-    // Columns >= NIn carry zero weight, so garbage slots of x never leak.
-    auto Diag = [&](size_t D) {
-      std::vector<double> V(M, 0.0);
-      for (size_t K = 0; K < NOut; ++K) {
-        size_t C = (K + D) % M;
-        if (C < NIn)
-          V[K] = Weights.at2(K, C);
-      }
-      return V;
-    };
+    // Columns >= NIn carry zero weight, so garbage slots of x never leak,
+    // and rows >= NOut are zero, so only k < NOut is ever visited.
 
     // Baby-step–giant-step split d = GJ + I (BS ~ sqrt(M)): the BS baby
     // rotations all rotate the input ciphertext itself — one hoist batch
@@ -246,22 +238,33 @@ CipherTensor eva::matVecBsgs(ProgramBuilder &B, const CipherTensor &In,
       BS <<= 1;
     RotationCache Rot(B, In.Value);
     Expr Acc;
+    // One zeroed buffer serves every diagonal: each fills only the slots it
+    // touches and clears them again after its constant is copied out.
+    std::vector<double> Mask(M, 0.0);
+    std::vector<size_t> Touched;
+    Touched.reserve(NOut);
     for (size_t GJ = 0; GJ < M; GJ += BS) {
       Expr Inner;
       for (size_t I = 0; I < BS && GJ + I < M; ++I) {
-        std::vector<double> DV = Diag(GJ + I);
-        std::vector<double> Mask(M, 0.0);
-        bool Zero = true;
-        for (size_t K = 0; K < M; ++K) {
-          if (DV[K] == 0.0)
+        size_t D = GJ + I;
+        for (size_t K = 0; K < NOut; ++K) {
+          size_t C = (K + D) % M;
+          if (C >= NIn)
             continue;
-          Zero = false;
-          Mask[(K + GJ) % M] = DV[K]; // rot_{-GJ}(diag)
+          double W = Weights.at2(K, C);
+          if (W == 0.0)
+            continue;
+          size_t Slot = (K + GJ) % M; // rot_{-GJ}(diag)
+          Mask[Slot] = W;
+          Touched.push_back(Slot);
         }
-        if (Zero)
+        if (Touched.empty())
           continue;
         accumulate(Inner, Rot.get(static_cast<int64_t>(I)) *
                               B.constantVector(Mask, Scales.Vector));
+        for (size_t Slot : Touched)
+          Mask[Slot] = 0.0;
+        Touched.clear();
       }
       if (!Inner.valid())
         continue;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace eva;
 
 namespace {
@@ -86,6 +88,38 @@ TEST(Program, CloneIsDeepAndEquivalent) {
   size_t Before = P.nodeCount();
   C->makeInput("extra", ValueType::Cipher, 10);
   EXPECT_EQ(P.nodeCount(), Before);
+}
+
+// Payloads are immutable, so Program computes their facts once, when it
+// makes them, and a clone shares the record instead of copying it.
+TEST(Program, ConstantPayloadFactsComputedOnceAndShared) {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double Denormal = std::numeric_limits<double>::denorm_min();
+  Program P(16);
+  const Node *Nan = P.makeScalarConstant(NaN, 30);
+  const Node *PosInf = P.makeConstant({Inf}, 30);
+  const Node *NegInf = P.makeScalarConstant(-Inf, 30);
+  const Node *Mixed = P.makeConstant({-3.5, 2.0}, 30);
+  const Node *Tiny = P.makeConstant({-Denormal}, 30);
+
+  EXPECT_FALSE(Nan->constPayload().AllFinite);
+  EXPECT_EQ(Nan->constPayload().MaxAbs, 0.0); // NaN never wins std::max
+  EXPECT_FALSE(PosInf->constPayload().AllFinite);
+  EXPECT_EQ(PosInf->constPayload().MaxAbs, Inf);
+  EXPECT_FALSE(NegInf->constPayload().AllFinite);
+  EXPECT_EQ(NegInf->constPayload().MaxAbs, Inf);
+  EXPECT_TRUE(Mixed->constPayload().AllFinite);
+  EXPECT_EQ(Mixed->constPayload().MaxAbs, 3.5);
+  EXPECT_TRUE(Tiny->constPayload().AllFinite);
+  EXPECT_EQ(Tiny->constPayload().MaxAbs, Denormal);
+
+  std::unique_ptr<Program> C = P.clone();
+  ASSERT_EQ(C->constants().size(), P.constants().size());
+  for (size_t I = 0; I < P.constants().size(); ++I)
+    EXPECT_EQ(&C->constants()[I]->constValue(),
+              &P.constants()[I]->constValue())
+        << "constant " << I;
 }
 
 TEST(Program, MultiplicativeDepth) {

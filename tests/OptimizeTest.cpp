@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace eva;
 
 namespace {
@@ -161,6 +163,37 @@ TEST(Cse, DuplicateConstantsMerge) {
   cseAndSimplifyPass(B.program());
   EXPECT_EQ(B.program().constants().size(), 1u);
   EXPECT_EQ(countOps(B.program(), OpCode::Multiply), 1u);
+
+  // -0.0 == +0.0, so a signed zero merges with an unsigned one.
+  ProgramBuilder Z("zeros", 16);
+  Expr Y = Z.inputCipher("y", 30);
+  Z.output("out", Y * Z.constantVector({0.0}, 20) +
+                      Y * Z.constantVector({-0.0}, 20),
+           30);
+  cseAndSimplifyPass(Z.program());
+  EXPECT_EQ(Z.program().constants().size(), 1u);
+  EXPECT_EQ(countOps(Z.program(), OpCode::Multiply), 1u);
+}
+
+// Ordering payloads with operator< is no strict weak order once an element
+// is NaN: {NaN} and {1.0} compared equivalent, merged, and x * 1.0 became
+// x * NaN. A NaN element equals nothing, so nothing merges here.
+TEST(Cse, NanConstantNeverMergesWithFiniteOne) {
+  ProgramBuilder B("nan", 16);
+  Expr X = B.inputCipher("x", 30);
+  B.output("nan", X * B.constantVector(
+                          {std::numeric_limits<double>::quiet_NaN()}, 30),
+           30);
+  B.output("one", X * B.constantVector({1.0}, 30), 30);
+  Program &P = B.program();
+  EXPECT_EQ(cseAndSimplifyPass(P), 0u);
+  EXPECT_EQ(P.constants().size(), 2u);
+  EXPECT_EQ(countOps(P, OpCode::Multiply), 2u);
+  const Node *Mul = P.outputs()[1]->parm(0);
+  ASSERT_EQ(Mul->op(), OpCode::Multiply);
+  const Node *C = Mul->parm(1);
+  ASSERT_EQ(C->op(), OpCode::Constant);
+  EXPECT_EQ(C->constValue(), std::vector<double>{1.0});
 }
 
 TEST(Cse, DifferentScaleConstantsStayDistinct) {

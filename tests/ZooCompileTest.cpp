@@ -17,12 +17,15 @@
 #include "eva/core/Compiler.h"
 #include "eva/ir/Printer.h"
 #include "eva/runtime/ReferenceExecutor.h"
+#include "eva/serialize/ProtoIO.h"
+#include "eva/service/Audit.h"
 #include "eva/support/Random.h"
 #include "eva/tensor/Network.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ios>
 #include <map>
 
 using namespace eva;
@@ -122,6 +125,47 @@ TEST_P(ZooCompile, CompiledProgramMatchesPlainInferenceUnderIdScheme) {
     EXPECT_NEAR(Out.at("scores")[C], Want.at(C),
                 1e-9 * std::max(1.0, std::abs(Want.at(C))))
         << "class " << C;
+}
+
+/// FNV-1a over the little-endian bytes of \p V.
+uint64_t hashWord(uint64_t V, uint64_t State) {
+  char Bytes[8];
+  for (int I = 0; I < 8; ++I)
+    Bytes[I] = static_cast<char>((V >> (8 * I)) & 0xFF);
+  return fnv1a64(std::string_view(Bytes, 8), State);
+}
+
+/// FNV-1a over a compiled program's wire bytes and the parameters the
+/// client derives its context and keys from.
+uint64_t hashCompiled(const CompiledProgram &CP, uint64_t State) {
+  State = fnv1a64(serializeProgram(*CP.Prog), State);
+  for (int B : CP.BitSizes)
+    State = hashWord(static_cast<uint64_t>(B), State);
+  State = hashWord(CP.PolyDegree, State);
+  for (uint64_t S : CP.RotationSteps)
+    State = hashWord(S, State);
+  return State;
+}
+
+// Every byte the frontend and both compiler modes produce for each network,
+// pinned: a compile-time optimization must not move a single byte. A change
+// that means to alter compiled output re-pins these and says why.
+TEST_P(ZooCompile, CompiledBytesPinned) {
+  constexpr uint64_t Golden[] = {0xbaa587fb52435bf8ull, 0x767cdc0ee631269bull,
+                                 0x4bed04d33a90bcdaull, 0x1524ab0e419f4d72ull,
+                                 0xf5a53e9bc3de73d0ull};
+  NetworkDefinition Net = makeAllNetworks(2024)[GetParam()];
+  SCOPED_TRACE(Net.name());
+  TensorScales Scales;
+  std::unique_ptr<Program> P = Net.buildProgram(Scales);
+  Expected<CompiledProgram> Eva = compile(*P, CompilerOptions::eva());
+  Expected<CompiledProgram> Chet = compile(*P, CompilerOptions::chet());
+  ASSERT_TRUE(Eva.ok()) << Eva.message();
+  ASSERT_TRUE(Chet.ok()) << Chet.message();
+  uint64_t Hash = fnv1a64(serializeProgram(*P));
+  Hash = hashCompiled(*Eva, Hash);
+  Hash = hashCompiled(*Chet, Hash);
+  EXPECT_EQ(Hash, Golden[GetParam()]) << std::hex << "0x" << Hash;
 }
 
 // Kept out of the macro: a lambda body's commas would be split into separate
