@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Common plumbing for the benchmark binaries that regenerate the paper's
-/// tables and figures. Environment knobs:
+/// tables and figures, and the JSON reporter of `run_benches`. Environment
+/// knob:
 ///   EVA_BENCH_FULL=1     run every network at full size (default: the
 ///                        heavier networks are skipped or compile-only)
-///   EVA_BENCH_THREADS=k  max thread count for the scaling sweeps
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,34 +37,19 @@ inline bool fullMode() {
   return V != nullptr && V[0] == '1';
 }
 
-/// Ceiling for the scaling sweeps (points past the core count are
-/// deliberately oversubscribed to show the schedule gap). Clamped to
-/// [1, 256]: a hostile or mistyped EVA_BENCH_THREADS (e.g. -1, which casts
-/// to 2^64-1) would otherwise both overflow the sweep loop and ask for
-/// absurd pool sizes.
-inline size_t maxThreads() {
-  if (const char *V = std::getenv("EVA_BENCH_THREADS")) {
-    int Parsed = std::atoi(V);
-    return static_cast<size_t>(std::clamp(Parsed, 1, 256));
-  }
-  return 8; // the Fig 7 sweep: {1, 2, 4, 8} threads by default
+/// The host's hardware thread count (at least 1): the thread count of
+/// benches that run one executor, and the ceiling of the Fig 7 sweep.
+inline size_t execThreads() {
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
-/// The Fig 7 thread sweep: {1, 2, 4, 8, ...} up to maxThreads().
+/// The Fig 7 thread sweep: {1, 2, 4, ...} up to the core count, so no point
+/// measures oversubscription.
 inline std::vector<size_t> threadSweep() {
   std::vector<size_t> Threads = {1};
-  for (size_t T = 2; T <= maxThreads(); T *= 2)
+  for (size_t T = 2; T <= execThreads(); T *= 2)
     Threads.push_back(T);
   return Threads;
-}
-
-/// Thread count for benches that run ONE executor (not a sweep): the sweep
-/// ceiling clamped to the hardware, so single-point benches never measure
-/// oversubscription by default.
-inline size_t execThreads() {
-  return std::min<size_t>(
-      maxThreads(),
-      std::max<size_t>(1, std::thread::hardware_concurrency()));
 }
 
 /// Encodes an image tensor into the program's slot layout.
@@ -246,24 +231,49 @@ inline BenchResult measure(const std::string &Op, FnT &&Fn,
 /// the kernels dispatched to. samples_in_mean < iterations means the
 /// slowest iteration was excluded from the mean (measure()'s outlier trim);
 /// thread-sweep results also carry "speedup_vs_1thread".
+///
+/// A report also collects its suite's pass/fail checks (check()); the
+/// checks are not part of the JSON.
 class JsonReport {
 public:
   JsonReport(std::string Suite, std::string GitSha)
       : Suite(std::move(Suite)), GitSha(std::move(GitSha)) {}
 
-  /// Rejects statistically impossible rows at the source: a minimum taken
-  /// over the same sample population as the mean can never exceed it, so a
-  /// violating row means two different populations were mixed (the bug that
-  /// once shipped min > mean rows in BENCH_service.json).
+  /// Prints the row and appends it. Rejects statistically impossible rows
+  /// at the source: a minimum taken over the same sample population as the
+  /// mean can never exceed it, so a violating row means two different
+  /// populations were mixed (the bug that once shipped min > mean rows in
+  /// BENCH_service.json).
   void add(BenchResult R) {
     if (R.MinSeconds > R.MeanSeconds)
       eva::fatalError("bench: impossible result for op '" + R.Op +
                       "': min_seconds " + std::to_string(R.MinSeconds) +
                       " > mean_seconds " + std::to_string(R.MeanSeconds));
+    std::printf("  %-38s threads=%-3zu iters=%-4zu mean=%10.6fs "
+                "min=%10.6fs",
+                R.Op.c_str(), R.Threads, R.Iterations, R.MeanSeconds,
+                R.MinSeconds);
+    if (R.SpeedupVs1 > 0)
+      std::printf(" speedup=%.2fx", R.SpeedupVs1);
+    if (R.Rps > 0)
+      std::printf(" rps=%.1f", R.Rps);
+    if (R.Decompositions > 0)
+      std::printf(" decomp=%.0f", R.Decompositions);
+    if (R.Bytes > 0)
+      std::printf(" bytes=%.0f", R.Bytes);
+    std::printf("\n");
     Results.push_back(std::move(R));
   }
 
+  /// Prints a pass/fail gate. A failed one still lets the suite finish and
+  /// its report be written, but makes run_benches exit nonzero.
+  void check(bool Ok, const std::string &What) {
+    std::printf("  [%s] %s\n", Ok ? "ok" : "FAIL", What.c_str());
+    Failures += Ok ? 0 : 1;
+  }
+
   bool empty() const { return Results.empty(); }
+  int failures() const { return Failures; }
 
   std::string str() const {
     std::string Out;
@@ -349,7 +359,13 @@ private:
   std::string Suite;
   std::string GitSha;
   std::vector<BenchResult> Results;
+  int Failures = 0;
 };
+
+/// The run_benches suites that live in their own files: rotation_cost.cpp
+/// and service_throughput.cpp.
+void rotationSuite(JsonReport &Report);
+void serviceSuite(JsonReport &Report);
 
 } // namespace evabench
 

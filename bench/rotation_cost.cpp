@@ -2,8 +2,8 @@
 //
 // Part of the EVA-CKKS project (PLDI 2020 "EVA" reproduction).
 //
-// Measures the three legs of the rotation-cost subsystem and writes
-// BENCH_rotation.json:
+// The `rotation` suite of run_benches: measures the three legs of the
+// rotation-cost subsystem into BENCH_rotation.json:
 //
 //   1. Hoisted vs serial key switching: a fan of rotations of one ciphertext
 //      run with the RotationPlan consumed vs ignored — per-rotation time and
@@ -17,11 +17,10 @@
 //      set vs the power-of-two basis, with a reference-closeness check on
 //      the rewritten program.
 //
-// The binary exits nonzero if any correctness gate (bit identity,
-// reference closeness, the >= 30% decomposition drop, budget shrinking the
-// upload) fails, so CI can run it as both a bench and a check.
-//
-// Usage: rotation_cost [output-dir]        (default: current directory)
+// Every correctness gate (bit identity, reference closeness, the >= 30%
+// decomposition drop, budget shrinking the upload) is a check, so
+// `run_benches OUTDIR rotation` is both a bench and a test; ctest runs it as
+// RunBenchesRotation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,35 +31,10 @@
 #include "eva/support/Random.h"
 #include "eva/tensor/Kernels.h"
 
-#ifndef EVA_GIT_SHA
-#define EVA_GIT_SHA "unknown"
-#endif
-
 using namespace eva;
 using namespace evabench;
 
 namespace {
-
-int Failures = 0;
-
-void check(bool Ok, const std::string &What) {
-  if (Ok) {
-    std::printf("  [ok]   %s\n", What.c_str());
-  } else {
-    std::printf("  [FAIL] %s\n", What.c_str());
-    ++Failures;
-  }
-}
-
-void report(const BenchResult &R) {
-  std::printf("  %-34s iters=%-3zu mean=%10.6fs", R.Op.c_str(), R.Iterations,
-              R.MeanSeconds);
-  if (R.Decompositions > 0)
-    std::printf(" decomp=%.0f", R.Decompositions);
-  if (R.Bytes > 0)
-    std::printf(" bytes=%.0f", R.Bytes);
-  std::printf("\n");
-}
 
 std::map<std::string, std::vector<double>> randomInputs(const Program &P,
                                                         uint64_t Seed) {
@@ -185,9 +159,7 @@ double maxAbsError(const std::map<std::string, std::vector<double>> &Got,
 
 } // namespace
 
-int main(int argc, char **argv) {
-  std::string OutDir = argc > 1 ? argv[1] : ".";
-  JsonReport Report("rotation", EVA_GIT_SHA);
+void evabench::rotationSuite(JsonReport &Report) {
   constexpr uint64_t M = 64;
 
   //===--------------------------------------------------------------------===
@@ -206,14 +178,14 @@ int main(int argc, char **argv) {
 
     RunOutcome Serial = runOnce(CP, WS, Sealed, /*Hoisting=*/false);
     RunOutcome Hoisted = runOnce(CP, WS, Sealed, /*Hoisting=*/true);
-    check(bitIdentical(Serial.Outputs, Hoisted.Outputs),
-          "hoisted outputs bit-identical to the serial path");
-    check(Serial.Stats.KeySwitchDecompositions == Steps.size(),
-          "serial path decomposes once per rotation");
-    check(Hoisted.Stats.KeySwitchDecompositions == 1 &&
-              Hoisted.Stats.HoistBatches == 1 &&
-              Hoisted.Stats.HoistedRotations == Steps.size(),
-          "hoisted path shares one decomposition across the fan");
+    Report.check(bitIdentical(Serial.Outputs, Hoisted.Outputs),
+                 "hoisted outputs bit-identical to the serial path");
+    Report.check(Serial.Stats.KeySwitchDecompositions == Steps.size(),
+                 "serial path decomposes once per rotation");
+    Report.check(Hoisted.Stats.KeySwitchDecompositions == 1 &&
+                     Hoisted.Stats.HoistBatches == 1 &&
+                     Hoisted.Stats.HoistedRotations == Steps.size(),
+                 "hoisted path shares one decomposition across the fan");
 
     double N = static_cast<double>(Steps.size());
     for (bool Hoist : {false, true}) {
@@ -222,7 +194,6 @@ int main(int argc, char **argv) {
           [&] { runOnce(CP, WS, Sealed, Hoist); });
       R.Decompositions = static_cast<double>(
           (Hoist ? Hoisted : Serial).Stats.KeySwitchDecompositions);
-      report(R);
       BenchResult Per = R;
       Per.Op += "_per_rotation";
       Per.MeanSeconds /= N;
@@ -257,24 +228,25 @@ int main(int argc, char **argv) {
       Runs[K] = runOnce(CP, WS, Sealed, /*Hoisting=*/true);
       if (K == 1) {
         RunOutcome NoHoist = runOnce(CP, WS, Sealed, /*Hoisting=*/false);
-        check(bitIdentical(Runs[1].Outputs, NoHoist.Outputs),
-              "bsgs hoisted outputs bit-identical to the non-hoisted path");
+        Report.check(
+            bitIdentical(Runs[1].Outputs, NoHoist.Outputs),
+            "bsgs hoisted outputs bit-identical to the non-hoisted path");
       }
       double Err = maxAbsError(Runs[K].Outputs, Want, M);
-      check(Err < 5e-3, std::string(Names[K]) + " reference-close (err " +
-                            std::to_string(Err) + ")");
+      Report.check(Err < 5e-3, std::string(Names[K]) +
+                                   " reference-close (err " +
+                                   std::to_string(Err) + ")");
       BenchResult R = measure(Names[K], [&] { runOnce(CP, WS, Sealed, true); });
       R.Decompositions =
           static_cast<double>(Runs[K].Stats.KeySwitchDecompositions);
-      report(R);
       Report.add(std::move(R));
     }
     double NaiveD = static_cast<double>(Runs[0].Stats.KeySwitchDecompositions);
     double BsgsD = static_cast<double>(Runs[1].Stats.KeySwitchDecompositions);
     std::printf("  decompositions: naive=%.0f bsgs=%.0f (%.0f%% drop)\n",
                 NaiveD, BsgsD, 100.0 * (1.0 - BsgsD / NaiveD));
-    check(BsgsD <= 0.7 * NaiveD,
-          "bsgs drops key-switch decompositions by >= 30%");
+    Report.check(BsgsD <= 0.7 * NaiveD,
+                 "bsgs drops key-switch decompositions by >= 30%");
   }
 
   //===--------------------------------------------------------------------===
@@ -306,32 +278,20 @@ int main(int argc, char **argv) {
       R.Bytes = static_cast<double>(serializeGaloisKeys(WS->Gk).size());
       UploadBytes[K] = R.Bytes;
       StepCounts[K] = CP.RotationSteps.size();
-      report(R);
       Report.add(std::move(R));
 
       CkksExecutor Exec(CP, WS);
       double Err = maxAbsError(Exec.runPlain(Inputs), Want, M);
-      check(Err < 5e-3, std::string("budget=") + std::to_string(Budgets[K]) +
-                            " outputs reference-close (err " +
-                            std::to_string(Err) + ")");
+      Report.check(Err < 5e-3, std::string("budget=") +
+                                   std::to_string(Budgets[K]) +
+                                   " outputs reference-close (err " +
+                                   std::to_string(Err) + ")");
     }
     std::printf("  keys: %zu -> %zu steps, upload %.0f -> %.0f bytes\n",
                 StepCounts[0], StepCounts[1], UploadBytes[0], UploadBytes[1]);
-    check(StepCounts[1] <= Budgets[1] && StepCounts[1] < StepCounts[0],
-          "budget shrinks the rotation-step set to the basis");
-    check(UploadBytes[1] < 0.5 * UploadBytes[0],
-          "budget at least halves the serialized galois-key upload");
+    Report.check(StepCounts[1] <= Budgets[1] && StepCounts[1] < StepCounts[0],
+                 "budget shrinks the rotation-step set to the basis");
+    Report.check(UploadBytes[1] < 0.5 * UploadBytes[0],
+                 "budget at least halves the serialized galois-key upload");
   }
-
-  std::string Path = OutDir + "/BENCH_rotation.json";
-  if (!Report.write(Path)) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", Path.c_str());
-  if (Failures > 0) {
-    std::printf("%d rotation-cost check(s) FAILED\n", Failures);
-    return 1;
-  }
-  return 0;
 }

@@ -2,19 +2,26 @@
 //
 // Part of the EVA-CKKS project (PLDI 2020 "EVA" reproduction).
 //
-// Times the core primitives (NTT / encode / multiply / relinearize / rotate)
-// and the Figure 7 thread-scaling point (the parallel-DAG Runner at 1 and 2
-// threads on LeNet-5-small) and writes machine-readable baselines:
+// The one program that writes the BENCH_*.json perf trajectory. Each suite
+// writes one file into the output directory:
 //
-//   BENCH_micro.json     per-op wall-clock timings of the CKKS substrate
-//   BENCH_scaling.json   fig7 latency vs thread count
+//   micro     BENCH_micro.json     per-op timings of the CKKS substrate
+//   scaling   BENCH_scaling.json   Figure 7: CHET vs EVA latency vs threads
+//   rotation  BENCH_rotation.json  rotation-cost subsystem (rotation_cost.cpp)
+//   service   BENCH_service.json   service throughput (service_throughput.cpp)
 //
-// Usage: run_benches [output-dir]        (default: current directory)
+// Usage: run_benches [OUTDIR] [micro|scaling|rotation|service ...]
+//
+// OUTDIR (created if missing) defaults to the current directory; no suite
+// names means all four.
+// Some suites also run pass/fail checks (the rotation gates, the
+// telemetry-overhead bound, the 2-thread scaling bound); a failed check
+// still writes its suite's file, and the run exits nonzero at the end.
 //
 // Each document carries the git sha the binary was configured from, so every
 // point in the perf trajectory is attributable to a commit. CI uploads the
-// two files as artifacts; intentional perf-relevant changes re-run this
-// driver and commit the refreshed baselines.
+// files as artifacts; intentional perf-relevant changes re-run this program
+// and commit the refreshed baselines.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +34,12 @@
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/math/NTT.h"
 #include "eva/math/Primes.h"
-#include "eva/math/Simd.h"
 #include "eva/support/CostLedger.h"
 #include "eva/support/Random.h"
+
+#include <cstring>
+#include <filesystem>
+#include <functional>
 
 #ifndef EVA_GIT_SHA
 #define EVA_GIT_SHA "unknown"
@@ -53,37 +63,20 @@ template <typename FnT> void annotateLedger(BenchResult &R, FnT &&Fn) {
   R.ArenaHeapBytes = static_cast<double>(Ledger.ArenaHeapBytes);
 }
 
-void report(const BenchResult &R) {
-  std::printf("  %-28s threads=%zu iters=%-4zu mean=%10.6fs min=%10.6fs",
-              R.Op.c_str(), R.Threads, R.Iterations, R.MeanSeconds,
-              R.MinSeconds);
-  if (R.SpeedupVs1 > 0)
-    std::printf(" speedup=%5.2fx", R.SpeedupVs1);
-  std::printf("\n");
-}
-
-/// Per-op microbenchmarks at N = 8192 (the paper's most common degree).
-JsonReport microBaseline() {
-  JsonReport Report("micro", EVA_GIT_SHA);
+/// Per-op microbenchmarks at N = 8192 (the paper's most common degree): the
+/// raw NTT over one 50-bit prime, then every CKKS primitive an EVA
+/// instruction maps to, at {60,40,40,40,60}.
+void microSuite(JsonReport &Report) {
   constexpr uint64_t N = 8192;
 
-  // Raw NTT over one 50-bit prime.
-  {
-    uint64_t Prime = generateNttPrimes(N, 50, 1).value()[0];
-    Modulus Q(Prime);
-    NttTables T(N, Q);
-    RandomSource Rng(1);
-    std::vector<uint64_t> X(N);
-    for (uint64_t &V : X)
-      V = Rng.uniformBelow(Prime);
-    auto Body = [&] { T.forward(X); };
-    BenchResult R = measure("ntt_forward_n8192", Body);
-    annotateLedger(R, Body);
-    report(R);
-    Report.add(std::move(R));
-  }
+  uint64_t Prime = generateNttPrimes(N, 50, 1).value()[0];
+  Modulus Q(Prime);
+  NttTables T(N, Q);
+  RandomSource NttRng(1);
+  std::vector<uint64_t> X(N);
+  for (uint64_t &V : X)
+    V = NttRng.uniformBelow(Prime);
 
-  // The CKKS substrate at {60,40,40,40,60}.
   std::shared_ptr<CkksContext> Ctx =
       CkksContext::createFromBitSizes(N, {60, 40, 40, 40, 60},
                                       SecurityLevel::None)
@@ -91,151 +84,185 @@ JsonReport microBaseline() {
   CkksEncoder Enc(Ctx);
   KeyGenerator Gen(Ctx, 42);
   Encryptor Encryptor_(Ctx, Gen.createPublicKey(), 43);
+  Decryptor Dec(Ctx, Gen.secretKey());
   Evaluator Eval(Ctx);
   RelinKeys Rk = Gen.createRelinKeys();
   GaloisKeys Gk = Gen.createGaloisKeys({1});
 
   RandomSource Rng(7);
   std::vector<double> V(Ctx->slotCount());
-  for (double &X : V)
-    X = Rng.uniformReal(-1, 1);
-  Plaintext P;
-  Enc.encode(V, std::ldexp(1.0, 40), 4, P);
+  for (double &D : V)
+    D = Rng.uniformReal(-1, 1);
+  const double Scale = std::ldexp(1.0, 40);
+  Plaintext P, Tmp;
+  Enc.encode(V, Scale, 4, P);
   Ciphertext A = Encryptor_.encrypt(P);
   Ciphertext B = Encryptor_.encrypt(P);
+  Ciphertext Product = Eval.multiplyPlain(A, P);
 
-  {
-    Plaintext Tmp;
-    auto Body = [&] { Enc.encode(V, std::ldexp(1.0, 40), 4, Tmp); };
-    BenchResult R = measure("encode_n8192", Body);
+  const std::pair<const char *, std::function<void()>> Ops[] = {
+      {"ntt_forward_n8192", [&] { T.forward(X); }},
+      {"encode_n8192", [&] { Enc.encode(V, Scale, 4, Tmp); }},
+      {"decode_n8192", [&] { (void)Enc.decode(P); }},
+      {"encrypt_n8192", [&] { (void)Encryptor_.encrypt(P); }},
+      {"decrypt_n8192", [&] { (void)Dec.decrypt(A); }},
+      {"add_n8192", [&] { (void)Eval.add(A, B); }},
+      {"multiply_plain_n8192", [&] { (void)Eval.multiplyPlain(A, P); }},
+      {"multiply_n8192", [&] { (void)Eval.multiply(A, B); }},
+      {"multiply_relinearize_n8192",
+       [&] { (void)Eval.relinearize(Eval.multiply(A, B), Rk); }},
+      {"rescale_n8192", [&] { (void)Eval.rescale(Product); }},
+      {"mod_switch_n8192", [&] { (void)Eval.modSwitch(A); }},
+      {"rotate_n8192", [&] { (void)Eval.rotateLeft(A, 1, Gk); }},
+  };
+  for (const auto &[Name, Body] : Ops) {
+    BenchResult R = measure(Name, Body);
     annotateLedger(R, Body);
-    report(R);
     Report.add(std::move(R));
   }
-  {
-    auto Body = [&] {
-      Ciphertext C = Encryptor_.encrypt(P);
-      (void)C;
-    };
-    BenchResult R = measure("encrypt_n8192", Body);
-    annotateLedger(R, Body);
-    report(R);
-    Report.add(std::move(R));
-  }
-  {
-    auto Body = [&] {
-      Ciphertext C = Eval.multiply(A, B);
-      (void)C;
-    };
-    BenchResult R = measure("multiply_n8192", Body);
-    annotateLedger(R, Body);
-    report(R);
-    Report.add(std::move(R));
-  }
-  {
-    auto Body = [&] {
-      Ciphertext C = Eval.relinearize(Eval.multiply(A, B), Rk);
-      (void)C;
-    };
-    BenchResult R = measure("multiply_relinearize_n8192", Body);
-    annotateLedger(R, Body);
-    report(R);
-    Report.add(std::move(R));
-  }
-  {
-    auto Body = [&] {
-      Ciphertext C = Eval.rotateLeft(A, 1, Gk);
-      (void)C;
-    };
-    BenchResult R = measure("rotate_n8192", Body);
-    annotateLedger(R, Body);
-    report(R);
-    Report.add(std::move(R));
-  }
-  return Report;
 }
 
-/// The fig7 scaling sweep: parallel-DAG Runner latency on LeNet-5-small at
-/// {1, 2, 4, 8} threads (EVA_BENCH_THREADS changes the sweep ceiling like
-/// the full fig7_scaling bench). Each point records its speedup over the
-/// 1-thread mean, which is what CI's scaling sanity gate checks.
-JsonReport scalingBaseline() {
-  JsonReport Report("fig7_scaling", EVA_GIT_SHA);
-  std::vector<size_t> Threads = threadSweep();
+/// Figure 7's strong scaling: compute latency of one LeNet-5 inference at
+/// {1, 2, 4, ...} threads up to the core count, for EVA (EVA compile, the
+/// DAG schedule over the whole program) and the CHET baseline (CHET compile,
+/// the kernel schedule, parallel only within each tensor kernel).
+/// LeNet-5-small always; LeNet-5-medium too under EVA_BENCH_FULL=1. Each
+/// point records its speedup over the 1-thread mean.
+void scalingSuite(JsonReport &Report) {
+  struct Network {
+    const char *Name;
+    NetworkDefinition (*Make)(uint64_t);
+  };
+  struct System {
+    const char *Name;
+    CompilerOptions Options;
+    LocalStyle Style;
+  };
+  const Network Networks[] = {{"lenet5_small", makeLeNet5Small},
+                              {"lenet5_medium", makeLeNet5Medium}};
+  const System Systems[] = {
+      {"eva", CompilerOptions::eva(), LocalStyle::ParallelDag},
+      {"chet", CompilerOptions::chet(), LocalStyle::KernelBulk}};
+  const std::vector<size_t> Threads = threadSweep();
 
-  PreparedNetwork PN;
-  if (!prepare(makeLeNet5Small(2024), CompilerOptions::eva(), PN)) {
-    std::fprintf(stderr, "run_benches: failed to prepare LeNet-5-small\n");
-    return Report;
-  }
-  RandomSource Rng(99);
-  Tensor Image = Tensor::random(
-      {PN.Net.inputChannels(), PN.Net.inputHeight(), PN.Net.inputWidth()},
-      Rng);
-  std::vector<double> Slots = imageSlots(PN.Net, Image, PN.Prog->vecSize());
+  for (size_t I = 0; I < (fullMode() ? 2u : 1u); ++I) {
+    for (const System &Sys : Systems) {
+      // One workspace per configuration, shared across the thread sweep
+      // (keygen dominates otherwise) but freed before the next one runs, so
+      // one configuration's Galois keys never pressure another's points.
+      const std::string Op = std::string(Networks[I].Name) + "_" + Sys.Name;
+      PreparedNetwork PN;
+      if (!prepare(Networks[I].Make(2024), Sys.Options, PN))
+        fatalError("bench: failed to prepare " + Op);
+      RandomSource Rng(99);
+      Tensor Image = Tensor::random(
+          {PN.Net.inputChannels(), PN.Net.inputHeight(), PN.Net.inputWidth()},
+          Rng);
+      Valuation Inputs = Valuation().set(
+          "image", imageSlots(PN.Net, Image, PN.Prog->vecSize()));
 
-  // One untimed warmup run: the first inference pays first-touch faults on
-  // the shared keys and evaluator tables, which would otherwise be billed
-  // entirely to the 1-thread point and skew every speedup in the sweep.
-  Valuation Inputs = Valuation().set("image", Slots);
-  {
-    std::unique_ptr<Runner> Warm =
-        makeLocalRunner(PN, LocalStyle::ParallelDag, 1);
-    if (Expected<Valuation> Out = Warm->run(Inputs); !Out)
-      fatalError("bench: " + Out.message());
-  }
+      // One untimed warmup run: the first inference pays first-touch faults
+      // on the shared keys and evaluator tables, which would otherwise be
+      // billed entirely to the 1-thread point and skew every speedup.
+      if (Expected<Valuation> Out =
+              makeLocalRunner(PN, Sys.Style, 1)->run(Inputs);
+          !Out)
+        fatalError("bench: " + Out.message());
 
-  double OneThreadMean = 0;
-  for (size_t T : Threads) {
-    std::unique_ptr<Runner> Exec =
-        makeLocalRunner(PN, LocalStyle::ParallelDag, T);
-    // measureSeconds bills only the compute phase (the Sealed-inputs reuse
-    // of the executor era), not per-iteration encrypt/decrypt.
-    BenchResult R = measureSeconds(
-        "lenet5_small_eva",
-        [&] {
-          if (Expected<Valuation> Out = Exec->run(Inputs); !Out)
-            fatalError("bench: " + Out.message());
-          return Exec->lastTiming().ComputeSeconds;
-        },
-        /*MinIters=*/3,
-        /*MinTotalSeconds=*/0.0);
-    R.Threads = T;
-    if (T == 1)
-      OneThreadMean = R.MeanSeconds;
-    if (OneThreadMean > 0 && R.MeanSeconds > 0)
-      R.SpeedupVs1 = OneThreadMean / R.MeanSeconds;
-    report(R);
-    Report.add(std::move(R));
+      std::vector<double> Means;
+      for (size_t T : Threads) {
+        std::unique_ptr<Runner> Exec = makeLocalRunner(PN, Sys.Style, T);
+        // Bills only the compute phase, not per-iteration encrypt/decrypt.
+        BenchResult R = measureSeconds(
+            Op,
+            [&] {
+              if (Expected<Valuation> Out = Exec->run(Inputs); !Out)
+                fatalError("bench: " + Out.message());
+              return Exec->lastTiming().ComputeSeconds;
+            },
+            /*MinIters=*/3, /*MinTotalSeconds=*/0.0);
+        R.Threads = T;
+        Means.push_back(R.MeanSeconds);
+        R.SpeedupVs1 = Means[0] / R.MeanSeconds;
+        Report.add(std::move(R));
+      }
+      // The inverse-scaling guard. 5% tolerance so jitter on a 3-iteration
+      // mean does not fail unrelated changes; the regression it guards
+      // against was 2 threads ~6% SLOWER, which still trips it.
+      if (Means.size() < 2)
+        std::printf("  (one core: no 2-thread point to check)\n");
+      else
+        Report.check(Means[1] <= 1.05 * Means[0],
+                     Op + ": 2 threads no more than 5% slower than 1 (" +
+                         std::to_string(Means[1]) + " s vs " +
+                         std::to_string(Means[0]) + " s)");
+    }
   }
-  return Report;
+}
+
+/// A suite named N writes BENCH_N.json, whose "suite" field is N.
+struct Suite {
+  const char *Name;
+  void (*Run)(JsonReport &);
+};
+
+const Suite Suites[] = {{"micro", microSuite},
+                        {"scaling", scalingSuite},
+                        {"rotation", rotationSuite},
+                        {"service", serviceSuite}};
+
+int usage() {
+  std::fprintf(stderr, "usage: run_benches [OUTDIR] "
+                       "[micro|scaling|rotation|service ...]\n");
+  return 1;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string OutDir = Argc > 1 ? Argv[1] : ".";
+  // The first argument is the output directory unless it names a suite.
+  std::string OutDir = ".";
+  std::vector<const Suite *> Selected;
+  for (int I = 1; I < Argc; ++I) {
+    const Suite *Found = nullptr;
+    for (const Suite &S : Suites)
+      if (std::strcmp(Argv[I], S.Name) == 0)
+        Found = &S;
+    if (Found)
+      Selected.push_back(Found);
+    else if (I == 1 && Argv[I][0] != '-')
+      OutDir = Argv[I];
+    else
+      return usage();
+  }
+  if (Selected.empty())
+    for (const Suite &S : Suites)
+      Selected.push_back(&S);
+  std::error_code Ignored; // an unusable OUTDIR fails at the first write
+  std::filesystem::create_directories(OutDir, Ignored);
 
-  std::printf("micro baseline (N=8192, simd=%s):\n",
-              simdLevelName(activeSimdLevel()));
-  JsonReport Micro = microBaseline();
-  std::printf("\nfig7 scaling baseline (LeNet-5-small, EVA executor):\n");
-  JsonReport Scaling = scalingBaseline();
-
-  // An empty suite means a prepare/keygen failure upstream: fail loudly
-  // rather than committing a hollow baseline.
-  if (Micro.empty() || Scaling.empty()) {
-    std::fprintf(stderr, "run_benches: a suite produced no results\n");
+  int Failures = 0;
+  for (const Suite *S : Selected) {
+    std::printf("%s (host_threads=%u, simd=%s):\n", S->Name,
+                std::thread::hardware_concurrency(),
+                simdLevelName(activeSimdLevel()));
+    JsonReport Report(S->Name, EVA_GIT_SHA);
+    S->Run(Report);
+    // An empty suite means a failure upstream: fail loudly rather than
+    // committing a hollow baseline.
+    std::string Path = OutDir + "/BENCH_" + S->Name + ".json";
+    if (Report.empty() || !Report.write(Path)) {
+      std::fprintf(stderr, "run_benches: %s produced no results or cannot "
+                           "write %s\n",
+                   S->Name, Path.c_str());
+      return 1;
+    }
+    std::printf("wrote %s\n\n", Path.c_str());
+    Failures += Report.failures();
+  }
+  if (Failures > 0) {
+    std::printf("%d check(s) FAILED\n", Failures);
     return 1;
   }
-  std::string MicroPath = OutDir + "/BENCH_micro.json";
-  std::string ScalingPath = OutDir + "/BENCH_scaling.json";
-  if (!Micro.write(MicroPath) || !Scaling.write(ScalingPath)) {
-    std::fprintf(stderr, "run_benches: cannot write %s or %s\n",
-                 MicroPath.c_str(), ScalingPath.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\nwrote %s\n", MicroPath.c_str(),
-              ScalingPath.c_str());
   return 0;
 }

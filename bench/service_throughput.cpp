@@ -2,11 +2,12 @@
 //
 // Part of the EVA-CKKS project (PLDI 2020 "EVA" reproduction).
 //
-// Measures the encrypted-compute service end to end through the in-process
-// transport (the full serialized-message path — encode, symmetric encrypt,
-// wire encode/decode, validation, scheduling, execution, decrypt — minus
-// only the socket I/O, so numbers are not confounded by kernel networking):
-// sustained requests/sec and p50/p95 request latency at {1, 4, 16, 64}
+// The `service` suite of run_benches. Measures the encrypted-compute service
+// end to end through the in-process transport (the full serialized-message
+// path — encode, symmetric encrypt, wire encode/decode, validation,
+// scheduling, execution, decrypt — minus only the socket I/O, so numbers are
+// not confounded by kernel networking): sustained requests/sec and mean/p95
+// request latency at {1, 4, 16, 64}
 // concurrent tenant sessions submitting back-to-back requests against one
 // small program. Each point runs for at least 200 requests and at least
 // 1 s, so every session count is measured over the same order of work.
@@ -24,12 +25,10 @@
 //    apart, so no quantile row is emitted;
 //  * telemetry overhead A/B — the 1-session point re-run against a
 //    ServiceConfig::Telemetry=false server; min-latency overhead above 2%
-//    is a fatal error (the metrics hot path must stay in the noise).
+//    fails the check (the metrics hot path must stay in the noise).
 //
 // Writes BENCH_service.json (bench_common.h reporter schema; throughput
 // points carry "requests_per_second").
-//
-// Usage: service_throughput [output-dir]       (default: current directory)
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,10 +42,6 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
-
-#ifndef EVA_GIT_SHA
-#define EVA_GIT_SHA "unknown"
-#endif
 
 using namespace eva;
 using namespace evabench;
@@ -66,10 +61,8 @@ std::unique_ptr<Program> buildProgram() {
 }
 
 struct SweepResult {
-  size_t Sessions = 0;
   size_t Requests = 0;
   double WallSeconds = 0;
-  double P50 = 0;
   double P95 = 0;
   double MeanLatency = 0;
   double MinLatency = 0;
@@ -134,10 +127,8 @@ SweepResult runSweepPoint(Service &Svc, size_t Sessions, size_t MinRequests,
   std::sort(All.begin(), All.end());
 
   SweepResult R;
-  R.Sessions = Sessions;
   R.Requests = All.size();
   R.WallSeconds = WallSeconds;
-  R.P50 = All[All.size() / 2];
   R.P95 = All[std::min(All.size() - 1,
                        static_cast<size_t>(All.size() * 0.95))];
   R.MinLatency = All.front();
@@ -188,38 +179,25 @@ void reportSpans(Service &Svc, JsonReport &Report) {
     if (!H || H->Count == 0)
       eva::fatalError(std::string("bench: span histogram missing or empty: ") +
                       S.Metric);
-    std::printf("  %-28s n=%-5llu mean=%9.6fs\n", S.Metric,
-                static_cast<unsigned long long>(H->Count), H->mean());
     addSpanRow(Report, *H, std::string(S.Row) + "_mean");
   }
 }
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string OutDir = Argc > 1 ? Argv[1] : ".";
-
+void evabench::serviceSuite(JsonReport &Report) {
   ServiceConfig Config;
   Service Svc(Config);
   if (Status S = Svc.registry().registerSource(*buildProgram()); !S.ok())
     eva::fatalError("bench: register failed: " + S.message());
 
-  JsonReport Report("service", EVA_GIT_SHA);
-  const size_t HostThreads =
-      std::max(1u, std::thread::hardware_concurrency());
   const size_t ABRequests = 32;
 
-  std::printf("service_throughput: host_threads=%zu\n", HostThreads);
   // Warmup: populate executor/encoder caches before the first timed point.
   runSweepPoint(Svc, 1, 4, 0);
 
   for (size_t Sessions : {1u, 4u, 16u, 64u}) {
     SweepResult R = runSweepPoint(Svc, Sessions, 200, 1.0);
-
-    double Rps = static_cast<double>(R.Requests) / R.WallSeconds;
-    std::printf("  sessions=%-3zu requests=%-3zu wall=%7.3fs  "
-                "rps=%7.2f  p50=%8.5fs  p95=%8.5fs\n",
-                R.Sessions, R.Requests, R.WallSeconds, Rps, R.P50, R.P95);
 
     BenchResult Mean;
     Mean.Op = "service_" + std::to_string(Sessions) + "sessions_latency";
@@ -232,7 +210,7 @@ int main(int Argc, char **Argv) {
     // latency distribution was left-skewed; the emitter now rejects that.)
     Mean.MeanSeconds = R.MeanLatency;
     Mean.MinSeconds = R.MinLatency;
-    Mean.Rps = Rps;
+    Mean.Rps = static_cast<double>(R.Requests) / R.WallSeconds;
     Report.add(Mean);
 
     BenchResult P95;
@@ -279,11 +257,12 @@ int main(int Argc, char **Argv) {
     std::sort(Ratios.begin(), Ratios.end());
 
     double Overhead = std::max(0.0, Ratios.front() - 1.0);
-    std::printf("telemetry overhead: on=%8.5fs off=%8.5fs best-paired "
-                "+%.2f%%\n",
-                On.MinLatency, Off.MinLatency, Overhead * 100.0);
-    if (Overhead > 0.02)
-      eva::fatalError("bench: telemetry overhead above 2% of min latency");
+    char Buf[160];
+    std::snprintf(Buf, sizeof(Buf),
+                  "telemetry overhead +%.2f%% of min latency (on %.5f s, off "
+                  "%.5f s, best paired round) within 2%%",
+                  Overhead * 100.0, On.MinLatency, Off.MinLatency);
+    Report.check(Overhead <= 0.02, Buf);
 
     BenchResult OffRow;
     OffRow.Op = "service_1session_telemetry_off_latency";
@@ -294,13 +273,4 @@ int main(int Argc, char **Argv) {
     OffRow.MinSeconds = Off.MinLatency;
     Report.add(OffRow);
   }
-
-  std::string Path = OutDir + "/BENCH_service.json";
-  if (!Report.write(Path)) {
-    std::fprintf(stderr, "service_throughput: cannot write %s\n",
-                 Path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", Path.c_str());
-  return 0;
 }

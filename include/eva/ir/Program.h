@@ -48,7 +48,8 @@ public:
   Node *makeInput(std::string Name, ValueType Ty, double LogScale);
 
   /// Adds a compile-time constant vector (replicated if shorter than
-  /// vec_size) at the given scale.
+  /// vec_size) at the given scale. verifyProgram rejects a payload whose
+  /// length is not a power of two <= vec_size.
   Node *makeConstant(std::vector<double> Values, double LogScale);
   /// Adds a compile-time scalar constant (broadcast) at the given scale.
   Node *makeScalarConstant(double Value, double LogScale);

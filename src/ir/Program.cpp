@@ -62,8 +62,9 @@ Node *Program::makeInput(std::string Name, ValueType Ty, double LogScale) {
 }
 
 Node *Program::makeConstant(std::vector<double> Values, double LogScale) {
-  assert(!Values.empty() && isPowerOfTwo(Values.size()) &&
-         Values.size() <= VecSize && "constant size must be a power of two");
+  // The payload's length is checked by verifyProgram, not here: the text and
+  // wire parsers build whatever payload they read and then verify, so a
+  // malformed one must come back as an error in every build type.
   Node *N = allocate(OpCode::Constant, ValueType::Vector);
   N->ConstValue = makePayload(std::move(Values));
   N->LogScale = LogScale;

@@ -255,6 +255,19 @@ TEST(ProtoIO, RejectsDanglingReference) {
   EXPECT_NE(Q.message().find("unknown id"), std::string::npos);
 }
 
+TEST(ProtoIO, RejectsMalformedConstantPayload) {
+  // A 3-element vector constant at vec_size 8: not a power of two.
+  Program P(8);
+  Node *X = P.makeInput("x", ValueType::Cipher, 30);
+  Node *C = P.makeConstant({1.0, 2.0, 3.0}, 10);
+  P.makeOutput("out", P.makeInstruction(OpCode::Multiply, {X, C}));
+  Expected<std::unique_ptr<Program>> Q =
+      deserializeProgram(serializeProgram(P));
+  ASSERT_FALSE(Q.ok());
+  EXPECT_NE(Q.message().find("payload size"), std::string::npos)
+      << Q.message();
+}
+
 TEST(ProtoIO, RejectsNonPowerOfTwoVecSize) {
   WireWriter W;
   W.varintField(1, 12);

@@ -96,6 +96,9 @@ TEST(TextFormat, DiagnosesErrorsWithLineNumbers) {
   ExpectError("program p vec_size=8\n"
               "%0 = constant vector scale=10 [1, 2, ...x64]\n",
               "elided");
+  ExpectError("program p vec_size=8\n"
+              "%0 = constant vector scale=10 [1, 2, 3]\n",
+              "payload size");
 }
 
 TEST(TextFormat, ParsesElidedFreeListingOfRealPrograms) {
