@@ -36,6 +36,7 @@
 #include "eva/api/Valuation.h"
 #include "eva/runtime/CkksExecutor.h"
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -62,6 +63,24 @@ struct RemoteRunnerOptions {
   /// See LocalRunnerOptions::ReproducibleSeeds.
   bool ReproducibleSeeds = false;
 };
+
+/// The client-side sealed request: encrypted inputs plus the c1 expansion
+/// seeds that let the wire carry (c0, seed) instead of (c0, c1).
+struct SealedRequest {
+  SealedInputs Inputs;
+  std::map<std::string, uint64_t> C1Seeds;
+};
+
+/// Validates \p Inputs against \p Sig (validateInputs' diagnostics) and
+/// seals them in signature order, the order in which the encryptor's
+/// sampler stream is consumed: plain values and caller-supplied ciphertexts
+/// pass through, and every other cipher input is encoded at 2^LogScale over
+/// the full data chain and symmetrically encrypted, its c1 seed recorded.
+/// Every client path seals through here. An evaluation-only workspace
+/// cannot encrypt, so it must be given ciphertexts.
+Expected<SealedRequest> sealInputs(const CkksWorkspace &WS,
+                                   const ProgramSignature &Sig,
+                                   const Valuation &Inputs);
 
 /// One execution backend for one program. run() validates the inputs
 /// against signature() (precise diagnostics, no aborts), executes, and
@@ -107,10 +126,10 @@ public:
   /// Clones \p P; the argument need not outlive the runner.
   static std::unique_ptr<Runner> reference(const Program &P);
 
-  /// Owning local CKKS backend: builds a client-style crypto stack
-  /// (context, keys, symmetric encryptor, decryptor) from \p Opts.Seed —
-  /// the exact stack a ServiceClient builds, so a local run with
-  /// ReproducibleSeeds matches the remote backend bit for bit.
+  /// Owning local CKKS backend over CkksWorkspace::createClient's stack
+  /// (context, keys, symmetric encryptor, decryptor) from \p Opts.Seed, so
+  /// a local run with ReproducibleSeeds matches the remote backend bit for
+  /// bit.
   static Expected<std::unique_ptr<Runner>>
   local(CompiledProgram CP, const LocalRunnerOptions &Opts = {});
 

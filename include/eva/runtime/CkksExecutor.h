@@ -52,6 +52,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -61,13 +62,14 @@ namespace eva {
 /// encoder/encryptor/decryptor stack for one compiled program. Executors
 /// bring their own evaluator.
 ///
-/// Two flavours exist. create() is the fused client+server workspace used
+/// Three flavours exist. create() is the fused client+server workspace used
 /// when one process owns everything (tests, benches, the examples).
-/// createServer() builds the evaluation-only workspace an encrypted-compute
-/// service holds per client session: the context, the encoder (for plain
-/// operands), and the *client-supplied* evaluation keys — KeyGen, Enc, and
-/// Dec stay null, so no secret key ever exists server-side and
-/// encryptInputs/decryptOutput fail fast if called.
+/// createClient() is the client half: keys and a symmetric encryptor, no
+/// public key. createServer() builds the evaluation-only workspace an
+/// encrypted-compute service holds per client session: the context, the
+/// encoder (for plain operands), and the *client-supplied* evaluation keys
+/// — KeyGen, Enc, and Dec stay null, so no secret key ever exists
+/// server-side and encryptInputs/decryptOutput fail fast if called.
 class CkksWorkspace {
 public:
   /// Generates primes from the compiled bit sizes, validates them at the
@@ -85,13 +87,21 @@ public:
                std::shared_ptr<const CkksContext> Ctx, RelinKeys Rk,
                GaloisKeys Gk);
 
-  /// Client-style workspace: exactly the crypto stack ServiceClient builds
-  /// when it opens a session — no public key, a symmetric-only encryptor,
-  /// relinearization keys only if the program relinearizes — with the same
-  /// key/sampler seeding and generation order. A local run over this
-  /// workspace with \p ReproducibleSeeds is therefore bit-identical to the
-  /// remote service loop with the same seed (the cross-backend parity the
-  /// api/Runner goldens pin down).
+  /// The client crypto stack over \p Ctx, the one every client path builds
+  /// (local runners, ServiceClient sessions, audit replay): no public key,
+  /// KeyGenerator(Seed), a symmetric-only Encryptor(Seed + 1), a Decryptor,
+  /// relinearization keys only if \p NeedsRelin, and Galois keys for
+  /// \p RotationSteps, drawn in that order. \p ReproducibleSeeds also
+  /// derives the published expansion seeds from \p Seed (see KeyGenerator),
+  /// so a local run and a remote session with the same seed are
+  /// bit-identical.
+  static Expected<std::shared_ptr<CkksWorkspace>>
+  createClient(std::shared_ptr<const CkksContext> Ctx,
+               const std::set<uint64_t> &RotationSteps, bool NeedsRelin,
+               uint64_t Seed, bool ReproducibleSeeds = false);
+
+  /// The client stack for \p CP: builds its context, checks the slot count
+  /// and delegates to the builder above.
   static Expected<std::shared_ptr<CkksWorkspace>>
   createClient(const CompiledProgram &CP, uint64_t Seed,
                bool ReproducibleSeeds = false);

@@ -20,15 +20,15 @@
 /// ciphertext expansion seeds are derived deterministically — anyone who
 /// knows the plaintext inputs and the seed can re-run the request locally
 /// and must land on byte-identical wire bytes on both sides. auditReplay()
-/// does exactly that (it is what `evacall audit-verify` runs): rebuild the
-/// client crypto stack, re-encrypt in signature order, re-execute,
-/// re-serialize, and compare both hashes. A mismatch exposes accidental
-/// corruption and non-adversarial divergence: a server that computed
-/// something other than the registered program, or a result damaged in
-/// transit or at rest. FNV-1a is not collision-resistant, so a deliberate
-/// tamperer could forge bytes that match a recorded hash; holding up
-/// against an adversary needs a cryptographic hash (the SHA-256 item under
-/// ROADMAP.md's robustness work).
+/// does exactly that (it is what `evacall audit-verify` runs): build the
+/// client crypto stack, seal and encode the request through the client's
+/// own functions, re-execute, re-serialize, and compare both hashes. A
+/// mismatch exposes accidental corruption and non-adversarial divergence: a
+/// server that computed something other than the registered program, or a
+/// result damaged in transit or at rest. FNV-1a is not collision-resistant,
+/// so a deliberate tamperer could forge bytes that match a recorded hash;
+/// holding up against an adversary needs a cryptographic hash (the SHA-256
+/// item under ROADMAP.md's robustness work).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,13 +127,13 @@ struct AuditReplayResult {
 };
 
 /// Re-executes an audited request under ReproducibleSeeds and compares
-/// hashes byte-for-byte: rebuilds the client crypto stack from \p KeySeed
-/// (exactly as ServiceClient::openSession does), re-encrypts \p Inputs in
-/// signature order, serializes them seed-compressed (the input hash),
-/// executes \p CP on the one-thread DAG schedule the server runs, and
-/// serializes the outputs (the output hash). \p CP must be the same
-/// compiled program the server registered — compile the same .evabin with
-/// the same options.
+/// hashes byte-for-byte: builds the client crypto stack from \p KeySeed
+/// (CkksWorkspace::createClient), seals \p Inputs (sealInputs, so a
+/// malformed input is a diagnostic), encodes the EXECUTE message
+/// (executeMsgOf; the input hash), executes \p CP on the one-thread DAG
+/// schedule the server runs, and serializes the outputs (the output hash).
+/// \p CP must be the same compiled program the server registered — compile
+/// the same .evabin with the same options.
 Expected<AuditReplayResult>
 auditReplay(const AuditRecord &R, const CompiledProgram &CP, uint64_t KeySeed,
             const std::map<std::string, std::vector<double>> &Inputs);

@@ -23,7 +23,7 @@
 #ifndef EVA_SERVICE_CLIENT_H
 #define EVA_SERVICE_CLIENT_H
 
-#include "eva/runtime/CkksExecutor.h"
+#include "eva/api/Runner.h"
 #include "eva/service/Framing.h"
 #include "eva/service/Service.h"
 #include "eva/support/ThreadAnnotations.h"
@@ -80,12 +80,11 @@ private:
   int Fd;
 };
 
-/// The client-side sealed request: encrypted inputs plus the c1 expansion
-/// seeds that let the wire carry (c0, seed) instead of (c0, c1).
-struct SealedRequest {
-  SealedInputs Inputs;
-  std::map<std::string, uint64_t> C1Seeds;
-};
+/// The EXECUTE message that submits \p Req on session \p SessionId: fresh
+/// ciphertexts travel as (c0, c1 seed), caller-supplied ones as full
+/// (c0, c1) pairs, plain inputs as their values. Audit replay encodes
+/// through it too, so its input hash covers the bytes a client sends.
+ExecuteMsg executeMsgOf(const SealedRequest &Req, uint64_t SessionId);
 
 class ServiceClient {
 public:
@@ -97,24 +96,21 @@ public:
   /// Works without an open session — monitoring needs no keys.
   Expected<MetricsSnapshot> getMetrics();
 
-  /// Builds the client crypto stack for \p Sig (context, keys seeded from
-  /// \p KeySeed) and opens a server session with the evaluation keys.
-  /// \p ReproducibleSeeds additionally derives the published expansion
-  /// seeds from \p KeySeed (see KeyGenerator) so the whole exchange is a
-  /// pure function of the seed — the mode behind cross-backend goldens.
+  /// Builds the client crypto stack for \p Sig (its context, then
+  /// CkksWorkspace::createClient seeded from \p KeySeed) and opens a server
+  /// session with the evaluation keys. \p ReproducibleSeeds additionally
+  /// derives the published expansion seeds from \p KeySeed (see
+  /// KeyGenerator) so the whole exchange is a pure function of the seed —
+  /// the mode behind cross-backend goldens.
   Status openSession(const ParamSignature &Sig, uint64_t KeySeed,
                      bool ReproducibleSeeds = false);
 
-  /// Encodes and encrypts \p Inputs per the program's input schema.
+  /// Validates and seals \p Inputs against the session's program
+  /// (sealInputs): plain values and ciphertexts pass through, the rest are
+  /// encrypted under this client's keys.
+  Expected<SealedRequest> encryptInputs(const Valuation &Inputs);
   Expected<SealedRequest>
   encryptInputs(const std::map<std::string, std::vector<double>> &Inputs);
-
-  /// Encodes and symmetrically encrypts one declared cipher input; returns
-  /// the ciphertext and its c1 expansion seed. Used by callers (the remote
-  /// Runner) that assemble a SealedRequest from mixed plain/ciphertext
-  /// values instead of an all-plain map.
-  Expected<std::pair<Ciphertext, uint64_t>>
-  encryptInput(const std::string &Name, const std::vector<double> &Values);
 
   /// Submits a sealed request; returns the encrypted outputs.
   Expected<std::map<std::string, Ciphertext>> submit(const SealedRequest &Req);
@@ -135,10 +131,12 @@ public:
   /// 0 before any request or against servers predating request tracing.
   uint64_t lastRequestId() const { return LastRequestId; }
   const ParamSignature &signature() const { return Sig; }
-  std::shared_ptr<const CkksContext> context() const { return Ctx; }
-  const RelinKeys &relinKeys() const { return Rk; }
-  const GaloisKeys &galoisKeys() const { return Gk; }
-  const SecretKey &secretKey() const { return KeyGen->secretKey(); }
+  /// The client stack's context and keys. Before the first openSession the
+  /// context is null, the key sets are empty and there is no secret key.
+  std::shared_ptr<const CkksContext> context() const { return WS->Context; }
+  const RelinKeys &relinKeys() const { return WS->Rk; }
+  const GaloisKeys &galoisKeys() const { return WS->Gk; }
+  const SecretKey &secretKey() const { return WS->KeyGen->secretKey(); }
 
 private:
   /// Sends one message and insists on \p Want back (Error frames become
@@ -150,13 +148,8 @@ private:
   ParamSignature Sig;
   uint64_t SessionId = 0;
   uint64_t LastRequestId = 0;
-  std::shared_ptr<const CkksContext> Ctx;
-  std::unique_ptr<CkksEncoder> Encoder;
-  std::unique_ptr<KeyGenerator> KeyGen;
-  std::unique_ptr<Encryptor> Enc; // symmetric-only
-  std::unique_ptr<Decryptor> Dec;
-  RelinKeys Rk;
-  GaloisKeys Gk;
+  /// Empty until openSession builds the client stack.
+  std::shared_ptr<CkksWorkspace> WS = std::make_shared<CkksWorkspace>();
 };
 
 } // namespace eva

@@ -176,6 +176,9 @@ Expected<OpenSessionMsg> deserializeOpenSession(std::string_view Data);
 std::string serializeSessionOpened(const SessionOpenedMsg &M);
 Expected<SessionOpenedMsg> deserializeSessionOpened(std::string_view Data);
 
+/// Plain values as they travel in NamedPlain.values: LE 8-byte doubles.
+std::string packDoubles(const std::vector<double> &Vals);
+
 std::string serializeExecute(const ExecuteMsg &M);
 Expected<ExecuteMsg> deserializeExecute(std::string_view Data);
 

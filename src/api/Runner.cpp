@@ -82,43 +82,15 @@ public:
   const char *backend() const override { return "local"; }
 
   Expected<Valuation> run(const Valuation &Inputs) override {
-    if (Status S = validateInputs(Sig, Inputs); !S.ok())
-      return S;
-
-    // Seal the inputs in signature order: the encryptor's sampler stream
-    // is consumed per input, and matching ServiceClient::encryptInputs'
-    // order keeps reproducible local runs bit-identical to remote ones.
-    LastTiming = {};
     Timer EncryptT;
-    SealedInputs Sealed;
-    for (const IoSpec &Spec : Sig.Inputs) {
-      const Valuation::Value *Val = Inputs.find(Spec.Name);
-      if (!Spec.isCipher()) {
-        Sealed.Plain.emplace(Spec.Name, Inputs.plainVec(Spec.Name));
-        continue;
-      }
-      if (const auto *Ct = std::get_if<Ciphertext>(Val)) {
-        Sealed.Cipher.emplace(Spec.Name, *Ct);
-        continue;
-      }
-      if (!WS->Enc || !WS->KeyGen)
-        return Expected<Valuation>::error(
-            "program '" + Sig.ProgramName + "': input '" + Spec.Name +
-            "': this evaluation-only workspace cannot encrypt; supply a "
-            "ciphertext");
-      Plaintext Pt;
-      WS->Encoder->encode(Inputs.plainVec(Spec.Name),
-                          std::exp2(Spec.LogScale),
-                          WS->Context->dataPrimeCount(), Pt);
-      uint64_t C1Seed = 0;
-      Sealed.Cipher.emplace(
-          Spec.Name,
-          WS->Enc->encryptSymmetric(Pt, WS->KeyGen->secretKey(), C1Seed));
-    }
+    Expected<SealedRequest> Sealed = sealInputs(*WS, Sig, Inputs);
+    if (!Sealed)
+      return Sealed.takeStatus();
+    LastTiming = {};
     LastTiming.EncryptSeconds = EncryptT.seconds();
 
     Timer ComputeT;
-    std::map<std::string, Ciphertext> Encrypted = Exec.run(Sealed);
+    std::map<std::string, Ciphertext> Encrypted = Exec.run(Sealed->Inputs);
     LastTiming.ComputeSeconds = ComputeT.seconds();
 
     Timer DecryptT;
@@ -192,35 +164,15 @@ public:
   const char *backend() const override { return "remote"; }
 
   Expected<Valuation> run(const Valuation &Inputs) override {
-    if (Status S = validateInputs(Sig, Inputs); !S.ok())
-      return S;
-
-    LastTiming = {};
     Timer EncryptT;
-    SealedRequest Req;
-    for (const IoSpec &Spec : Sig.Inputs) {
-      const Valuation::Value *Val = Inputs.find(Spec.Name);
-      if (!Spec.isCipher()) {
-        Req.Inputs.Plain.emplace(Spec.Name, Inputs.plainVec(Spec.Name));
-        continue;
-      }
-      if (const auto *Ct = std::get_if<Ciphertext>(Val)) {
-        // Pre-encrypted input: ships as a full (c0, c1) pair — no expansion
-        // seed is known for it.
-        Req.Inputs.Cipher.emplace(Spec.Name, *Ct);
-        continue;
-      }
-      Expected<std::pair<Ciphertext, uint64_t>> Sealed =
-          Client.encryptInput(Spec.Name, Inputs.plainVec(Spec.Name));
-      if (!Sealed)
-        return Sealed.takeStatus();
-      Req.C1Seeds.emplace(Spec.Name, Sealed->second);
-      Req.Inputs.Cipher.emplace(Spec.Name, std::move(Sealed->first));
-    }
+    Expected<SealedRequest> Req = Client.encryptInputs(Inputs);
+    if (!Req)
+      return Req.takeStatus();
+    LastTiming = {};
     LastTiming.EncryptSeconds = EncryptT.seconds();
 
     Timer ComputeT;
-    Expected<std::map<std::string, Ciphertext>> Outs = Client.submit(Req);
+    Expected<std::map<std::string, Ciphertext>> Outs = Client.submit(*Req);
     if (!Outs)
       return Outs.takeStatus();
     LastTiming.ComputeSeconds = ComputeT.seconds();
@@ -244,6 +196,44 @@ private:
 };
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Sealing
+//===----------------------------------------------------------------------===//
+
+Expected<SealedRequest> eva::sealInputs(const CkksWorkspace &WS,
+                                        const ProgramSignature &Sig,
+                                        const Valuation &Inputs) {
+  if (Status S = validateInputs(Sig, Inputs); !S.ok())
+    return S;
+  SealedRequest Req;
+  for (const IoSpec &Spec : Sig.Inputs) {
+    if (!Spec.isCipher()) {
+      Req.Inputs.Plain.emplace(Spec.Name, Inputs.plainVec(Spec.Name));
+      continue;
+    }
+    if (const auto *Ct = std::get_if<Ciphertext>(Inputs.find(Spec.Name))) {
+      // Pre-encrypted input: ships as a full (c0, c1) pair — no expansion
+      // seed is known for it.
+      Req.Inputs.Cipher.emplace(Spec.Name, *Ct);
+      continue;
+    }
+    if (!WS.Enc || !WS.KeyGen)
+      return Expected<SealedRequest>::error(
+          "program '" + Sig.ProgramName + "': input '" + Spec.Name +
+          "': this evaluation-only workspace cannot encrypt; supply a "
+          "ciphertext");
+    Plaintext Pt;
+    WS.Encoder->encode(Inputs.plainVec(Spec.Name), std::exp2(Spec.LogScale),
+                       WS.Context->dataPrimeCount(), Pt);
+    uint64_t C1Seed = 0;
+    Req.Inputs.Cipher.emplace(
+        Spec.Name,
+        WS.Enc->encryptSymmetric(Pt, WS.KeyGen->secretKey(), C1Seed));
+    Req.C1Seeds.emplace(Spec.Name, C1Seed);
+  }
+  return Req;
+}
 
 //===----------------------------------------------------------------------===//
 // Factories

@@ -120,11 +120,33 @@ CkksWorkspace::createServer(const CompiledProgram &CP,
 }
 
 Expected<std::shared_ptr<CkksWorkspace>>
+CkksWorkspace::createClient(std::shared_ptr<const CkksContext> Ctx,
+                            const std::set<uint64_t> &RotationSteps,
+                            bool NeedsRelin, uint64_t Seed,
+                            bool ReproducibleSeeds) {
+  using Result = Expected<std::shared_ptr<CkksWorkspace>>;
+  if (!Ctx)
+    return Result::error("client workspace needs a context");
+  if (ReproducibleSeeds && Seed == 0)
+    return Result::error("reproducible seeds require a nonzero seed");
+  std::shared_ptr<CkksWorkspace> WS = std::make_shared<CkksWorkspace>();
+  WS->Context = std::move(Ctx);
+  WS->Encoder = std::make_unique<CkksEncoder>(WS->Context);
+  WS->KeyGen =
+      std::make_unique<KeyGenerator>(WS->Context, Seed, ReproducibleSeeds);
+  WS->Enc =
+      std::make_unique<Encryptor>(WS->Context, Seed + 1, ReproducibleSeeds);
+  WS->Dec = std::make_unique<Decryptor>(WS->Context, WS->KeyGen->secretKey());
+  if (NeedsRelin)
+    WS->Rk = WS->KeyGen->createRelinKeys();
+  WS->Gk = WS->KeyGen->createGaloisKeys(RotationSteps);
+  return WS;
+}
+
+Expected<std::shared_ptr<CkksWorkspace>>
 CkksWorkspace::createClient(const CompiledProgram &CP, uint64_t Seed,
                             bool ReproducibleSeeds) {
   using Result = Expected<std::shared_ptr<CkksWorkspace>>;
-  if (ReproducibleSeeds && Seed == 0)
-    return Result::error("reproducible seeds require a nonzero seed");
   Expected<std::shared_ptr<CkksContext>> Ctx =
       CkksContext::createFromBitSizes(CP.PolyDegree, CP.contextBitSizes(),
                                       CP.Options.Security);
@@ -132,23 +154,10 @@ CkksWorkspace::createClient(const CompiledProgram &CP, uint64_t Seed,
     return Ctx.takeStatus();
   if (Ctx.value()->slotCount() < CP.Prog->vecSize())
     return Result::error("vector size exceeds slot count");
-
-  // Field-for-field the stack (and generation order) of
-  // ServiceClient::openSession: any divergence breaks local/remote
-  // bit-identity.
-  std::shared_ptr<CkksWorkspace> WS = std::make_shared<CkksWorkspace>();
-  WS->Context = Ctx.value();
-  WS->Encoder = std::make_unique<CkksEncoder>(WS->Context);
-  WS->KeyGen =
-      std::make_unique<KeyGenerator>(WS->Context, Seed, ReproducibleSeeds);
-  WS->Enc =
-      std::make_unique<Encryptor>(WS->Context, Seed + 1, ReproducibleSeeds);
-  WS->Dec = std::make_unique<Decryptor>(WS->Context, WS->KeyGen->secretKey());
-  if (countOps(*CP.Prog, OpCode::Relinearize) > 0)
-    WS->Rk = WS->KeyGen->createRelinKeys();
-  WS->Gk = WS->KeyGen->createGaloisKeys(
-      std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()));
-  return WS;
+  return createClient(
+      Ctx.value(),
+      std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()),
+      countOps(*CP.Prog, OpCode::Relinearize) > 0, Seed, ReproducibleSeeds);
 }
 
 struct CkksExecutor::RunState {

@@ -6,14 +6,11 @@
 
 #include "eva/service/Audit.h"
 
-#include "eva/runtime/CkksExecutor.h"
 #include "eva/serialize/CkksIO.h"
-#include "eva/service/ProgramRegistry.h"
+#include "eva/service/Client.h"
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
-#include <cstring>
 
 using namespace eva;
 
@@ -41,19 +38,6 @@ uint64_t hashEntry(char Tag, std::string_view Name, std::string_view Payload,
   State = fnv1a64(std::string_view(&Tag, 1), State);
   State = hashLenPrefixed(Name, State);
   return hashLenPrefixed(Payload, State);
-}
-
-/// Plain inputs hash as the LE 8-byte doubles they occupy on the wire
-/// (NamedPlain.values), so the hash covers the exact transmitted bytes.
-std::string packDoubles(const std::vector<double> &Vals) {
-  std::string Raw(Vals.size() * 8, '\0');
-  for (size_t I = 0; I < Vals.size(); ++I) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &Vals[I], 8);
-    for (int B = 0; B < 8; ++B)
-      Raw[I * 8 + B] = static_cast<char>((Bits >> (8 * B)) & 0xFF);
-  }
-  return Raw;
 }
 
 template <typename PayloadFn, typename Vec>
@@ -85,7 +69,9 @@ uint64_t eva::auditHashInputs(
                         [](const std::string &Bytes) {
                           return std::string_view(Bytes);
                         });
-  // Plain payloads are materialized per entry; keep the temporary alive
+  // Plain inputs hash as the LE 8-byte doubles they occupy on the wire
+  // (NamedPlain.values), so the hash covers the exact transmitted bytes.
+  // The payloads are materialized per entry; keep the temporary alive
   // across the hash call.
   std::vector<std::pair<std::string, std::string>> Packed;
   Packed.reserve(PlainInputs.size());
@@ -250,66 +236,35 @@ eva::auditReplay(const AuditRecord &R, const CompiledProgram &CP,
                  uint64_t KeySeed,
                  const std::map<std::string, std::vector<double>> &Inputs) {
   using Result = Expected<AuditReplayResult>;
-  ParamSignature Sig = signatureOf(CP);
+  ProgramSignature Sig = ProgramSignature::of(CP);
   if (Sig.ProgramName != R.Program)
     return Result::error("audit line is for program '" + R.Program +
                          "' but the compiled program is '" + Sig.ProgramName +
                          "'");
-  if (KeySeed == 0)
-    return Result::error("audit replay requires the client's nonzero key "
-                         "seed (reproducible-seeds mode)");
 
-  // The exact client stack of ServiceClient::openSession, reproducible mode:
-  // key generation and sampler order are a pure function of the seed.
+  // The client's stack and sealing in reproducible mode: key generation and
+  // sampler order are a pure function of the seed, and the request is
+  // encoded as the client encodes it, so the input hash covers the exact
+  // wire bytes.
   Expected<std::shared_ptr<CkksWorkspace>> WS =
       CkksWorkspace::createClient(CP, KeySeed, /*ReproducibleSeeds=*/true);
   if (!WS)
     return WS.takeStatus();
-  CkksWorkspace &W = **WS;
-
-  // Re-encrypt in signature order — the order ServiceClient::encryptInputs
-  // consumes the deterministic sampler in — and serialize seed-compressed,
-  // reproducing the request's wire bytes.
-  std::vector<std::pair<std::string, std::string>> CipherBytes;
-  std::vector<std::pair<std::string, std::vector<double>>> PlainValues;
-  SealedInputs Sealed;
-  for (const ServiceInputSpec &Spec : Sig.Inputs) {
-    auto It = Inputs.find(Spec.Name);
-    if (It == Inputs.end())
-      return Result::error("replay is missing input '" + Spec.Name + "'");
-    if (!Spec.IsCipher) {
-      PlainValues.emplace_back(Spec.Name, It->second);
-      Sealed.Plain.emplace(Spec.Name, It->second);
-      continue;
-    }
-    Plaintext Pt;
-    W.Encoder->encode(It->second, std::exp2(Spec.LogScale),
-                      W.Context->dataPrimeCount(), Pt);
-    uint64_t C1Seed = 0;
-    Ciphertext Ct =
-        W.Enc->encryptSymmetric(Pt, W.KeyGen->secretKey(), C1Seed);
-    CipherBytes.emplace_back(Spec.Name, serializeCiphertext(Ct, C1Seed));
-    Sealed.Cipher.emplace(Spec.Name, std::move(Ct));
-  }
-  for (const auto &[Name, Values] : Inputs) {
-    (void)Values;
-    bool Known = false;
-    for (const ServiceInputSpec &Spec : Sig.Inputs)
-      Known |= Spec.Name == Name;
-    if (!Known)
-      return Result::error("input '" + Name +
-                           "' is not declared by the program");
-  }
+  Expected<SealedRequest> Req =
+      sealInputs(**WS, Sig, Valuation::fromMap(Inputs));
+  if (!Req)
+    return Req.takeStatus();
+  ExecuteMsg Msg = executeMsgOf(*Req, R.SessionId);
 
   AuditReplayResult Out;
-  Out.InputsHash = auditHashInputs(CipherBytes, PlainValues);
+  Out.InputsHash = auditHashInputs(Msg.CipherInputs, Msg.PlainInputs);
   Out.InputsMatch = Out.InputsHash == R.InputsHash;
 
   // The server's executor configuration: the DAG schedule on one thread,
   // with hoisting. Every schedule is bit-identical anyway, so the output
   // ciphertext bytes must match exactly.
   CkksExecutor Exec(CP, *WS);
-  std::map<std::string, Ciphertext> Cts = Exec.run(Sealed);
+  std::map<std::string, Ciphertext> Cts = Exec.run(Req->Inputs);
   std::vector<std::pair<std::string, std::string>> OutputBytes;
   for (const auto &[Name, Ct] : Cts)
     OutputBytes.emplace_back(Name, serializeCiphertext(Ct));

@@ -10,7 +10,6 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -96,31 +95,26 @@ Status ServiceClient::openSession(const ParamSignature &SigIn,
                                   uint64_t KeySeed, bool ReproducibleSeeds) {
   if (SessionId != 0)
     return Status::error("client already has an open session");
-  if (ReproducibleSeeds && KeySeed == 0)
-    return Status::error("reproducible seeds require a nonzero key seed");
   Expected<std::shared_ptr<CkksContext>> C = CkksContext::createFromBitSizes(
       SigIn.PolyDegree, SigIn.ContextBitSizes, SigIn.Security);
   if (!C)
     return Status::error("cannot build client context: " + C.message());
-
-  // Mirrored by CkksWorkspace::createClient — keep the stack and the key
-  // generation order in sync or local/remote bit-identity breaks.
+  Expected<std::shared_ptr<CkksWorkspace>> Stack = CkksWorkspace::createClient(
+      C.value(),
+      std::set<uint64_t>(SigIn.RotationSteps.begin(),
+                         SigIn.RotationSteps.end()),
+      SigIn.NeedsRelin, KeySeed, ReproducibleSeeds);
+  if (!Stack)
+    return Stack.takeStatus();
   Sig = SigIn;
-  Ctx = C.value();
-  Encoder = std::make_unique<CkksEncoder>(Ctx);
-  KeyGen = std::make_unique<KeyGenerator>(Ctx, KeySeed, ReproducibleSeeds);
-  Enc = std::make_unique<Encryptor>(Ctx, KeySeed + 1, ReproducibleSeeds);
-  Dec = std::make_unique<Decryptor>(Ctx, KeyGen->secretKey());
-  Rk = Sig.NeedsRelin ? KeyGen->createRelinKeys() : RelinKeys{};
-  Gk = KeyGen->createGaloisKeys(std::set<uint64_t>(Sig.RotationSteps.begin(),
-                                                   Sig.RotationSteps.end()));
+  WS = std::move(Stack.value());
 
   OpenSessionMsg M;
   M.ProgramName = Sig.ProgramName;
-  if (!Rk.empty())
-    M.RelinKeyBytes = serializeRelinKeys(Rk);
-  if (!Gk.Keys.empty())
-    M.GaloisKeyBytes = serializeGaloisKeys(Gk);
+  if (!WS->Rk.empty())
+    M.RelinKeyBytes = serializeRelinKeys(WS->Rk);
+  if (!WS->Gk.Keys.empty())
+    M.GaloisKeyBytes = serializeGaloisKeys(WS->Gk);
   Expected<std::string> Payload =
       exchange(MessageType::OpenSession, serializeOpenSession(M),
                MessageType::SessionOpened);
@@ -135,66 +129,18 @@ Status ServiceClient::openSession(const ParamSignature &SigIn,
   return Status::success();
 }
 
+Expected<SealedRequest> ServiceClient::encryptInputs(const Valuation &Inputs) {
+  if (SessionId == 0)
+    return Expected<SealedRequest>::error("no open session");
+  return sealInputs(*WS, ProgramSignature::of(Sig), Inputs);
+}
+
 Expected<SealedRequest> ServiceClient::encryptInputs(
     const std::map<std::string, std::vector<double>> &Inputs) {
-  using Result = Expected<SealedRequest>;
-  if (SessionId == 0)
-    return Result::error("no open session");
-  SealedRequest Req;
-  for (const ServiceInputSpec &Spec : Sig.Inputs) {
-    auto It = Inputs.find(Spec.Name);
-    if (It == Inputs.end())
-      return Result::error("missing input '" + Spec.Name + "'");
-    if (!Spec.IsCipher) {
-      Req.Inputs.Plain.emplace(Spec.Name, It->second);
-      continue;
-    }
-    Plaintext Pt;
-    Encoder->encode(It->second, std::exp2(Spec.LogScale),
-                    Ctx->dataPrimeCount(), Pt);
-    uint64_t Seed = 0;
-    Ciphertext Ct = Enc->encryptSymmetric(Pt, KeyGen->secretKey(), Seed);
-    Req.Inputs.Cipher.emplace(Spec.Name, std::move(Ct));
-    Req.C1Seeds.emplace(Spec.Name, Seed);
-  }
-  for (const auto &[Name, Values] : Inputs) {
-    (void)Values;
-    bool Known = false;
-    for (const ServiceInputSpec &Spec : Sig.Inputs)
-      Known |= Spec.Name == Name;
-    if (!Known)
-      return Result::error("input '" + Name +
-                           "' is not declared by the program");
-  }
-  return Req;
+  return encryptInputs(Valuation::fromMap(Inputs));
 }
 
-Expected<std::pair<Ciphertext, uint64_t>>
-ServiceClient::encryptInput(const std::string &Name,
-                            const std::vector<double> &Values) {
-  using Result = Expected<std::pair<Ciphertext, uint64_t>>;
-  if (SessionId == 0)
-    return Result::error("no open session");
-  const ServiceInputSpec *Spec = nullptr;
-  for (const ServiceInputSpec &S : Sig.Inputs)
-    if (S.Name == Name)
-      Spec = &S;
-  if (!Spec || !Spec->IsCipher)
-    return Result::error("'" + Name + "' is not a cipher input of program '" +
-                         Sig.ProgramName + "'");
-  Plaintext Pt;
-  Encoder->encode(Values, std::exp2(Spec->LogScale), Ctx->dataPrimeCount(),
-                  Pt);
-  uint64_t Seed = 0;
-  Ciphertext Ct = Enc->encryptSymmetric(Pt, KeyGen->secretKey(), Seed);
-  return Result(std::make_pair(std::move(Ct), Seed));
-}
-
-Expected<std::map<std::string, Ciphertext>>
-ServiceClient::submit(const SealedRequest &Req) {
-  using Result = Expected<std::map<std::string, Ciphertext>>;
-  if (SessionId == 0)
-    return Result::error("no open session");
+ExecuteMsg eva::executeMsgOf(const SealedRequest &Req, uint64_t SessionId) {
   ExecuteMsg M;
   M.SessionId = SessionId;
   for (const auto &[Name, Ct] : Req.Inputs.Cipher) {
@@ -204,9 +150,18 @@ ServiceClient::submit(const SealedRequest &Req) {
   }
   for (const auto &[Name, Values] : Req.Inputs.Plain)
     M.PlainInputs.emplace_back(Name, Values);
+  return M;
+}
 
-  Expected<std::string> Payload = exchange(
-      MessageType::Execute, serializeExecute(M), MessageType::ExecuteResult);
+Expected<std::map<std::string, Ciphertext>>
+ServiceClient::submit(const SealedRequest &Req) {
+  using Result = Expected<std::map<std::string, Ciphertext>>;
+  if (SessionId == 0)
+    return Result::error("no open session");
+  Expected<std::string> Payload =
+      exchange(MessageType::Execute,
+               serializeExecute(executeMsgOf(Req, SessionId)),
+               MessageType::ExecuteResult);
   if (!Payload)
     return Payload.takeStatus();
   Expected<ExecuteResultMsg> R = deserializeExecuteResult(*Payload);
@@ -216,7 +171,7 @@ ServiceClient::submit(const SealedRequest &Req) {
 
   std::map<std::string, Ciphertext> Outputs;
   for (const auto &[Name, Bytes] : R->Outputs) {
-    Expected<Ciphertext> Ct = deserializeCiphertext(*Ctx, Bytes);
+    Expected<Ciphertext> Ct = deserializeCiphertext(*WS->Context, Bytes);
     if (!Ct)
       return Result::error("output '" + Name + "': " + Ct.message());
     Outputs.emplace(Name, std::move(*Ct));
@@ -228,7 +183,7 @@ std::map<std::string, std::vector<double>> ServiceClient::decryptOutputs(
     const std::map<std::string, Ciphertext> &Outputs) const {
   std::map<std::string, std::vector<double>> Out;
   for (const auto &[Name, Ct] : Outputs) {
-    std::vector<double> Slots = Encoder->decode(Dec->decrypt(Ct));
+    std::vector<double> Slots = WS->Encoder->decode(WS->Dec->decrypt(Ct));
     Slots.resize(Sig.VecSize);
     Out.emplace(Name, std::move(Slots));
   }

@@ -68,17 +68,6 @@ Expected<uint64_t> deserializeIdMsg(std::string_view Data, const char *What) {
   return Id;
 }
 
-std::string packDoubles(const std::vector<double> &Vals) {
-  std::string Raw(Vals.size() * 8, '\0');
-  for (size_t I = 0; I < Vals.size(); ++I) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &Vals[I], 8);
-    for (int B = 0; B < 8; ++B)
-      Raw[I * 8 + B] = static_cast<char>((Bits >> (8 * B)) & 0xFF);
-  }
-  return Raw;
-}
-
 bool unpackDoubles(std::string_view Raw, std::vector<double> &Out) {
   if (Raw.size() % 8 != 0)
     return false;
@@ -381,6 +370,17 @@ eva::deserializeSessionOpened(std::string_view Data) {
   if (!Id)
     return Id.takeStatus();
   return SessionOpenedMsg{*Id};
+}
+
+std::string eva::packDoubles(const std::vector<double> &Vals) {
+  std::string Raw(Vals.size() * 8, '\0');
+  for (size_t I = 0; I < Vals.size(); ++I) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &Vals[I], 8);
+    for (int B = 0; B < 8; ++B)
+      Raw[I * 8 + B] = static_cast<char>((Bits >> (8 * B)) & 0xFF);
+  }
+  return Raw;
 }
 
 std::string eva::serializeExecute(const ExecuteMsg &M) {

@@ -365,14 +365,25 @@ TEST(Runner, ThreeCkksBackendsAreBitIdenticalAndReferenceIsClose) {
 }
 
 TEST(Runner, PreEncryptedCipherInputsAreAccepted) {
-  // A caller may supply the ciphertext itself (client-side caching); the
-  // runner validates scale/level and skips encryption.
+  // A caller may supply the ciphertext itself (client-side caching); both
+  // CKKS runners validate scale/level and skip encryption, and the remote
+  // one ships it as a full (c0, c1) pair.
   CompiledProgram CP = compiled();
+  // Reproducible seeds: the remote runner's client derives the same secret
+  // key from the same seed, so it decrypts what this workspace encrypted.
   Expected<std::shared_ptr<CkksWorkspace>> WS =
-      CkksWorkspace::createClient(CP, 5);
+      CkksWorkspace::createClient(CP, 5, /*ReproducibleSeeds=*/true);
   ASSERT_TRUE(WS.ok()) << WS.message();
-  Expected<std::unique_ptr<Runner>> R = Runner::local(CP, *WS);
-  ASSERT_TRUE(R.ok()) << R.message();
+  Expected<std::unique_ptr<Runner>> Local = Runner::local(CP, *WS);
+  ASSERT_TRUE(Local.ok()) << Local.message();
+  Service Svc;
+  ASSERT_TRUE(Svc.registry().registerSource(*makeMultiKernelProgram()).ok());
+  InProcessTransport T(Svc);
+  RemoteRunnerOptions RO;
+  RO.KeySeed = 5;
+  RO.ReproducibleSeeds = true;
+  Expected<std::unique_ptr<Runner>> Remote = Runner::remote(T, "api_demo", RO);
+  ASSERT_TRUE(Remote.ok()) << Remote.message();
 
   Plaintext Pt;
   (*WS)->Encoder->encode(ramp(64, 0.5), std::exp2(30),
@@ -381,16 +392,17 @@ TEST(Runner, PreEncryptedCipherInputsAreAccepted) {
   Ciphertext Ct =
       (*WS)->Enc->encryptSymmetric(Pt, (*WS)->KeyGen->secretKey(), Seed);
 
-  Expected<Valuation> Out =
-      (*R)->run(Valuation().set("x", std::move(Ct)).set("w", 0.5));
-  ASSERT_TRUE(Out.ok()) << Out.message();
-
   std::unique_ptr<Runner> Ref = Runner::reference(*CP.Prog);
   Expected<Valuation> Want =
       Ref->run(Valuation().set("x", ramp(64, 0.5)).set("w", 0.5));
   ASSERT_TRUE(Want.ok()) << Want.message();
-  for (size_t I = 0; I < 64; ++I)
-    EXPECT_NEAR(Out->vector("out")[I], Want->vector("out")[I], 1e-2);
+  for (Runner *R : {Local->get(), Remote->get()}) {
+    Expected<Valuation> Out = R->run(Valuation().set("x", Ct).set("w", 0.5));
+    ASSERT_TRUE(Out.ok()) << R->backend() << ": " << Out.message();
+    for (size_t I = 0; I < 64; ++I)
+      EXPECT_NEAR(Out->vector("out")[I], Want->vector("out")[I], 1e-2)
+          << R->backend() << " slot " << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -143,9 +143,11 @@ TEST(MatchScale, NormalizesPlainOperandWithoutMultiply) {
   // The plain operand is re-encoded at 2^60; no extra multiply.
   EXPECT_EQ(countOps(*P, OpCode::Multiply), 1u);
   EXPECT_EQ(countOps(*P, OpCode::NormalizeScale), 1u);
-  for (const Node *N : P->nodes())
-    if (N->op() == OpCode::NormalizeScale)
+  for (const Node *N : P->nodes()) {
+    if (N->op() == OpCode::NormalizeScale) {
       EXPECT_NEAR(N->logScale(), 60.0, 1e-9);
+    }
+  }
 }
 
 TEST(Relinearize, OnlyAfterCipherCipherMultiply) {

@@ -6,7 +6,8 @@
 // the checked-in fixtures under tests/fixtures/ and diffs stdout against the
 // *.golden files. This pins the user-visible contract: reported encryption
 // parameters, --dump listings, and --dot graphs for the EAGER / LAZY / CHET
-// policies must not drift silently.
+// policies must not drift silently. evacall (EVA_EVACALL_BINARY) runs here
+// where it needs no server.
 //
 // Regenerate goldens after an intentional change with:
 //   EVA_UPDATE_GOLDENS=1 ./tests/EvacCliTest
@@ -26,6 +27,9 @@
 #ifndef EVA_EVAC_BINARY
 #error "EVA_EVAC_BINARY must be defined by the build"
 #endif
+#ifndef EVA_EVACALL_BINARY
+#error "EVA_EVACALL_BINARY must be defined by the build"
+#endif
 #ifndef EVA_FIXTURES_DIR
 #error "EVA_FIXTURES_DIR must be defined by the build"
 #endif
@@ -41,10 +45,10 @@ struct RunResult {
 /// popen's word splitting).
 std::string shellQuote(const std::string &Path) { return "\"" + Path + "\""; }
 
-/// Runs \p Args against evac, capturing stdout (stderr is left on the test's
-/// own stream so failures stay diagnosable).
-RunResult runEvac(const std::string &Args) {
-  std::string Cmd = shellQuote(EVA_EVAC_BINARY) + " " + Args;
+/// Runs \p Args against \p Binary, capturing stdout (stderr is left on the
+/// test's own stream so failures stay diagnosable).
+RunResult runTool(const char *Binary, const std::string &Args) {
+  std::string Cmd = shellQuote(Binary) + " " + Args;
   RunResult R;
   FILE *P = popen(Cmd.c_str(), "r");
   if (!P)
@@ -56,6 +60,10 @@ RunResult runEvac(const std::string &Args) {
   int Status = pclose(P);
   R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
   return R;
+}
+
+RunResult runEvac(const std::string &Args) {
+  return runTool(EVA_EVAC_BINARY, Args);
 }
 
 std::string fixture(const std::string &Name) {
@@ -235,6 +243,23 @@ TEST(EvacCli, RunDiagnosesBadInputs) {
   RunResult R3 = runEvac("run " + shellQuote(fixture("poly3.evabin")) +
                          " --backend quantum 2>/dev/null");
   EXPECT_EQ(R3.ExitCode, 1);
+}
+
+// `evacall audit-verify` seals the reconstructed inputs through the client's
+// sealing routine, so a malformed --in value is the validation diagnostic,
+// not a reported hash mismatch; the line's made-up hashes are never
+// compared.
+TEST(EvacCli, AuditVerifyDiagnosesBadInputs) {
+  RunResult R = runTool(
+      EVA_EVACALL_BINARY,
+      "audit-verify --file " + shellQuote(fixture("poly3.evabin")) +
+          " --seed 5 --in x=1,2,3 'req=1 session=1 program=poly3 "
+          "inputs=0000000000000001 outputs=0000000000000001' 2>&1");
+  EXPECT_EQ(R.ExitCode, 1);
+  EXPECT_NE(R.Stdout.find("input 'x': length 3 does not divide vec_size"),
+            std::string::npos)
+      << R.Stdout;
+  EXPECT_EQ(R.Stdout.find("FAILED"), std::string::npos) << R.Stdout;
 }
 
 // --- `evac lint`: the static-analysis subcommand. ---

@@ -172,8 +172,9 @@ TEST(Expr, PlainCipherNormalization) {
   B.output("d", D, 30);
   for (const Node *N : B.program().nodes()) {
     if (N->op() == OpCode::Add || N->op() == OpCode::Sub ||
-        N->op() == OpCode::Multiply)
+        N->op() == OpCode::Multiply) {
       EXPECT_TRUE(N->parm(0)->isCipher());
+    }
   }
   EXPECT_EQ(countOps(B.program(), OpCode::Negate), 1u);
 }

@@ -71,9 +71,11 @@ TEST(Cse, ChainedRotationsFold) {
   size_t N = cseAndSimplifyPass(B.program());
   EXPECT_GE(N, 1u);
   EXPECT_EQ(countOps(B.program(), OpCode::RotateLeft), 1u);
-  for (const Node *R : B.program().nodes())
-    if (R->op() == OpCode::RotateLeft)
+  for (const Node *R : B.program().nodes()) {
+    if (R->op() == OpCode::RotateLeft) {
       EXPECT_EQ(R->rotation(), 8);
+    }
+  }
   EXPECT_TRUE(B.program().verifyStructure().ok());
 }
 
@@ -84,9 +86,11 @@ TEST(Cse, ChainedRotationWraparoundFolds) {
   B.output("out", ((X << 10) << 9) * X, 30);
   cseAndSimplifyPass(B.program());
   EXPECT_EQ(countOps(B.program(), OpCode::RotateLeft), 1u);
-  for (const Node *R : B.program().nodes())
-    if (R->op() == OpCode::RotateLeft)
+  for (const Node *R : B.program().nodes()) {
+    if (R->op() == OpCode::RotateLeft) {
       EXPECT_EQ(R->rotation(), 3);
+    }
+  }
 }
 
 TEST(Cse, ChainedRotationCancellationVanishes) {

@@ -894,6 +894,35 @@ TEST(Service, RejectsMalformedAndMismatchedRequests) {
   EXPECT_EQ(F.Svc.schedulerStats().Completed, 1u);
 }
 
+// The client seals through the same routine as the runners, so a malformed
+// input comes back as validateInputs' diagnostic before anything is
+// encoded: the encoder's own size checks are asserts.
+TEST(Service, EncryptInputsDiagnosesMalformedValues) {
+  ServiceFixture F;
+  ServiceClient Client(F.T);
+  Expected<std::vector<ParamSignature>> Sigs = Client.listPrograms();
+  ASSERT_TRUE(Sigs.ok());
+  ASSERT_TRUE(Client.openSession((*Sigs)[0], 57).ok());
+
+  std::vector<double> TooLong(16, 0.5), WithNaN(8, 0.5);
+  WithNaN[3] = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::vector<double>, std::string>> Cases = {
+      {{}, "input 'x' is empty"},
+      {{1, 2, 3}, "input 'x': length 3 does not divide vec_size 8"},
+      {TooLong, "input 'x': length 16 exceeds vec_size 8"},
+      {WithNaN, "input 'x': non-finite value at slot 3"}};
+  for (const auto &[X, Want] : Cases) {
+    std::map<std::string, std::vector<double>> In = servedInputs(5);
+    In["x"] = X;
+    Expected<SealedRequest> Req = Client.encryptInputs(In);
+    ASSERT_FALSE(Req.ok()) << "accepted an input that should fail: " << Want;
+    EXPECT_NE(Req.message().find(Want), std::string::npos) << Req.message();
+  }
+  // The session is unharmed and nothing reached the server.
+  EXPECT_TRUE(Client.encryptInputs(servedInputs(5)).ok());
+  EXPECT_EQ(F.Svc.schedulerStats().Submitted, 0u);
+}
+
 // Requests of one session may overlap: each runs its own one-thread executor
 // over the session's read-only keys and encoder. The expected outputs come
 // from the kernel schedule, so two independent schedulers agree.
@@ -916,13 +945,8 @@ TEST(Service, ConcurrentRequestsOnOneSessionAreBitIdentical) {
   for (size_t T = 0; T < Threads; ++T) {
     Expected<SealedRequest> Req = Client.encryptInputs(servedInputs(40 + T));
     ASSERT_TRUE(Req.ok());
-    ExecuteMsg Exec;
-    Exec.SessionId = Client.sessionId();
-    for (const auto &[Name, Ct] : Req->Inputs.Cipher)
-      Exec.CipherInputs.emplace_back(Name, serializeCiphertext(Ct));
-    for (const auto &[Name, V] : Req->Inputs.Plain)
-      Exec.PlainInputs.emplace_back(Name, V);
-    Payloads.push_back(serializeExecute(Exec));
+    Payloads.push_back(
+        serializeExecute(executeMsgOf(*Req, Client.sessionId())));
     Want.push_back(Direct.run(Req->Inputs).at("out"));
   }
 
@@ -967,14 +991,9 @@ TEST(Service, SessionsAreIsolated) {
   // tenants' keys do not mix.
   Expected<SealedRequest> ReqA = A.encryptInputs(servedInputs(9));
   ASSERT_TRUE(ReqA.ok());
-  ExecuteMsg Cross;
-  Cross.SessionId = B.sessionId();
-  for (const auto &[Name, Ct] : ReqA->Inputs.Cipher)
-    Cross.CipherInputs.emplace_back(Name, serializeCiphertext(Ct));
-  for (const auto &[Name, V] : ReqA->Inputs.Plain)
-    Cross.PlainInputs.emplace_back(Name, V);
   std::pair<MessageType, std::string> R =
-      F.Svc.dispatch(MessageType::Execute, serializeExecute(Cross));
+      F.Svc.dispatch(MessageType::Execute,
+                     serializeExecute(executeMsgOf(*ReqA, B.sessionId())));
   ASSERT_EQ(R.first, MessageType::ExecuteResult);
   Expected<ExecuteResultMsg> Res = deserializeExecuteResult(R.second);
   ASSERT_TRUE(Res.ok());

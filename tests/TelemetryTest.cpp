@@ -444,6 +444,23 @@ TEST(Audit, ReplayReproducesTranscriptAndDetectsTampering) {
   std::remove(Path.c_str());
 }
 
+// Replay seals through the client's own routine, so a malformed input is a
+// diagnostic before anything reaches the encoder.
+TEST(Audit, ReplayDiagnosesMalformedInputs) {
+  Expected<CompiledProgram> CP =
+      compile(*buildServedProgram(), CompilerOptions::eva());
+  ASSERT_TRUE(CP.ok());
+  AuditRecord Rec;
+  Rec.RequestId = 1;
+  Rec.Program = "served";
+  std::map<std::string, std::vector<double>> Inputs = servedInputs(55);
+  Inputs["x"].clear();
+  Expected<AuditReplayResult> R = auditReplay(Rec, *CP, 101, Inputs);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.message().find("input 'x' is empty"), std::string::npos)
+      << R.message();
+}
+
 TEST(Service, MetricsObserveTheTrafficAClientSends) {
   Service Svc;
   ASSERT_TRUE(Svc.registry().registerSource(*buildServedProgram()).ok());

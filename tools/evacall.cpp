@@ -43,7 +43,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 
 using namespace eva;
@@ -101,6 +100,24 @@ bool parseValues(const char *Spec, std::string &Name,
       return false;
   }
   return !Values.empty();
+}
+
+/// \p Given plus reproducible uniform noise in [-1, 1] for every input of
+/// \p Sig it leaves out, drawn from \p Seed in signature order (given
+/// names draw nothing). `evacall --program` sends these inputs and
+/// `audit-verify` regenerates them from the same seed.
+Valuation fillInputs(const ProgramSignature &Sig, Valuation Given,
+                     uint64_t Seed) {
+  RandomSource Rng(Seed * 7919 + 1);
+  for (const IoSpec &In : Sig.Inputs) {
+    if (Given.has(In.Name))
+      continue;
+    std::vector<double> V(Sig.VecSize);
+    for (double &X : V)
+      X = Rng.uniformReal(-1, 1);
+    Given.set(In.Name, std::move(V));
+  }
+  return Given;
 }
 
 //===----------------------------------------------------------------------===//
@@ -189,7 +206,7 @@ int auditVerifyMain(int Argc, char **Argv) {
   uint64_t WantReq = 0;
   uint64_t Seed = 1;
   CompilerOptions Options = CompilerOptions::eva();
-  std::map<std::string, std::vector<double>> GivenInputs;
+  Valuation GivenInputs;
 
   for (int I = 2; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--file") == 0 && I + 1 < Argc) {
@@ -205,7 +222,7 @@ int auditVerifyMain(int Argc, char **Argv) {
       std::vector<double> Values;
       if (!parseValues(Argv[++I], Name, Values))
         return usage(Argv[0]);
-      GivenInputs[Name] = std::move(Values);
+      GivenInputs.set(Name, std::move(Values));
     } else if (std::strcmp(Argv[I], "--chet") == 0) {
       Options = CompilerOptions::chet();
     } else if (std::strcmp(Argv[I], "--lazy") == 0) {
@@ -262,23 +279,12 @@ int auditVerifyMain(int Argc, char **Argv) {
   }
 
   // Reconstruct the request's plaintext inputs: anything not given on the
-  // command line is regenerated exactly as the submitting `evacall
-  // --program` run generated it — same seed derivation, same RNG, same
-  // signature iteration order (skipping the explicitly-given names, which
-  // consume no randomness there either).
-  ProgramSignature Sig = ProgramSignature::of(*CP);
-  RandomSource Rng(Seed * 7919 + 1);
-  std::map<std::string, std::vector<double>> Inputs = GivenInputs;
-  for (const IoSpec &In : Sig.Inputs) {
-    if (Inputs.count(In.Name))
-      continue;
-    std::vector<double> V(Sig.VecSize);
-    for (double &X : V)
-      X = Rng.uniformReal(-1, 1);
-    Inputs[In.Name] = std::move(V);
-  }
-
-  Expected<AuditReplayResult> Replay = auditReplay(*Rec, *CP, Seed, Inputs);
+  // command line is regenerated as the submitting `evacall --program` run
+  // generated it.
+  Valuation Inputs =
+      fillInputs(ProgramSignature::of(*CP), std::move(GivenInputs), Seed);
+  Expected<AuditReplayResult> Replay =
+      auditReplay(*Rec, *CP, Seed, Inputs.toMap());
   if (!Replay) {
     std::fprintf(stderr, "evacall: error: %s\n", Replay.message().c_str());
     return 1;
@@ -393,24 +399,10 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "evacall: error: %s\n", R.message().c_str());
     return 1;
   }
-  const ProgramSignature &Sig = (*R)->signature();
   std::printf("session opened for '%s'\n", ProgramName);
 
-  // Fill unspecified inputs with reproducible uniform noise. audit-verify
-  // regenerates these from the same seed derivation, so keep the two in
-  // lockstep.
-  RandomSource Rng(Seed * 7919 + 1);
-  Valuation Inputs = GivenInputs;
-  for (const IoSpec &In : Sig.Inputs) {
-    if (Inputs.has(In.Name))
-      continue;
-    std::vector<double> V(Sig.VecSize);
-    for (double &X : V)
-      X = Rng.uniformReal(-1, 1);
-    Inputs.set(In.Name, std::move(V));
-  }
-
-  Expected<Valuation> Out = (*R)->run(Inputs);
+  Expected<Valuation> Out =
+      (*R)->run(fillInputs((*R)->signature(), std::move(GivenInputs), Seed));
   if (!Out) {
     std::fprintf(stderr, "evacall: error: %s\n", Out.message().c_str());
     return 1;
