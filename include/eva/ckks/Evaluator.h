@@ -92,17 +92,18 @@ public:
 
   /// Hoisted rotation (Halevi–Shoup) is two halves. This one is shared by a
   /// batch: the key-switch decomposition of \p A's c1 component — the
-  /// per-limb inverse NTTs that dominate each rotation's fixed cost.
+  /// per-limb inverse NTTs a serial rotation runs on its rotated c1.
   /// Charged as one decomposition and one hoist batch. Requires a
   /// relinearized (2-polynomial) \p A.
   KeySwitchDigits decomposeForRotation(const Ciphertext &A) const;
 
   /// The per-member half: rotates \p A left by \p Steps (in [0, N/2))
-  /// against \p Digits, which decomposeForRotation(A) returned. The Galois
-  /// automorphism is applied to exactly the digits the serial path would
-  /// recover (an NTT round trip is exact), so the output is bit-identical
-  /// to rotateLeft(A, Steps, Keys). A zero step returns a copy of \p A.
-  /// Only reads \p Digits: members of one batch may run concurrently.
+  /// against \p Digits, which decomposeForRotation(A) returned. The digits
+  /// are permuted in the coefficient domain, which yields exactly the
+  /// inverse NTTs of the serial path's NTT-domain permuted c1, so the
+  /// output is bit-identical to rotateLeft(A, Steps, Keys). A zero step
+  /// returns a copy of \p A. Only reads \p Digits: members of one batch
+  /// may run concurrently.
   Ciphertext rotateDecomposed(const Ciphertext &A,
                               const KeySwitchDigits &Digits, uint64_t Steps,
                               const GaloisKeys &Keys) const;
@@ -120,8 +121,11 @@ private:
 
   /// The inner-product half of key switching: extends each digit to every
   /// output prime (+ the special prime), accumulates against \p Key, and
-  /// divides the special prime back out.
+  /// divides the special prime back out. \p TargetNtt is the NTT-form
+  /// polynomial \p Digits decompose; its limb I stands in for digit I
+  /// under prime I, which saves one forward NTT per digit.
   std::array<RnsPoly, 2> keySwitchAccumulate(const KeySwitchDigits &Digits,
+                                             const RnsPoly &TargetNtt,
                                              const KSwitchKey &Key) const;
 
   /// Fails unless \p A has exactly two polynomials: key switching a c1

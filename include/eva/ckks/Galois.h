@@ -16,16 +16,12 @@
 #ifndef EVA_CKKS_GALOIS_H
 #define EVA_CKKS_GALOIS_H
 
-#include "eva/ckks/Context.h"
-#include "eva/ckks/Poly.h"
+#include "eva/math/Modulus.h"
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace eva {
-
-class ThreadPool;
 
 /// Galois element realizing a left rotation by \p Steps slots
 /// (0 < Steps < N/2): 5^Steps mod 2N.
@@ -36,21 +32,19 @@ void applyGaloisComp(std::span<const uint64_t> In, std::span<uint64_t> Out,
                      uint64_t GaloisElt, uint64_t PolyDegree,
                      const Modulus &Q);
 
-/// Applies X -> X^g to limb \p PrimeIdx of an NTT-form polynomial: \p In
-/// round-trips through coefficient form (inverse NTT, permute, forward NTT)
-/// into \p Out. Both spans hold polyDegree() words.
-void applyGaloisNttLimb(const CkksContext &Ctx, std::span<const uint64_t> In,
-                        size_t PrimeIdx, uint64_t GaloisElt,
-                        std::span<uint64_t> Out);
+/// Fills \p Perm (PolyDegree entries) with the NTT-domain form of X -> X^g:
+/// NttTables::forward leaves slot i holding the evaluation at
+/// psi^(2*bitrev(i)+1), so the automorphism moves slot
+/// bitrev(((2*bitrev(i)+1)*g mod 2N - 1)/2) to slot i. The table depends on
+/// g and N only, so one serves every prime of a polynomial.
+void galoisNttPermutation(uint64_t GaloisElt, uint64_t PolyDegree,
+                          std::span<uint64_t> Perm);
 
-/// Applies X -> X^g to an NTT-form RNS polynomial over the first
-/// poly.primeCount() primes of \p Ctx, with optional \p UseSpecial for key
-/// material that spans the special prime. Round-trips through coefficient
-/// form. A non-null \p Pool runs the per-limb inverse-NTT / permute /
-/// forward-NTT pipeline in parallel across limbs.
-RnsPoly applyGaloisNttPoly(const CkksContext &Ctx, const RnsPoly &Poly,
-                           uint64_t GaloisElt, bool SpansSpecialPrime,
-                           ThreadPool *Pool = nullptr);
+/// Applies X -> X^g to one NTT-form limb under any prime: Out[i] =
+/// In[Perm[i]], with \p Perm from galoisNttPermutation. Bit-identical to
+/// an inverse NTT, applyGaloisComp and a forward NTT, at no NTT cost.
+void applyGaloisNtt(std::span<const uint64_t> In,
+                    std::span<const uint64_t> Perm, std::span<uint64_t> Out);
 
 } // namespace eva
 

@@ -9,6 +9,7 @@
 #include "eva/support/BitOps.h"
 
 #include <cmath>
+#include <string>
 
 using namespace eva;
 
@@ -122,11 +123,20 @@ void CkksEncoder::coeffsToPlaintext(
 
 void CkksEncoder::encode(std::span<const double> Values, double Scale,
                          size_t PrimeCount, Plaintext &Out) const {
-  assert(PrimeCount >= 1 && PrimeCount <= Ctx->dataPrimeCount() &&
-         "prime count out of range");
-  assert(!Values.empty() && isPowerOfTwo(Values.size()) &&
-         Values.size() <= Slots && "input size must be a power of two");
-  assert(Slots % Values.size() == 0 && "input size must divide slot count");
+  // fatalError, not assert: CkksExecutor::encryptInputs hands caller
+  // vectors straight here, and in Release an empty one would divide by zero
+  // below and a length that does not divide the slots would encode wrongly.
+  if (PrimeCount < 1 || PrimeCount > Ctx->dataPrimeCount())
+    fatalError("encode over " + std::to_string(PrimeCount) +
+               " primes; the context has " +
+               std::to_string(Ctx->dataPrimeCount()) + " data primes");
+  if (Values.empty())
+    fatalError("encode of an empty input");
+  // The slot count is a power of two, so its divisors are too.
+  if (Slots % Values.size() != 0)
+    fatalError("encode of " + std::to_string(Values.size()) +
+               " values: the length must be a power of two that divides "
+               "the slot count " + std::to_string(Slots));
   std::vector<std::complex<double>> Vals(Slots);
   for (size_t I = 0; I < Slots; ++I)
     Vals[I] = std::complex<double>(Values[I % Values.size()], 0.0);

@@ -12,7 +12,6 @@
 #include "eva/support/CostLedger.h"
 #include "eva/support/ThreadPool.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -23,6 +22,24 @@ using namespace eva;
 // few operations every acquisition is a free-list hit, so the hot paths
 // perform no heap allocation in steady state. Safe because a limb body never
 // nests another parallel region on the same thread.
+
+namespace {
+
+/// X -> X^g on both polynomials of the NTT-form ciphertext \p A, every
+/// limb gathered through one permutation table.
+std::array<RnsPoly, 2> automorphNtt(const Ciphertext &A, uint64_t GaloisElt) {
+  uint64_t N = A.Polys[0].Degree;
+  LimbScratch Perm = acquireLimbScratch(N);
+  galoisNttPermutation(GaloisElt, N, Perm.span());
+  std::array<RnsPoly, 2> Out = {RnsPoly(N, A.primeCount()),
+                                RnsPoly(N, A.primeCount())};
+  for (size_t K = 0; K < 2; ++K)
+    for (size_t I = 0; I < A.primeCount(); ++I)
+      applyGaloisNtt(A.Polys[K].Comps[I], Perm.span(), Out[K].Comps[I]);
+  return Out;
+}
+
+} // namespace
 
 void Evaluator::forEachLimb(size_t Count,
                             const std::function<void(size_t)> &Fn) const {
@@ -192,11 +209,13 @@ Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
 
 std::array<RnsPoly, 2>
 Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
+                               const RnsPoly &TargetNtt,
                                const KSwitchKey &Key) const {
   size_t Count = TCoeff.size();
   size_t SpecialIdx = Ctx->specialPrimeIndex();
   uint64_t N = Ctx->polyDegree();
   assert(Count <= Key.Keys.size() && "not enough key components");
+  assert(TargetNtt.primeCount() == Count && "digits and target differ");
 
   // Output prime indices: current data primes plus the special prime.
   // evalint: allow(heap-in-hot-path): two index vectors of size limb-count
@@ -223,14 +242,17 @@ Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
     LimbScratch Lo1 = acquireLimbScratchZeroed(N);
     LimbScratch Hi1 = acquireLimbScratchZeroed(N);
     for (size_t I = 0; I < Count; ++I) {
-      if (PrimeIdx == I)
-        std::copy_n(TCoeff[I].data(), N, Tmp.data()); // already reduced
-      else
+      // Under its own prime a digit's forward NTT is the target limb the
+      // digit came from, so that limb is read in place.
+      const uint64_t *Digit = TargetNtt.Comps[I].data();
+      if (PrimeIdx != I) {
         reducePolyComp(TCoeff[I], Tmp.span(), Qr);
-      Ctx->ntt(PrimeIdx).forward(Tmp.span());
+        Ctx->ntt(PrimeIdx).forward(Tmp.span());
+        Digit = Tmp.data();
+      }
       const std::vector<uint64_t> &K0 = Key.Keys[I][0].Comps[PrimeIdx];
       const std::vector<uint64_t> &K1 = Key.Keys[I][1].Comps[PrimeIdx];
-      simd::fusedMulAcc128(Tmp.data(), K0.data(), K1.data(), Lo0.data(),
+      simd::fusedMulAcc128(Digit, K0.data(), K1.data(), Lo0.data(),
                            Hi0.data(), Lo1.data(), Hi1.data(), N);
       charge(&ExecutionStats::MulMods, 2 * N);
     }
@@ -252,7 +274,7 @@ Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
 
 std::array<RnsPoly, 2> Evaluator::keySwitch(const RnsPoly &Target,
                                             const KSwitchKey &Key) const {
-  return keySwitchAccumulate(keySwitchDecompose(Target), Key);
+  return keySwitchAccumulate(keySwitchDecompose(Target), Target, Key);
 }
 
 void Evaluator::divideRoundDropLast(
@@ -370,23 +392,20 @@ Ciphertext Evaluator::rotateLeft(const Ciphertext &A, uint64_t Steps,
     fatalError("missing Galois key for rotation by " + std::to_string(Steps) +
                " (the compiler's rotation-selection pass must request it)");
 
-  RnsPoly C0 = applyGaloisNttPoly(*Ctx, A.Polys[0], G,
-                                  /*SpansSpecialPrime=*/false, Pool);
-  RnsPoly C1 = applyGaloisNttPoly(*Ctx, A.Polys[1], G,
-                                  /*SpansSpecialPrime=*/false, Pool);
-  std::array<RnsPoly, 2> Ks = keySwitch(C1, Keys.at(G));
+  std::array<RnsPoly, 2> Rotated = automorphNtt(A, G);
+  std::array<RnsPoly, 2> Ks = keySwitch(Rotated[1], Keys.at(G));
   charge(&ExecutionStats::Rotations);
-  return assembleRotation(std::move(C0), std::move(Ks), A.Scale);
+  return assembleRotation(std::move(Rotated[0]), std::move(Ks), A.Scale);
 }
 
 Evaluator::KeySwitchDigits
 Evaluator::decomposeForRotation(const Ciphertext &A) const {
   checkRotatable(A);
-  // The serial path's digits for rotation g are galois_g(invNTT(c1_i)):
-  // applyGaloisNttPoly permutes in coefficient form and keySwitch
-  // immediately inverts the forward NTT it applied, both exactly. So
-  // permuting these shared digits (rotateDecomposed) reproduces the serial
-  // digits bit for bit; only the redundant NTT round trips are skipped.
+  // The serial path's digits for rotation g are invNTT(galois_g(c1)_i),
+  // and the inverse NTT carries the NTT-domain permutation to
+  // applyGaloisComp exactly. So permuting these shared digits in the
+  // coefficient domain (rotateDecomposed) reproduces the serial digits bit
+  // for bit, without one inverse NTT per limb per member.
   KeySwitchDigits Digits = keySwitchDecompose(A.Polys[1]);
   charge(&ExecutionStats::HoistBatches);
   return Digits;
@@ -413,17 +432,18 @@ Ciphertext Evaluator::rotateDecomposed(const Ciphertext &A,
                std::to_string(Steps));
 
   uint64_t N = Ctx->polyDegree();
-  RnsPoly C0 = applyGaloisNttPoly(*Ctx, A.Polys[0], G,
-                                  /*SpansSpecialPrime=*/false, Pool);
+  // The rotated c1 supplies each digit's own-prime limb.
+  std::array<RnsPoly, 2> Rotated = automorphNtt(A, G);
   KeySwitchDigits Permuted(Count);
   forEachLimb(Count, [&](size_t I) {
     Permuted[I].resize(N);
     applyGaloisComp(Digits[I], Permuted[I], G, N, Ctx->prime(I));
   });
-  std::array<RnsPoly, 2> Ks = keySwitchAccumulate(Permuted, Keys.at(G));
+  std::array<RnsPoly, 2> Ks =
+      keySwitchAccumulate(Permuted, Rotated[1], Keys.at(G));
   charge(&ExecutionStats::Rotations);
   charge(&ExecutionStats::HoistedRotations);
-  return assembleRotation(std::move(C0), std::move(Ks), A.Scale);
+  return assembleRotation(std::move(Rotated[0]), std::move(Ks), A.Scale);
 }
 
 std::vector<Ciphertext>

@@ -6,10 +6,7 @@
 
 #include "eva/ckks/Galois.h"
 
-#include "eva/support/Arena.h"
-#include "eva/support/ThreadPool.h"
-
-#include <algorithm>
+#include "eva/support/BitOps.h"
 
 using namespace eva;
 
@@ -41,39 +38,25 @@ void eva::applyGaloisComp(std::span<const uint64_t> In,
   }
 }
 
-void eva::applyGaloisNttLimb(const CkksContext &Ctx,
-                             std::span<const uint64_t> In, size_t PrimeIdx,
-                             uint64_t GaloisElt, std::span<uint64_t> Out) {
-  const NttTables &Tables = Ctx.ntt(PrimeIdx);
-  // Arena scratch: limb bodies run on whichever pool thread claims them,
-  // and a fresh 8N-byte heap allocation per limb is measurable.
-  LimbScratch Tmp = acquireLimbScratch(In.size());
-  std::copy(In.begin(), In.end(), Tmp.data());
-  Tables.inverse(Tmp.span());
-  applyGaloisComp(Tmp.span(), Out, GaloisElt, In.size(), Ctx.prime(PrimeIdx));
-  Tables.forward(Out);
+void eva::galoisNttPermutation(uint64_t GaloisElt, uint64_t PolyDegree,
+                               std::span<uint64_t> Perm) {
+  assert(Perm.size() == PolyDegree && "table must hold N entries");
+  assert((GaloisElt & 1) != 0 && "galois element must be odd");
+  unsigned LogN = log2Exact(PolyDegree);
+  uint64_t Mask = 2 * PolyDegree - 1;
+  for (uint64_t I = 0; I < PolyDegree; ++I) {
+    // Slot I evaluates at psi^E with E = 2*bitrev(I)+1; X -> X^g reads the
+    // evaluation at psi^(E*g), which sits in slot bitrev((E*g mod 2N - 1)/2).
+    uint64_t E = 2 * reverseBits(I, LogN) + 1;
+    Perm[I] = reverseBits(((E * GaloisElt) & Mask) >> 1, LogN);
+  }
 }
 
-RnsPoly eva::applyGaloisNttPoly(const CkksContext &Ctx, const RnsPoly &Poly,
-                                uint64_t GaloisElt, bool SpansSpecialPrime,
-                                ThreadPool *Pool) {
-  size_t Count = Poly.primeCount();
-  if (SpansSpecialPrime) {
-    assert(Count == Ctx.totalPrimeCount() &&
-           "key polynomials must span all primes");
-  } else {
-    assert(Count <= Ctx.dataPrimeCount() && "too many components");
-  }
-  RnsPoly Out(Poly.Degree, Count);
-  // Each limb round-trips through coefficient form independently.
-  auto OneLimb = [&](size_t I) {
-    applyGaloisNttLimb(Ctx, Poly.Comps[I], I, GaloisElt, Out.Comps[I]);
-  };
-  if (Pool) {
-    Pool->parallelFor(Count, OneLimb);
-  } else {
-    for (size_t I = 0; I < Count; ++I)
-      OneLimb(I);
-  }
-  return Out;
+void eva::applyGaloisNtt(std::span<const uint64_t> In,
+                         std::span<const uint64_t> Perm,
+                         std::span<uint64_t> Out) {
+  assert(In.size() == Perm.size() && Out.size() == Perm.size());
+  assert(In.data() != Out.data() && "the gather cannot run in place");
+  for (size_t I = 0; I < Perm.size(); ++I)
+    Out[I] = In[Perm[I]];
 }

@@ -263,10 +263,14 @@ GaloisKeys KeyGenerator::createGaloisKeys(const std::set<uint64_t> &Steps,
     Key.Keys.resize(D.Seeds.size());
     Key.C1Seeds = D.Seeds;
     Pool->submit([this, G, &Key, D = std::move(D)] {
-      // Digit i needs only limb i of the target s(X^G).
-      LimbScratch SG = acquireLimbScratch(Ctx->polyDegree());
+      // Digit i needs only limb i of the target s(X^G), gathered from the
+      // NTT-form secret through one permutation table for every digit.
+      uint64_t N = Ctx->polyDegree();
+      LimbScratch Perm = acquireLimbScratch(N);
+      galoisNttPermutation(G, N, Perm.span());
+      LimbScratch SG = acquireLimbScratch(N);
       for (size_t I = 0; I < D.Seeds.size(); ++I) {
-        applyGaloisNttLimb(*Ctx, Secret.S.Comps[I], I, G, SG.span());
+        applyGaloisNtt(Secret.S.Comps[I], Perm.span(), SG.span());
         buildKSwitchDigit(SG.span(), D, I, Key);
       }
     });

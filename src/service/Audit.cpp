@@ -242,6 +242,12 @@ eva::auditReplay(const AuditRecord &R, const CompiledProgram &CP,
                          "' but the compiled program is '" + Sig.ProgramName +
                          "'");
 
+  // Malformed inputs are diagnosed before the key set is built, which
+  // takes seconds for a network's Galois keys.
+  Valuation Values = Valuation::fromMap(Inputs);
+  if (Status S = validateInputs(Sig, Values); !S.ok())
+    return S;
+
   // The client's stack and sealing in reproducible mode: key generation and
   // sampler order are a pure function of the seed, and the request is
   // encoded as the client encodes it, so the input hash covers the exact
@@ -250,8 +256,7 @@ eva::auditReplay(const AuditRecord &R, const CompiledProgram &CP,
       CkksWorkspace::createClient(CP, KeySeed, /*ReproducibleSeeds=*/true);
   if (!WS)
     return WS.takeStatus();
-  Expected<SealedRequest> Req =
-      sealInputs(**WS, Sig, Valuation::fromMap(Inputs));
+  Expected<SealedRequest> Req = sealInputs(**WS, Sig, Values);
   if (!Req)
     return Req.takeStatus();
   ExecuteMsg Msg = executeMsgOf(*Req, R.SessionId);

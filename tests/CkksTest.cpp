@@ -12,6 +12,7 @@
 #include "eva/ckks/Galois.h"
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/math/Primes.h"
+#include "eva/math/Simd.h"
 #include "eva/service/Audit.h"
 #include "eva/support/CostLedger.h"
 #include "eva/support/Random.h"
@@ -435,6 +436,89 @@ TEST(Galois, ApplyGaloisCompPermutesWithSign) {
   EXPECT_EQ(Out[7], 97u - 6u);
   EXPECT_EQ(Out[2], 7u);
   EXPECT_EQ(Out[5], 8u);
+}
+
+/// Pins the SIMD dispatch level for a scope and restores the prior level.
+class ScopedSimdLevel {
+public:
+  explicit ScopedSimdLevel(SimdLevel L) : Saved(activeSimdLevel()) {
+    setSimdLevelForTesting(L);
+  }
+  ~ScopedSimdLevel() { setSimdLevelForTesting(Saved); }
+
+private:
+  SimdLevel Saved;
+};
+
+TEST(Galois, NttPermutationMatchesRoundTrip) {
+  // The oracle for the NTT-domain automorphism: an inverse NTT, the
+  // coefficient permutation and a forward NTT, built from public pieces.
+  std::vector<SimdLevel> Levels = {SimdLevel::Scalar};
+  if (avx2Available())
+    Levels.push_back(SimdLevel::Avx2);
+  size_t Limbs = 0;
+  for (SimdLevel L : Levels) {
+    ScopedSimdLevel Pin(L);
+    for (uint64_t N : {4096u, 8192u, 16384u}) {
+      auto Ctx = makeContext(N, {60, 40, 40, 60});
+      std::vector<uint64_t> Perm(N), In(N), Want(N), Coeff(N), Got(N);
+      for (uint64_t Step : {uint64_t(1), uint64_t(2), uint64_t(3),
+                            uint64_t(7), uint64_t(100), N / 4, N / 2 - 1}) {
+        uint64_t G = galoisEltFromStep(Step, N);
+        galoisNttPermutation(G, N, Perm);
+        for (size_t P = 0; P < Ctx->totalPrimeCount(); ++P) {
+          const Modulus &Q = Ctx->prime(P);
+          RandomSource Rng(N * 1000 + Step * 10 + P);
+          for (uint64_t &V : In)
+            V = Rng.uniformBelow(Q.value());
+          Coeff = In;
+          Ctx->ntt(P).inverse(Coeff);
+          applyGaloisComp(Coeff, Want, G, N, Q);
+          Ctx->ntt(P).forward(Want);
+          applyGaloisNtt(In, Perm, Got);
+          EXPECT_EQ(Got, Want) << simdLevelName(L) << " N=" << N
+                               << " step=" << Step << " prime " << P;
+          ++Limbs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Limbs, Levels.size() * 3 * 7 * 4);
+}
+
+TEST_F(CkksFixture, RotationNttChargesMatchTheCostModel) {
+  // At L data primes: the automorphisms are gathers (no NTT), a
+  // decomposition is L inverse NTTs, the accumulation transforms each digit
+  // under the L other primes (L^2; under its own prime the target limb is
+  // reused), and the two mod-downs are L + 1 NTTs each.
+  GaloisKeys Gk = Gen->createGaloisKeys({1, 5});
+  RelinKeys Rk = Gen->createRelinKeys();
+  std::vector<double> In = randomVector(2048, -1.0, 1.0, 17);
+  Ciphertext Ct = encryptVec(In, std::ldexp(1.0, 40), 3);
+  for (uint64_t L = 3; L >= 2; --L) {
+    SCOPED_TRACE("L=" + std::to_string(L));
+    ASSERT_EQ(Ct.primeCount(), L);
+    uint64_t KeySwitch = L * L + 2 * (L + 1);
+    ExecutionStats Rot, Member, Relin;
+    {
+      LedgerScope Scope(&Rot);
+      (void)Eval->rotateLeft(Ct, 1, Gk);
+    }
+    EXPECT_EQ(Rot.Ntts, L + KeySwitch);
+    Evaluator::KeySwitchDigits Digits = Eval->decomposeForRotation(Ct);
+    {
+      LedgerScope Scope(&Member);
+      (void)Eval->rotateDecomposed(Ct, Digits, 5, Gk);
+    }
+    EXPECT_EQ(Member.Ntts, KeySwitch);
+    Ciphertext Product = Eval->multiply(Ct, Ct);
+    {
+      LedgerScope Scope(&Relin);
+      (void)Eval->relinearize(Product, Rk);
+    }
+    EXPECT_EQ(Relin.Ntts, L + KeySwitch);
+    Ct = Eval->modSwitch(Ct);
+  }
 }
 
 /// FNV-1a over the little-endian bytes of \p V.

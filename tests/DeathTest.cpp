@@ -98,6 +98,22 @@ TEST(RuntimeGuardDeathTest, RescaleOnExhaustedChainAborts) {
   EXPECT_DEATH(Api.Eval->rescale(A), "exhausted");
 }
 
+// CkksExecutor::encryptInputs hands caller vectors straight to the
+// encoder, whose length checks hold in every build mode.
+TEST(RuntimeGuardDeathTest, EncryptingMalformedInputLengthsAborts) {
+  ProgramBuilder B("lengths", 16);
+  Expr X = B.inputCipher("x", 30);
+  B.output("out", X + X, 30);
+  Expected<CompiledProgram> CP = compile(B.program());
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 3);
+  ASSERT_TRUE(WS.ok()) << WS.message();
+  CkksExecutor Exec(*CP, WS.value());
+  EXPECT_DEATH(Exec.encryptInputs({{"x", {}}}), "empty input");
+  EXPECT_DEATH(Exec.encryptInputs({{"x", {1.0, 2.0, 3.0}}}),
+               "3 values: the length must be a power of two");
+}
+
 // Frontend misuse is diagnosed with a precise message in every build mode
 // (a compiled-out assert would null-deref in Release instead).
 TEST(FrontendMisuseDeathTest, ArithmeticOnInvalidExprIsDiagnosed) {

@@ -217,8 +217,8 @@ TEST(EvacCli, RunReportsTheCostLedgerOnStderr) {
                           "decompositions=3\n"),
             std::string::npos)
       << R.Stdout;
-  EXPECT_NE(R.Stdout.find("evac: kernels: ntts=76 mulmods=11370496 "
-                          "arena_acquires=85 "),
+  EXPECT_NE(R.Stdout.find("evac: kernels: ntts=60 mulmods=9469952 "
+                          "arena_acquires=82 "),
             std::string::npos)
       << R.Stdout;
 }

@@ -42,6 +42,16 @@ TEST(BitOps, ReverseBits) {
   EXPECT_EQ(reverseBits(1, 10), 512u);
   for (uint64_t X = 0; X < 64; ++X)
     EXPECT_EQ(reverseBits(reverseBits(X, 6), 6), X);
+  // Every width against a bit-by-bit reference; bits above the width are
+  // ignored.
+  RandomSource Rng(5);
+  for (unsigned Bits = 0; Bits <= 64; ++Bits) {
+    uint64_t X = Rng.uniform64();
+    uint64_t Want = 0;
+    for (unsigned I = 0; I < Bits; ++I)
+      Want |= ((X >> I) & 1) << (Bits - 1 - I);
+    EXPECT_EQ(reverseBits(X, Bits), Want) << "width " << Bits;
+  }
 }
 
 TEST(BitOps, BitLength) {

@@ -461,6 +461,22 @@ TEST(Audit, ReplayDiagnosesMalformedInputs) {
       << R.message();
 }
 
+TEST(Audit, ReplayValidatesInputsBeforeBuildingKeys) {
+  // createClient refuses seed 0 in reproducible mode, so the input
+  // diagnostic can only win if no key was built first.
+  Expected<CompiledProgram> CP =
+      compile(*buildServedProgram(), CompilerOptions::eva());
+  ASSERT_TRUE(CP.ok());
+  AuditRecord Rec;
+  Rec.RequestId = 1;
+  Rec.Program = "served";
+  std::map<std::string, std::vector<double>> Inputs = servedInputs(55);
+  Inputs["x"].resize(3);
+  Expected<AuditReplayResult> R = auditReplay(Rec, *CP, /*KeySeed=*/0, Inputs);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.message().find("input 'x'"), std::string::npos) << R.message();
+}
+
 TEST(Service, MetricsObserveTheTrafficAClientSends) {
   Service Svc;
   ASSERT_TRUE(Svc.registry().registerSource(*buildServedProgram()).ok());
