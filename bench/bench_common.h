@@ -113,7 +113,7 @@ inline bool prepare(eva::NetworkDefinition Net,
     return true;
   eva::Timer ContextT;
   eva::Expected<std::shared_ptr<eva::CkksWorkspace>> WS =
-      eva::CkksWorkspace::create(Out.Compiled, 1234);
+      eva::CkksWorkspace::createClient(Out.Compiled, 1234);
   Out.ContextSeconds = ContextT.seconds();
   if (!WS) {
     std::fprintf(stderr, "%s: context error: %s\n", Out.Net.name().c_str(),

@@ -114,19 +114,27 @@ struct RunOutcome {
   double Seconds = 0;
 };
 
+/// Encrypts \p Inputs once under \p WS's keys (sealInputs), so A/B runs
+/// see identical ciphertext bits.
+SealedInputs seal(const CompiledProgram &CP, const CkksWorkspace &WS,
+                  const std::map<std::string, std::vector<double>> &Inputs) {
+  return sealInputs(WS, ProgramSignature::of(CP), Valuation::fromMap(Inputs))
+      .value()
+      .Inputs;
+}
+
 /// Runs \p CP once over a shared workspace with hoisting on or off, against
 /// pre-sealed inputs so A/B runs see identical ciphertext bits.
 RunOutcome runOnce(const CompiledProgram &CP,
-                   std::shared_ptr<CkksWorkspace> WS,
+                   const std::shared_ptr<CkksWorkspace> &WS,
                    const SealedInputs &Sealed, bool Hoisting) {
-  CkksExecutor Exec(CP, std::move(WS), {.Hoisting = Hoisting});
+  CkksExecutor Exec(CP, WS, {.Hoisting = Hoisting});
   Timer T;
   std::map<std::string, Ciphertext> Enc = Exec.run(Sealed);
   RunOutcome Out;
   Out.Seconds = T.seconds();
   Out.Stats = Exec.stats();
-  for (const auto &[Name, Ct] : Enc)
-    Out.Outputs.emplace(Name, Exec.decryptOutput(Ct));
+  Out.Outputs = decryptOutputs(*WS, ProgramSignature::of(CP), Enc);
   return Out;
 }
 
@@ -172,9 +180,9 @@ void evabench::rotationSuite(JsonReport &Report) {
       Steps.push_back(S); // 16 distinct odd steps: no power-of-two sharing
     std::unique_ptr<Program> P = buildRotationFan(M, Steps);
     CompiledProgram CP = std::move(compile(*P).value());
-    std::shared_ptr<CkksWorkspace> WS = CkksWorkspace::create(CP, 1234).value();
-    CkksExecutor Sealer(CP, WS);
-    SealedInputs Sealed = Sealer.encryptInputs(randomInputs(*P, 7));
+    std::shared_ptr<CkksWorkspace> WS =
+        CkksWorkspace::createClient(CP, 1234).value();
+    SealedInputs Sealed = seal(CP, *WS, randomInputs(*P, 7));
 
     RunOutcome Serial = runOnce(CP, WS, Sealed, /*Hoisting=*/false);
     RunOutcome Hoisted = runOnce(CP, WS, Sealed, /*Hoisting=*/true);
@@ -222,9 +230,8 @@ void evabench::rotationSuite(JsonReport &Report) {
     for (int K = 0; K < 2; ++K) {
       CompiledProgram CP = std::move(compile(*Progs[K]).value());
       std::shared_ptr<CkksWorkspace> WS =
-          CkksWorkspace::create(CP, 1234).value();
-      CkksExecutor Sealer(CP, WS);
-      SealedInputs Sealed = Sealer.encryptInputs(Inputs);
+          CkksWorkspace::createClient(CP, 1234).value();
+      SealedInputs Sealed = seal(CP, *WS, Inputs);
       Runs[K] = runOnce(CP, WS, Sealed, /*Hoisting=*/true);
       if (K == 1) {
         RunOutcome NoHoist = runOnce(CP, WS, Sealed, /*Hoisting=*/false);
@@ -272,7 +279,8 @@ void evabench::rotationSuite(JsonReport &Report) {
       std::shared_ptr<CkksWorkspace> WS;
       BenchResult R = measure(
           K == 0 ? "galois_keys_full" : "galois_keys_budget5",
-          [&] { WS = CkksWorkspace::create(CP, 1234).value(); }, 1, 0.0);
+          [&] { WS = CkksWorkspace::createClient(CP, 1234).value(); }, 1,
+          0.0);
       // serializeGaloisKeys(Gk) is byte-for-byte the GaloisKeyBytes payload
       // ServiceClient uploads at session open.
       R.Bytes = static_cast<double>(serializeGaloisKeys(WS->Gk).size());
@@ -280,8 +288,9 @@ void evabench::rotationSuite(JsonReport &Report) {
       StepCounts[K] = CP.RotationSteps.size();
       Report.add(std::move(R));
 
-      CkksExecutor Exec(CP, WS);
-      double Err = maxAbsError(Exec.runPlain(Inputs), Want, M);
+      std::unique_ptr<Runner> Run = std::move(Runner::local(CP, WS).value());
+      double Err = maxAbsError(
+          Run->run(Valuation::fromMap(Inputs)).value().toMap(), Want, M);
       Report.check(Err < 5e-3, std::string("budget=") +
                                    std::to_string(Budgets[K]) +
                                    " outputs reference-close (err " +

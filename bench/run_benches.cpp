@@ -83,7 +83,7 @@ void microSuite(JsonReport &Report) {
           .value();
   CkksEncoder Enc(Ctx);
   KeyGenerator Gen(Ctx, 42);
-  Encryptor Encryptor_(Ctx, Gen.createPublicKey(), 43);
+  Encryptor Encryptor_(Ctx, 43);
   Decryptor Dec(Ctx, Gen.secretKey());
   Evaluator Eval(Ctx);
   RelinKeys Rk = Gen.createRelinKeys();
@@ -96,15 +96,19 @@ void microSuite(JsonReport &Report) {
   const double Scale = std::ldexp(1.0, 40);
   Plaintext P, Tmp;
   Enc.encode(V, Scale, 4, P);
-  Ciphertext A = Encryptor_.encrypt(P);
-  Ciphertext B = Encryptor_.encrypt(P);
+  uint64_t C1Seed = 0;
+  auto Encrypt = [&] {
+    return Encryptor_.encryptSymmetric(P, Gen.secretKey(), C1Seed);
+  };
+  Ciphertext A = Encrypt();
+  Ciphertext B = Encrypt();
   Ciphertext Product = Eval.multiplyPlain(A, P);
 
   const std::pair<const char *, std::function<void()>> Ops[] = {
       {"ntt_forward_n8192", [&] { T.forward(X); }},
       {"encode_n8192", [&] { Enc.encode(V, Scale, 4, Tmp); }},
       {"decode_n8192", [&] { (void)Enc.decode(P); }},
-      {"encrypt_n8192", [&] { (void)Encryptor_.encrypt(P); }},
+      {"encrypt_n8192", [&] { (void)Encrypt(); }},
       {"decrypt_n8192", [&] { (void)Dec.decrypt(A); }},
       {"add_n8192", [&] { (void)Eval.add(A, B); }},
       {"multiply_plain_n8192", [&] { (void)Eval.multiplyPlain(A, P); }},

@@ -82,6 +82,14 @@ Expected<SealedRequest> sealInputs(const CkksWorkspace &WS,
                                    const ProgramSignature &Sig,
                                    const Valuation &Inputs);
 
+/// The counterpart of sealInputs: decrypts and decodes every output under
+/// \p WS's secret key, keeping the first Sig.VecSize slots of each. Every
+/// client path decrypts through here. An evaluation-only workspace holds no
+/// secret key; calling this with one is a fatal error.
+std::map<std::string, std::vector<double>>
+decryptOutputs(const CkksWorkspace &WS, const ProgramSignature &Sig,
+               const std::map<std::string, Ciphertext> &Outputs);
+
 /// One execution backend for one program. run() validates the inputs
 /// against signature() (precise diagnostics, no aborts), executes, and
 /// returns one entry per program output.

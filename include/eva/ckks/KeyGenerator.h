@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Generates the secret key (ternary), public key, relinearization key
-/// (for s^2) and Galois keys for a requested set of rotation steps — the
-/// "encryption context" whose generation time Table 7 of the paper reports.
+/// Generates the secret key (ternary), relinearization key (for s^2) and
+/// Galois keys for a requested set of rotation steps — the "encryption
+/// context" whose generation time Table 7 of the paper reports. No public
+/// key is generated: the client that holds the secret key encrypts under it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,6 @@
 #include "eva/ckks/Keys.h"
 #include "eva/support/Random.h"
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -54,7 +54,6 @@ public:
                         bool ReproducibleExpansionSeeds = false);
 
   const SecretKey &secretKey() const { return Secret; }
-  PublicKey createPublicKey();
   /// Key-switching keys are generated in two phases. The draw phase runs
   /// serially on the caller and consumes the random streams in a fixed
   /// order; the build phase (Galois map, c1 expansion, error NTT, c0) is a
@@ -70,13 +69,9 @@ public:
   GaloisKeys createGaloisKeys(const std::set<uint64_t> &Steps,
                               ThreadPool *Pool = nullptr);
 
-  /// Samples a fresh ternary polynomial in NTT form over \p PrimeCount
-  /// context primes (exposed for the encryptor's ephemeral u).
-  RnsPoly sampleTernaryNtt(size_t PrimeCount);
-  /// Samples an error polynomial in NTT form over \p PrimeCount primes.
+  /// Samples an error polynomial in NTT form over \p PrimeCount primes
+  /// (exposed for the encryptor's fresh-ciphertext error).
   RnsPoly sampleErrorNtt(size_t PrimeCount);
-  /// Samples a uniform polynomial over \p PrimeCount primes (NTT form).
-  RnsPoly sampleUniform(size_t PrimeCount);
 
   RandomSource &rng() { return Rng; }
 
@@ -85,11 +80,9 @@ public:
   uint64_t deriveSeed();
 
 private:
-  /// (c0, c1) with c0 + c1*s = e over the first \p PrimeCount primes. When
-  /// \p C1SeedOut is non-null, c1 is expanded from a derived seed (written
-  /// through the pointer) so serialization can ship the seed instead.
-  std::array<RnsPoly, 2> encryptZeroSymmetric(size_t PrimeCount,
-                                              uint64_t *C1SeedOut = nullptr);
+  /// Samples a ternary polynomial in NTT form over \p PrimeCount context
+  /// primes (the secret key).
+  RnsPoly sampleTernaryNtt(size_t PrimeCount);
   /// Everything one key-switching key takes from the random streams.
   struct KSwitchDraws {
     std::vector<uint64_t> Seeds; ///< c1 expansion seed per digit

@@ -62,22 +62,16 @@ namespace eva {
 /// encoder/encryptor/decryptor stack for one compiled program. Executors
 /// bring their own evaluator.
 ///
-/// Three flavours exist. create() is the fused client+server workspace used
-/// when one process owns everything (tests, benches, the examples).
-/// createClient() is the client half: keys and a symmetric encryptor, no
-/// public key. createServer() builds the evaluation-only workspace an
-/// encrypted-compute service holds per client session: the context, the
-/// encoder (for plain operands), and the *client-supplied* evaluation keys
-/// — KeyGen, Enc, and Dec stay null, so no secret key ever exists
-/// server-side and encryptInputs/decryptOutput fail fast if called.
+/// Two flavours exist. createClient() builds the client: the secret key,
+/// the evaluation keys, a secret-key encryptor and a decryptor. Everything
+/// that encrypts or decrypts builds this one. createServer() builds the
+/// evaluation-only workspace an encrypted-compute service holds per client
+/// session: the context, the encoder (for plain operands), and the
+/// *client-supplied* evaluation keys — KeyGen, Enc, and Dec stay null, so
+/// no secret key ever exists server-side, and the client's sealing and
+/// decryption routines (eva/api/Runner.h) refuse it.
 class CkksWorkspace {
 public:
-  /// Generates primes from the compiled bit sizes, validates them at the
-  /// compiled security level, and creates all keys (public,
-  /// relinearization, and one Galois key per rotation step).
-  static Expected<std::shared_ptr<CkksWorkspace>>
-  create(const CompiledProgram &CP, uint64_t Seed = 0);
-
   /// Evaluation-only workspace over an existing context (shared across the
   /// sessions of one registered program) and the evaluation keys a client
   /// uploaded. Validates that \p Gk covers every rotation step the compiled
@@ -88,8 +82,8 @@ public:
                GaloisKeys Gk);
 
   /// The client crypto stack over \p Ctx, the one every client path builds
-  /// (local runners, ServiceClient sessions, audit replay): no public key,
-  /// KeyGenerator(Seed), a symmetric-only Encryptor(Seed + 1), a Decryptor,
+  /// (local runners, ServiceClient sessions, audit replay, tests, benches):
+  /// KeyGenerator(Seed), a secret-key Encryptor(Seed + 1), a Decryptor,
   /// relinearization keys only if \p NeedsRelin, and Galois keys for
   /// \p RotationSteps, drawn in that order. \p ReproducibleSeeds also
   /// derives the published expansion seeds from \p Seed (see KeyGenerator),
@@ -109,7 +103,6 @@ public:
   std::shared_ptr<const CkksContext> Context;
   std::unique_ptr<CkksEncoder> Encoder;
   std::unique_ptr<KeyGenerator> KeyGen;
-  PublicKey Pk;
   RelinKeys Rk;
   GaloisKeys Gk;
   std::unique_ptr<Encryptor> Enc;
@@ -148,21 +141,11 @@ public:
   CkksExecutor(const CompiledProgram &CP, std::shared_ptr<CkksWorkspace> WS,
                const ExecutorOptions &Opts = {});
 
-  /// Encrypts the Cipher inputs (at each input node's scale, over the full
-  /// data chain) and collects plain inputs.
-  SealedInputs
-  encryptInputs(const std::map<std::string, std::vector<double>> &Inputs);
-
-  /// Runs the program; returns encrypted outputs by name. Everything the
-  /// run computes, on this thread or on pool workers, is charged to stats().
+  /// Runs the program on inputs sealed by sealInputs (eva/api/Runner.h);
+  /// returns encrypted outputs by name. Everything the run computes, on
+  /// this thread or on pool workers, is charged to stats(). The executor
+  /// never encrypts or decrypts, so it runs on an evaluation-only workspace.
   std::map<std::string, Ciphertext> run(const SealedInputs &Inputs);
-
-  /// Decrypts and decodes an output to vec_size values.
-  std::vector<double> decryptOutput(const Ciphertext &Ct) const;
-
-  /// Convenience: encrypt, run, decrypt in one call.
-  std::map<std::string, std::vector<double>>
-  runPlain(const std::map<std::string, std::vector<double>> &Inputs);
 
   /// The cost ledger of the most recent run.
   const ExecutionStats &stats() const { return Stats; }

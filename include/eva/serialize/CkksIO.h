@@ -7,30 +7,28 @@
 /// \file
 /// Proto3 wire-format (de)serialization for the CKKS runtime objects that
 /// cross the client/server boundary of an encrypted-compute deployment
-/// (paper Section 2): ciphertexts, plaintexts, and the key set. Extends the
+/// (paper Section 2): ciphertexts (request inputs and results) and the
+/// evaluation keys a client uploads. Nothing else crosses it: there is no
+/// public key, and the secret key never leaves the client. Extends the
 /// hand-rolled wire layer of serialize/Wire.h with the following schema:
 ///
 /// \code
 ///   message RnsPoly    { uint64 degree = 1; uint64 prime_count = 2;
 ///                        repeated bytes comps = 3; } // raw LE u64 * degree
-///   message Plaintext  { RnsPoly poly = 1; double scale = 2; }
 ///   message Ciphertext { repeated RnsPoly polys = 1; double scale = 2;
 ///                        uint64 c1_seed = 3; } // seed-compressed form
-///   message PublicKey  { RnsPoly p0 = 1; RnsPoly p1 = 2;
-///                        uint64 p1_seed = 3; }
 ///   message KSwitchPair{ RnsPoly k0 = 1; RnsPoly k1 = 2;
 ///                        uint64 c1_seed = 3; }
 ///   message KSwitchKey { repeated KSwitchPair pairs = 1; }
 ///   message RelinKeys  { KSwitchKey key = 1; }
 ///   message GaloisEntry{ uint64 galois_elt = 1; KSwitchKey key = 2; }
 ///   message GaloisKeys { repeated GaloisEntry entries = 1; }
-///   message SecretKey  { RnsPoly s = 1; }
 /// \endcode
 ///
-/// Seed compression: a nonzero `c1_seed` / `p1_seed` replaces the uniform
-/// polynomial of a freshly sampled key or symmetric ciphertext — the loader
-/// re-expands it with expandUniformNtt, roughly halving key upload size.
-/// When a seed is present the corresponding polynomial field is omitted.
+/// Seed compression: a nonzero `c1_seed` replaces the uniform polynomial of
+/// a freshly sampled key or ciphertext — the loader re-expands it with
+/// expandUniformNtt, roughly halving key upload size. When a seed is
+/// present the corresponding polynomial field is omitted.
 ///
 /// Loaders are defensive like the program reader in ProtoIO.h: every
 /// polynomial is validated against the supplied context (degree, component
@@ -46,7 +44,6 @@
 #include "eva/ckks/Ciphertext.h"
 #include "eva/ckks/Context.h"
 #include "eva/ckks/Keys.h"
-#include "eva/ckks/Plaintext.h"
 #include "eva/support/Error.h"
 
 #include <string>
@@ -54,15 +51,8 @@
 
 namespace eva {
 
+/// The RnsPoly message every other message embeds.
 std::string serializeRnsPoly(const RnsPoly &P);
-/// \p MaxPrimes bounds the accepted component count (data-chain objects pass
-/// dataPrimeCount(), key material totalPrimeCount()).
-Expected<RnsPoly> deserializeRnsPoly(const CkksContext &Ctx,
-                                     std::string_view Data, size_t MaxPrimes);
-
-std::string serializePlaintext(const Plaintext &Pt);
-Expected<Plaintext> deserializePlaintext(const CkksContext &Ctx,
-                                         std::string_view Data);
 
 /// \p C1Seed, when nonzero, must be the expansion seed of Ct.Polys[1] (a
 /// fresh symmetric ciphertext): the second polynomial is then replaced by
@@ -71,13 +61,9 @@ std::string serializeCiphertext(const Ciphertext &Ct, uint64_t C1Seed = 0);
 Expected<Ciphertext> deserializeCiphertext(const CkksContext &Ctx,
                                            std::string_view Data);
 
-/// Public and evaluation keys apply seed compression automatically whenever
-/// the in-memory key carries its expansion seeds (keys made by
-/// KeyGenerator always do; keys loaded from the wire keep theirs).
-std::string serializePublicKey(const PublicKey &Pk);
-Expected<PublicKey> deserializePublicKey(const CkksContext &Ctx,
-                                         std::string_view Data);
-
+/// Evaluation keys apply seed compression automatically whenever the
+/// in-memory key carries its expansion seeds (keys made by KeyGenerator
+/// always do; keys loaded from the wire keep theirs).
 std::string serializeRelinKeys(const RelinKeys &Rk);
 Expected<RelinKeys> deserializeRelinKeys(const CkksContext &Ctx,
                                          std::string_view Data);
@@ -85,12 +71,6 @@ Expected<RelinKeys> deserializeRelinKeys(const CkksContext &Ctx,
 std::string serializeGaloisKeys(const GaloisKeys &Gk);
 Expected<GaloisKeys> deserializeGaloisKeys(const CkksContext &Ctx,
                                            std::string_view Data);
-
-/// Secret keys serialize for client-side persistence only; no service wire
-/// message embeds one (the transport has no frame that carries it).
-std::string serializeSecretKey(const SecretKey &Sk);
-Expected<SecretKey> deserializeSecretKey(const CkksContext &Ctx,
-                                         std::string_view Data);
 
 } // namespace eva
 

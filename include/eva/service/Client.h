@@ -115,7 +115,8 @@ public:
   /// Submits a sealed request; returns the encrypted outputs.
   Expected<std::map<std::string, Ciphertext>> submit(const SealedRequest &Req);
 
-  /// Decrypts and decodes outputs to vec_size values each.
+  /// Decrypts and decodes outputs to vec_size values each (decryptOutputs
+  /// over the session's keys).
   std::map<std::string, std::vector<double>>
   decryptOutputs(const std::map<std::string, Ciphertext> &Outputs) const;
 

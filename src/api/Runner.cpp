@@ -95,10 +95,11 @@ public:
 
     Timer DecryptT;
     Valuation Out;
-    for (auto &[Name, Ct] : Encrypted) {
-      if (WS->Dec)
-        Out.set(Name, Exec.decryptOutput(Ct));
-      else // evaluation-only workspace: hand the ciphertexts back
+    if (WS->Dec) {
+      for (auto &[Name, Values] : decryptOutputs(*WS, Sig, Encrypted))
+        Out.set(Name, std::move(Values));
+    } else { // evaluation-only workspace: hand the ciphertexts back
+      for (auto &[Name, Ct] : Encrypted)
         Out.set(Name, std::move(Ct));
     }
     LastTiming.DecryptSeconds = DecryptT.seconds();
@@ -198,7 +199,7 @@ private:
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Sealing
+// Sealing and decryption
 //===----------------------------------------------------------------------===//
 
 Expected<SealedRequest> eva::sealInputs(const CkksWorkspace &WS,
@@ -233,6 +234,21 @@ Expected<SealedRequest> eva::sealInputs(const CkksWorkspace &WS,
     Req.C1Seeds.emplace(Spec.Name, C1Seed);
   }
   return Req;
+}
+
+std::map<std::string, std::vector<double>>
+eva::decryptOutputs(const CkksWorkspace &WS, const ProgramSignature &Sig,
+                    const std::map<std::string, Ciphertext> &Outputs) {
+  if (!WS.Dec)
+    fatalError("program '" + Sig.ProgramName +
+               "': this evaluation-only workspace cannot decrypt");
+  std::map<std::string, std::vector<double>> Out;
+  for (const auto &[Name, Ct] : Outputs) {
+    std::vector<double> Slots = WS.Encoder->decode(WS.Dec->decrypt(Ct));
+    Slots.resize(Sig.VecSize);
+    Out.emplace(Name, std::move(Slots));
+  }
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -123,9 +123,9 @@ void CkksEncoder::coeffsToPlaintext(
 
 void CkksEncoder::encode(std::span<const double> Values, double Scale,
                          size_t PrimeCount, Plaintext &Out) const {
-  // fatalError, not assert: CkksExecutor::encryptInputs hands caller
-  // vectors straight here, and in Release an empty one would divide by zero
-  // below and a length that does not divide the slots would encode wrongly.
+  // fatalError, not assert: the raw API hands caller vectors straight
+  // here, and in Release an empty one would divide by zero below and a
+  // length that does not divide the slots would encode wrongly.
   if (PrimeCount < 1 || PrimeCount > Ctx->dataPrimeCount())
     fatalError("encode over " + std::to_string(PrimeCount) +
                " primes; the context has " +

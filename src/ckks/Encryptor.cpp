@@ -1,4 +1,4 @@
-//===- Encryptor.cpp - Public-key encryption -------------------------------===//
+//===- Encryptor.cpp - Secret-key encryption -------------------------------===//
 //
 // Part of the EVA-CKKS project (PLDI 2020 "EVA" reproduction).
 //
@@ -7,11 +7,6 @@
 #include "eva/ckks/Encryptor.h"
 
 using namespace eva;
-
-Encryptor::Encryptor(std::shared_ptr<const CkksContext> CtxIn, PublicKey PkIn,
-                     uint64_t Seed, bool ReproducibleSeeds)
-    : Ctx(CtxIn), Pk(std::move(PkIn)),
-      Sampler(CtxIn, Seed == 0 ? 0xE4C947ull : Seed, ReproducibleSeeds) {}
 
 Encryptor::Encryptor(std::shared_ptr<const CkksContext> CtxIn, uint64_t Seed,
                      bool ReproducibleSeeds)
@@ -42,33 +37,5 @@ Ciphertext Encryptor::encryptSymmetric(const Plaintext &Pt,
                 Q);
   }
   Ct.Polys[1] = std::move(C1);
-  return Ct;
-}
-
-Ciphertext Encryptor::encrypt(const Plaintext &Pt) {
-  if (Pk.P0.empty())
-    fatalError("public-key encrypt on a symmetric-only encryptor");
-  size_t Count = Pt.primeCount();
-  assert(Count >= 1 && Count <= Ctx->dataPrimeCount() &&
-         "plaintext level out of range");
-  uint64_t N = Ctx->polyDegree();
-
-  RnsPoly U = Sampler.sampleTernaryNtt(Count);
-  RnsPoly E0 = Sampler.sampleErrorNtt(Count);
-  RnsPoly E1 = Sampler.sampleErrorNtt(Count);
-
-  Ciphertext Ct;
-  Ct.Scale = Pt.Scale;
-  Ct.Polys.assign(2, RnsPoly(N, Count));
-  for (size_t C = 0; C < Count; ++C) {
-    const Modulus &Q = Ctx->prime(C);
-    // c0 = pk0 * u + e0 + m ; c1 = pk1 * u + e1.
-    mulPolyComp(Pk.P0.Comps[C], U.Comps[C], Ct.Polys[0].Comps[C], Q);
-    addPolyComp(Ct.Polys[0].Comps[C], E0.Comps[C], Ct.Polys[0].Comps[C], Q);
-    addPolyComp(Ct.Polys[0].Comps[C], Pt.Poly.Comps[C], Ct.Polys[0].Comps[C],
-                Q);
-    mulPolyComp(Pk.P1.Comps[C], U.Comps[C], Ct.Polys[1].Comps[C], Q);
-    addPolyComp(Ct.Polys[1].Comps[C], E1.Comps[C], Ct.Polys[1].Comps[C], Q);
-  }
   return Ct;
 }

@@ -104,17 +104,6 @@ RnsPoly KeyGenerator::sampleErrorNtt(size_t PrimeCount) {
   return P;
 }
 
-RnsPoly KeyGenerator::sampleUniform(size_t PrimeCount) {
-  uint64_t N = Ctx->polyDegree();
-  RnsPoly P(N, PrimeCount);
-  for (size_t C = 0; C < PrimeCount; ++C) {
-    uint64_t Q = Ctx->prime(C).value();
-    for (uint64_t I = 0; I < N; ++I)
-      P.Comps[C][I] = Rng.uniformBelow(Q);
-  }
-  return P;
-}
-
 uint64_t KeyGenerator::deriveSeed() {
   // Reproducible mode (opt-in, golden tests): a dedicated engine whose
   // stream is independent of the secret sampler's.
@@ -134,38 +123,6 @@ uint64_t KeyGenerator::deriveSeed() {
   return S == 0 ? 0x9E3779B97F4A7C15ull : S;
 }
 
-std::array<RnsPoly, 2> KeyGenerator::encryptZeroSymmetric(size_t PrimeCount,
-                                                          uint64_t *C1SeedOut) {
-  uint64_t N = Ctx->polyDegree();
-  RnsPoly C1;
-  if (C1SeedOut) {
-    *C1SeedOut = deriveSeed();
-    C1 = expandUniformNtt(*Ctx, PrimeCount, *C1SeedOut);
-  } else {
-    C1 = sampleUniform(PrimeCount);
-  }
-  RnsPoly E = sampleErrorNtt(PrimeCount);
-  RnsPoly C0(N, PrimeCount);
-  // c0 = e - c1 * s, so that c0 + c1 * s = e.
-  for (size_t C = 0; C < PrimeCount; ++C) {
-    const Modulus &Q = Ctx->prime(C);
-    mulPolyComp(C1.Comps[C], Secret.S.Comps[C], C0.Comps[C], Q);
-    subPolyComp(E.Comps[C], C0.Comps[C], C0.Comps[C], Q);
-  }
-  return {std::move(C0), std::move(C1)};
-}
-
-PublicKey KeyGenerator::createPublicKey() {
-  uint64_t Seed = 0;
-  std::array<RnsPoly, 2> Z =
-      encryptZeroSymmetric(Ctx->totalPrimeCount(), &Seed);
-  PublicKey Pk;
-  Pk.P0 = std::move(Z[0]);
-  Pk.P1 = std::move(Z[1]);
-  Pk.P1Seed = Seed;
-  return Pk;
-}
-
 // gaussian() clamps to +-round(6 sigma), so an int8_t holds every draw.
 static_assert(6.0 * ErrorStandardDeviation < 127.0,
               "key-switch error draws must fit in int8_t");
@@ -176,8 +133,8 @@ KeyGenerator::KSwitchDraws KeyGenerator::drawKSwitchKey() {
   KSwitchDraws D;
   D.Seeds.resize(DecompCount);
   D.Errors.resize(DecompCount * N);
-  // Per digit: the c1 seed, then N error coefficients — the order
-  // encryptZeroSymmetric consumes them in.
+  // Per digit: the c1 seed, then N error coefficients. Every key bit
+  // depends on this order (KeyGen.ParallelKeysBitIdenticalAtEveryPoolSize).
   for (size_t I = 0; I < DecompCount; ++I) {
     D.Seeds[I] = deriveSeed();
     for (uint64_t J = 0; J < N; ++J)

@@ -241,7 +241,11 @@ NoiseEstimate computeNoise(const Program &P, uint64_t PolyDegree,
                            std::vector<double> *Facts) {
   const double LogN = std::log2(static_cast<double>(PolyDegree));
   const double Sigma = std::log2(3.2);
-  // Fresh public-key encryption: e0 + u*e_pk + e1*s ~ sigma * O(sqrt(2N)).
+  // Fresh encryption. Every client encrypts under the secret key, so a
+  // fresh ciphertext carries one error draw e (c0 + c1*s = m + e), about
+  // sigma * sqrt(N) in the slots. The term is sigma * 2 * sqrt(2N), 1.5 bits
+  // above that; it is the public-key model's (e0 + u*e_pk + e1*s), kept so
+  // that estimates, lint warnings and precision facts do not move.
   const double FreshNoise = Sigma + 0.5 * (LogN + 1) + 1.0;
   // Key switching adds ~ sigma * N / sqrt(12)-ish after mod-down by P.
   const double KeySwitchNoise = Sigma + 0.5 * LogN + 4.0;

@@ -67,30 +67,6 @@ const std::vector<double> &plainValueOf(const Node *N,
 } // namespace
 
 Expected<std::shared_ptr<CkksWorkspace>>
-CkksWorkspace::create(const CompiledProgram &CP, uint64_t Seed) {
-  using Result = Expected<std::shared_ptr<CkksWorkspace>>;
-  Expected<std::shared_ptr<CkksContext>> Ctx =
-      CkksContext::createFromBitSizes(CP.PolyDegree, CP.contextBitSizes(),
-                                      CP.Options.Security);
-  if (!Ctx)
-    return Ctx.takeStatus();
-  if (Ctx.value()->slotCount() < CP.Prog->vecSize())
-    return Result::error("vector size exceeds slot count");
-
-  std::shared_ptr<CkksWorkspace> WS = std::make_shared<CkksWorkspace>();
-  WS->Context = Ctx.value();
-  WS->Encoder = std::make_unique<CkksEncoder>(WS->Context);
-  WS->KeyGen = std::make_unique<KeyGenerator>(WS->Context, Seed);
-  WS->Pk = WS->KeyGen->createPublicKey();
-  WS->Rk = WS->KeyGen->createRelinKeys();
-  WS->Gk = WS->KeyGen->createGaloisKeys(
-      std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()));
-  WS->Enc = std::make_unique<Encryptor>(WS->Context, WS->Pk, Seed + 1);
-  WS->Dec = std::make_unique<Decryptor>(WS->Context, WS->KeyGen->secretKey());
-  return WS;
-}
-
-Expected<std::shared_ptr<CkksWorkspace>>
 CkksWorkspace::createServer(const CompiledProgram &CP,
                             std::shared_ptr<const CkksContext> Ctx,
                             RelinKeys RkIn, GaloisKeys GkIn) {
@@ -208,35 +184,6 @@ CkksExecutor::CkksExecutor(const CompiledProgram &CP,
                ? 1
                : std::max<size_t>(1, Opts.Threads)),
       Eval(this->WS->Context, &Pool) {}
-
-SealedInputs CkksExecutor::encryptInputs(
-    const std::map<std::string, std::vector<double>> &Inputs) {
-  if (!WS->Enc)
-    fatalError("encryptInputs on an evaluation-only (server) workspace");
-  SealedInputs Out;
-  for (const Node *N : P.inputs()) {
-    auto It = Inputs.find(N->name());
-    if (It == Inputs.end())
-      fatalError("missing input @" + N->name());
-    if (!N->isCipher()) {
-      Out.Plain.emplace(N->name(), It->second);
-      continue;
-    }
-    Plaintext Pt;
-    WS->Encoder->encode(It->second, std::exp2(N->logScale()),
-                        WS->Context->dataPrimeCount(), Pt);
-    Out.Cipher.emplace(N->name(), WS->Enc->encrypt(Pt));
-  }
-  return Out;
-}
-
-std::vector<double> CkksExecutor::decryptOutput(const Ciphertext &Ct) const {
-  if (!WS->Dec)
-    fatalError("decryptOutput on an evaluation-only (server) workspace");
-  std::vector<double> Slots = WS->Encoder->decode(WS->Dec->decrypt(Ct));
-  Slots.resize(P.vecSize());
-  return Slots;
-}
 
 Plaintext CkksExecutor::encodeOperand(const Node *PlainNode,
                                       const std::vector<double> &V,
@@ -418,16 +365,6 @@ CkksExecutor::run(const SealedInputs &Inputs) {
   Stats.PeakLiveBytes = S.PeakBytes.load();
   Stats.PeakLiveNodes = S.PeakNodes.load();
   return std::move(S.Outputs);
-}
-
-std::map<std::string, std::vector<double>> CkksExecutor::runPlain(
-    const std::map<std::string, std::vector<double>> &Inputs) {
-  SealedInputs Sealed = encryptInputs(Inputs);
-  std::map<std::string, Ciphertext> Encrypted = run(Sealed);
-  std::map<std::string, std::vector<double>> Out;
-  for (const auto &[Name, Ct] : Encrypted)
-    Out.emplace(Name, decryptOutput(Ct));
-  return Out;
 }
 
 void CkksExecutor::runDag(RunState &S) {

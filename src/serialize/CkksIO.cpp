@@ -193,53 +193,6 @@ std::string eva::serializeRnsPoly(const RnsPoly &P) {
   return PW.take();
 }
 
-Expected<RnsPoly> eva::deserializeRnsPoly(const CkksContext &Ctx,
-                                          std::string_view Data,
-                                          size_t MaxPrimes) {
-  return parsePoly(Ctx, Data, MaxPrimes);
-}
-
-std::string eva::serializePlaintext(const Plaintext &Pt) {
-  WireWriter W;
-  writePoly(W, 1, Pt.Poly);
-  W.doubleField(2, Pt.Scale);
-  return W.take();
-}
-
-Expected<Plaintext> eva::deserializePlaintext(const CkksContext &Ctx,
-                                              std::string_view Data) {
-  using Result = Expected<Plaintext>;
-  Plaintext Pt;
-  bool HavePoly = false;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view PolyBytes;
-      if (!R.readBytes(PolyBytes))
-        return Result::error("malformed plaintext poly");
-      Expected<RnsPoly> P = parsePoly(Ctx, PolyBytes, Ctx.dataPrimeCount());
-      if (!P)
-        return P.takeStatus();
-      Pt.Poly = std::move(*P);
-      HavePoly = true;
-    } else if (Field == 2 && Type == WireType::Fixed64) {
-      if (!R.readDouble(Pt.Scale))
-        return Result::error("malformed plaintext scale");
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed plaintext field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated plaintext");
-  if (!HavePoly)
-    return Result::error("plaintext missing polynomial");
-  if (!(Pt.Scale > 0) || !std::isfinite(Pt.Scale))
-    return Result::error("plaintext scale must be finite and positive");
-  return Pt;
-}
-
 std::string eva::serializeCiphertext(const Ciphertext &Ct, uint64_t C1Seed) {
   assert((C1Seed == 0 || Ct.size() == 2) &&
          "seed compression applies to fresh 2-polynomial ciphertexts only");
@@ -301,57 +254,6 @@ Expected<Ciphertext> eva::deserializeCiphertext(const CkksContext &Ctx,
   if (!(Ct.Scale > 0) || !std::isfinite(Ct.Scale))
     return Result::error("ciphertext scale must be finite and positive");
   return Ct;
-}
-
-std::string eva::serializePublicKey(const PublicKey &Pk) {
-  WireWriter W;
-  writePoly(W, 1, Pk.P0);
-  if (Pk.P1Seed != 0)
-    W.varintField(3, Pk.P1Seed);
-  else
-    writePoly(W, 2, Pk.P1);
-  return W.take();
-}
-
-Expected<PublicKey> eva::deserializePublicKey(const CkksContext &Ctx,
-                                              std::string_view Data) {
-  using Result = Expected<PublicKey>;
-  PublicKey Pk;
-  bool HaveP0 = false, HaveP1 = false;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if ((Field == 1 || Field == 2) && Type == WireType::LengthDelimited) {
-      std::string_view PolyBytes;
-      if (!R.readBytes(PolyBytes))
-        return Result::error("malformed public key poly");
-      Expected<RnsPoly> P = parsePoly(Ctx, PolyBytes, Ctx.totalPrimeCount());
-      if (!P)
-        return P.takeStatus();
-      if (P->primeCount() != Ctx.totalPrimeCount())
-        return Result::error("public key polynomial must span all primes");
-      (Field == 1 ? Pk.P0 : Pk.P1) = std::move(*P);
-      (Field == 1 ? HaveP0 : HaveP1) = true;
-    } else if (Field == 3 && Type == WireType::Varint) {
-      if (!R.readVarint(Pk.P1Seed))
-        return Result::error("malformed public key seed");
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed public key field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated public key");
-  if (!HaveP0)
-    return Result::error("public key missing p0");
-  if (Pk.P1Seed != 0) {
-    if (HaveP1)
-      return Result::error("public key has both p1 and a seed");
-    Pk.P1 = expandUniformNtt(Ctx, Ctx.totalPrimeCount(), Pk.P1Seed);
-  } else if (!HaveP1) {
-    return Result::error("public key missing p1 and seed");
-  }
-  return Pk;
 }
 
 std::string eva::serializeRelinKeys(const RelinKeys &Rk) {
@@ -453,41 +355,4 @@ Expected<GaloisKeys> eva::deserializeGaloisKeys(const CkksContext &Ctx,
   if (R.failed())
     return Result::error("truncated galois keys");
   return Gk;
-}
-
-std::string eva::serializeSecretKey(const SecretKey &Sk) {
-  WireWriter W;
-  writePoly(W, 1, Sk.S);
-  return W.take();
-}
-
-Expected<SecretKey> eva::deserializeSecretKey(const CkksContext &Ctx,
-                                              std::string_view Data) {
-  using Result = Expected<SecretKey>;
-  SecretKey Sk;
-  bool HaveS = false;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view PolyBytes;
-      if (!R.readBytes(PolyBytes))
-        return Result::error("malformed secret key poly");
-      Expected<RnsPoly> P = parsePoly(Ctx, PolyBytes, Ctx.totalPrimeCount());
-      if (!P)
-        return P.takeStatus();
-      if (P->primeCount() != Ctx.totalPrimeCount())
-        return Result::error("secret key must span all primes");
-      Sk.S = std::move(*P);
-      HaveS = true;
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed secret key field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated secret key");
-  if (!HaveS)
-    return Result::error("secret key missing polynomial");
-  return Sk;
 }

@@ -181,13 +181,7 @@ ServiceClient::submit(const SealedRequest &Req) {
 
 std::map<std::string, std::vector<double>> ServiceClient::decryptOutputs(
     const std::map<std::string, Ciphertext> &Outputs) const {
-  std::map<std::string, std::vector<double>> Out;
-  for (const auto &[Name, Ct] : Outputs) {
-    std::vector<double> Slots = WS->Encoder->decode(WS->Dec->decrypt(Ct));
-    Slots.resize(Sig.VecSize);
-    Out.emplace(Name, std::move(Slots));
-  }
-  return Out;
+  return eva::decryptOutputs(*WS, ProgramSignature::of(Sig), Outputs);
 }
 
 Expected<std::map<std::string, std::vector<double>>>

@@ -7,6 +7,7 @@
 #include "eva/service/Messages.h"
 
 #include "eva/serialize/Wire.h"
+#include "eva/support/BitOps.h"
 
 #include <cstring>
 
@@ -293,6 +294,15 @@ Expected<ParamSignature> eva::deserializeParamSignature(std::string_view Data) {
     return Result::error("signature missing program name");
   if (Sig.PolyDegree == 0 || Sig.ContextBitSizes.empty())
     return Result::error("signature missing encryption parameters");
+  // A client builds its stack from this signature and encodes vec_size
+  // values into PolyDegree/2 slots, so refuse what no compiled program has.
+  if (!isPowerOfTwo(Sig.VecSize))
+    return Result::error("vec_size must be a power of two");
+  if (Sig.VecSize > Sig.PolyDegree / 2)
+    return Result::error("polynomial degree " +
+                         std::to_string(Sig.PolyDegree) +
+                         " cannot hold vec_size " +
+                         std::to_string(Sig.VecSize));
   return Sig;
 }
 

@@ -145,8 +145,7 @@ struct CkksFixture : public ::testing::Test {
     Ctx = makeContext(4096, {50, 40, 40, 50});
     Enc = std::make_unique<CkksEncoder>(Ctx);
     Gen = std::make_unique<KeyGenerator>(Ctx, 1234);
-    Pk = Gen->createPublicKey();
-    Encryptor_ = std::make_unique<Encryptor>(Ctx, Pk, 777);
+    Encryptor_ = std::make_unique<Encryptor>(Ctx, 777);
     Dec = std::make_unique<Decryptor>(Ctx, Gen->secretKey());
     Eval = std::make_unique<Evaluator>(Ctx);
   }
@@ -155,7 +154,8 @@ struct CkksFixture : public ::testing::Test {
                         size_t Primes) {
     Plaintext Pt;
     Enc->encode(V, Scale, Primes, Pt);
-    return Encryptor_->encrypt(Pt);
+    uint64_t Seed = 0;
+    return Encryptor_->encryptSymmetric(Pt, Gen->secretKey(), Seed);
   }
 
   std::vector<double> decryptVec(const Ciphertext &Ct) {
@@ -165,7 +165,6 @@ struct CkksFixture : public ::testing::Test {
   std::shared_ptr<CkksContext> Ctx;
   std::unique_ptr<CkksEncoder> Enc;
   std::unique_ptr<KeyGenerator> Gen;
-  PublicKey Pk;
   std::unique_ptr<Encryptor> Encryptor_;
   std::unique_ptr<Decryptor> Dec;
   std::unique_ptr<Evaluator> Eval;
@@ -306,8 +305,7 @@ TEST_P(RotationSteps, RotateLeftMatchesCyclicShift) {
   auto Ctx = makeContext(2048, {50, 40, 50});
   CkksEncoder Enc(Ctx);
   KeyGenerator Gen(Ctx, 55);
-  PublicKey Pk = Gen.createPublicKey();
-  Encryptor Encryptor_(Ctx, Pk, 56);
+  Encryptor Encryptor_(Ctx, 56);
   Decryptor Dec(Ctx, Gen.secretKey());
   Evaluator Eval(Ctx);
 
@@ -318,7 +316,8 @@ TEST_P(RotationSteps, RotateLeftMatchesCyclicShift) {
   std::vector<double> In = randomVector(Slots, -1.0, 1.0, Steps);
   Plaintext Pt;
   Enc.encode(In, std::ldexp(1.0, 40), 2, Pt);
-  Ciphertext Ct = Encryptor_.encrypt(Pt);
+  uint64_t Seed = 0;
+  Ciphertext Ct = Encryptor_.encryptSymmetric(Pt, Gen.secretKey(), Seed);
   Ciphertext Rot = Eval.rotateLeft(Ct, Steps, Gk);
   std::vector<double> Out = Enc.decode(Dec.decrypt(Rot));
   for (size_t I = 0; I < Slots; ++I)

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "eva/api/Runner.h"
 #include "eva/ckks/Decryptor.h"
 #include "eva/ckks/Encoder.h"
 #include "eva/ckks/Encryptor.h"
@@ -36,14 +37,15 @@ struct RawApi {
               .value();
     Enc = std::make_unique<CkksEncoder>(Ctx);
     Gen = std::make_unique<KeyGenerator>(Ctx, 7);
-    Encryptor_ = std::make_unique<Encryptor>(Ctx, Gen->createPublicKey(), 8);
+    Encryptor_ = std::make_unique<Encryptor>(Ctx, 8);
     Eval = std::make_unique<Evaluator>(Ctx);
   }
 
   Ciphertext enc(double Value, double LogScale, size_t Primes) {
     Plaintext Pt;
     Enc->encodeScalar(Value, std::ldexp(1.0, LogScale), Primes, Pt);
-    return Encryptor_->encrypt(Pt);
+    uint64_t Seed = 0;
+    return Encryptor_->encryptSymmetric(Pt, Gen->secretKey(), Seed);
   }
 
   std::shared_ptr<CkksContext> Ctx;
@@ -98,20 +100,35 @@ TEST(RuntimeGuardDeathTest, RescaleOnExhaustedChainAborts) {
   EXPECT_DEATH(Api.Eval->rescale(A), "exhausted");
 }
 
-// CkksExecutor::encryptInputs hands caller vectors straight to the
-// encoder, whose length checks hold in every build mode.
+// The raw API hands caller vectors straight to the encoder, whose length
+// checks hold in every build mode.
 TEST(RuntimeGuardDeathTest, EncryptingMalformedInputLengthsAborts) {
-  ProgramBuilder B("lengths", 16);
+  RawApi Api;
+  const double Scale = std::ldexp(1.0, 30);
+  Plaintext Pt;
+  EXPECT_DEATH(Api.Enc->encode(std::vector<double>{}, Scale, 2, Pt),
+               "empty input");
+  EXPECT_DEATH(
+      Api.Enc->encode(std::vector<double>{1.0, 2.0, 3.0}, Scale, 2, Pt),
+      "3 values: the length must be a power of two");
+}
+
+// An evaluation-only workspace holds no secret key, so decrypting with one
+// is a caller bug, diagnosed in every build mode.
+TEST(RuntimeGuardDeathTest, DecryptingOnAnEvaluationOnlyWorkspaceAborts) {
+  ProgramBuilder B("evalonly", 16);
   Expr X = B.inputCipher("x", 30);
   B.output("out", X + X, 30);
   Expected<CompiledProgram> CP = compile(B.program());
   ASSERT_TRUE(CP.ok()) << CP.message();
-  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 3);
-  ASSERT_TRUE(WS.ok()) << WS.message();
-  CkksExecutor Exec(*CP, WS.value());
-  EXPECT_DEATH(Exec.encryptInputs({{"x", {}}}), "empty input");
-  EXPECT_DEATH(Exec.encryptInputs({{"x", {1.0, 2.0, 3.0}}}),
-               "3 values: the length must be a power of two");
+  Expected<std::shared_ptr<CkksContext>> Ctx = CkksContext::createFromBitSizes(
+      CP->PolyDegree, CP->contextBitSizes(), CP->Options.Security);
+  ASSERT_TRUE(Ctx.ok()) << Ctx.message();
+  Expected<std::shared_ptr<CkksWorkspace>> Server =
+      CkksWorkspace::createServer(*CP, Ctx.value(), {}, {});
+  ASSERT_TRUE(Server.ok()) << Server.message();
+  EXPECT_DEATH(decryptOutputs(*Server.value(), ProgramSignature::of(*CP), {}),
+               "evaluation-only workspace cannot decrypt");
 }
 
 // Frontend misuse is diagnosed with a precise message in every build mode
@@ -160,14 +177,18 @@ TEST(RuntimeGuardDeathTest, CompiledProgramsNeverTripTheGuards) {
   B.output("out", (X * X + Y) * (X << 7) + B.constant(1.0, 10), 30);
   Expected<CompiledProgram> CP = compile(B.program());
   ASSERT_TRUE(CP.ok()) << CP.message();
-  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 9);
+  Expected<std::shared_ptr<CkksWorkspace>> WS =
+      CkksWorkspace::createClient(*CP, 9);
   ASSERT_TRUE(WS.ok()) << WS.message();
-  CkksExecutor Exec(*CP, WS.value());
-  std::map<std::string, std::vector<double>> Out = Exec.runPlain(
-      {{"x", std::vector<double>(64, 0.5)}, {"y", std::vector<double>(64, 0.25)}});
+  Expected<std::unique_ptr<Runner>> R = Runner::local(*CP, WS.value());
+  ASSERT_TRUE(R.ok()) << R.message();
+  Expected<Valuation> Out =
+      (*R)->run(Valuation::fromMap({{"x", std::vector<double>(64, 0.5)},
+                                    {"y", std::vector<double>(64, 0.25)}}));
+  ASSERT_TRUE(Out.ok()) << Out.message();
   // The scale-2^10 scalar constant quantizes at ~1e-3 (Table 4's Scalar
   // scale); everything else contributes noise well below that.
-  EXPECT_NEAR(Out.at("out")[0], (0.5 * 0.5 + 0.25) * 0.5 + 1.0, 2e-3);
+  EXPECT_NEAR(Out->vector("out")[0], (0.5 * 0.5 + 0.25) * 0.5 + 1.0, 2e-3);
 }
 
 } // namespace

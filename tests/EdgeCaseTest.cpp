@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "eva/api/Runner.h"
 #include "eva/ckks/Decryptor.h"
 #include "eva/ckks/Encoder.h"
 #include "eva/ckks/Encryptor.h"
@@ -30,14 +31,15 @@ struct Raw {
               .value();
     Enc = std::make_unique<CkksEncoder>(Ctx);
     Gen = std::make_unique<KeyGenerator>(Ctx, 11);
-    Encryptor_ = std::make_unique<Encryptor>(Ctx, Gen->createPublicKey(), 12);
+    Encryptor_ = std::make_unique<Encryptor>(Ctx, 12);
     Dec = std::make_unique<Decryptor>(Ctx, Gen->secretKey());
     Eval = std::make_unique<Evaluator>(Ctx);
   }
   Ciphertext enc(const std::vector<double> &V) {
     Plaintext Pt;
     Enc->encode(V, std::ldexp(1.0, 40), 2, Pt);
-    return Encryptor_->encrypt(Pt);
+    uint64_t Seed = 0;
+    return Encryptor_->encryptSymmetric(Pt, Gen->secretKey(), Seed);
   }
   std::vector<double> dec(const Ciphertext &C) {
     return Enc->decode(Dec->decrypt(C));
@@ -153,18 +155,19 @@ TEST(CompilerEdge, RotationByVecSizeIsIdentityAndNeedsNoKey) {
   ASSERT_TRUE(CP.ok()) << CP.message();
   EXPECT_TRUE(CP->RotationSteps.empty());
 
-  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 3);
+  Expected<std::shared_ptr<CkksWorkspace>> WS =
+      CkksWorkspace::createClient(*CP, 3);
   ASSERT_TRUE(WS.ok()) << WS.message();
   EXPECT_TRUE(WS.value()->Gk.Keys.empty());
-  CkksExecutor Exec(*CP, WS.value());
-  std::map<std::string, std::vector<double>> In;
-  In.emplace("x", std::vector<double>{0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7,
-                                      -0.8, 0.9, 0.1, 0.2, -0.3, 0.4, 0.5,
-                                      -0.6, 0.7});
-  std::map<std::string, std::vector<double>> Got = Exec.runPlain(In);
-  const std::vector<double> &X2 = In.at("x");
+  Expected<std::unique_ptr<Runner>> R = Runner::local(*CP, WS.value());
+  ASSERT_TRUE(R.ok()) << R.message();
+  const std::vector<double> X2 = {0.1, -0.2, 0.3, 0.4,  -0.5, 0.6, 0.7,  -0.8,
+                                  0.9, 0.1,  0.2, -0.3, 0.4,  0.5, -0.6, 0.7};
+  Expected<Valuation> Got = (*R)->run(Valuation().set("x", X2));
+  ASSERT_TRUE(Got.ok()) << Got.message();
   for (size_t I = 0; I < 16; ++I)
-    EXPECT_NEAR(Got.at("out")[I], 2 * X2[I] * X2[I], 1e-4) << "slot " << I;
+    EXPECT_NEAR(Got->vector("out")[I], 2 * X2[I] * X2[I], 1e-4)
+        << "slot " << I;
 }
 
 TEST(CompilerEdge, VectorSizeOne) {
@@ -174,12 +177,14 @@ TEST(CompilerEdge, VectorSizeOne) {
   Expected<CompiledProgram> CP = compile(B.program());
   ASSERT_TRUE(CP.ok()) << CP.message();
   EXPECT_TRUE(CP->RotationSteps.empty());
-  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 1);
+  Expected<std::shared_ptr<CkksWorkspace>> WS =
+      CkksWorkspace::createClient(*CP, 1);
   ASSERT_TRUE(WS.ok());
-  CkksExecutor Exec(*CP, WS.value());
-  std::map<std::string, std::vector<double>> Out =
-      Exec.runPlain({{"x", {0.5}}});
-  EXPECT_NEAR(Out.at("out")[0], 0.75, 1e-4);
+  Expected<std::unique_ptr<Runner>> R = Runner::local(*CP, WS.value());
+  ASSERT_TRUE(R.ok()) << R.message();
+  Expected<Valuation> Out = (*R)->run(Valuation().set("x", {0.5}));
+  ASSERT_TRUE(Out.ok()) << Out.message();
+  EXPECT_NEAR(Out->vector("out")[0], 0.75, 1e-4);
 }
 
 TEST(CompilerEdge, InputScaleAtTheSfBoundary) {
@@ -222,12 +227,16 @@ TEST(CompilerEdge, PlainVectorInputFlowsThroughEverything) {
   B.output("out", (X + W) * W, 30);
   Expected<CompiledProgram> CP = compile(B.program());
   ASSERT_TRUE(CP.ok()) << CP.message();
-  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 2);
+  Expected<std::shared_ptr<CkksWorkspace>> WS =
+      CkksWorkspace::createClient(*CP, 2);
   ASSERT_TRUE(WS.ok());
-  CkksExecutor Exec(*CP, WS.value());
-  std::map<std::string, std::vector<double>> Out = Exec.runPlain(
-      {{"x", std::vector<double>(16, 0.5)}, {"w", std::vector<double>(16, 0.3)}});
-  EXPECT_NEAR(Out.at("out")[0], (0.5 + 0.3) * 0.3, 1e-4);
+  Expected<std::unique_ptr<Runner>> R = Runner::local(*CP, WS.value());
+  ASSERT_TRUE(R.ok()) << R.message();
+  Expected<Valuation> Out =
+      (*R)->run(Valuation::fromMap({{"x", std::vector<double>(16, 0.5)},
+                                    {"w", std::vector<double>(16, 0.3)}}));
+  ASSERT_TRUE(Out.ok()) << Out.message();
+  EXPECT_NEAR(Out->vector("out")[0], (0.5 + 0.3) * 0.3, 1e-4);
 }
 
 TEST(CompilerEdge, DeepRotationOnlyProgramNeedsNoRescale) {

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "eva/api/Runner.h"
 #include "eva/core/Compiler.h"
 #include "eva/frontend/Expr.h"
 #include "eva/runtime/CkksExecutor.h"
@@ -71,36 +72,46 @@ TEST(NoiseEstimate, RotationsCostKeySwitchNoise) {
 }
 
 TEST(NoiseEstimate, BoundsObservedErrorOnRealExecution) {
-  // The estimate is a (loose, heuristic) upper bound on noise: observed
-  // error should not exceed 2^-(precision - slack).
-  ProgramBuilder B("obs", 256);
-  Expr X = B.inputCipher("x", 40);
-  Expr V = (X.pow(4) + (X << 9)) * B.constant(0.5, 20);
-  B.output("out", V, 25);
-  Program &P = B.program();
-  Expected<CompiledProgram> CP = compile(P);
-  ASSERT_TRUE(CP.ok());
-  NoiseEstimate E = estimateNoise(*CP->Prog, CP->PolyDegree);
-  double Precision = E.OutputPrecisionBits[0];
-  ASSERT_GT(Precision, 4);
+  // The estimate bounds the error a client observes: run on the client
+  // path (createClient's keys, secret-key encryption, decryptOutputs), the
+  // error must not exceed 2^-(precision - 2).
+  // A deep program with a rotation and a plain constant.
+  ProgramBuilder Deep("obs", 256);
+  Expr X = Deep.inputCipher("x", 40);
+  Deep.output("out", (X.pow(4) + (X << 9)) * Deep.constant(0.5, 20), 25);
+  // Rotations that normalize to the identity, at scale 2^30 and N = 8192.
+  ProgramBuilder Rot("rotvs", 16);
+  Expr Y = Rot.inputCipher("x", 30);
+  Rot.output("out", ((Y << 16) + (Y >> 32)) * Y, 30);
 
-  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 3);
-  ASSERT_TRUE(WS.ok());
-  CkksExecutor Exec(*CP, WS.value());
-  RandomSource Rng(5);
-  std::vector<double> In(256);
-  for (double &V2 : In)
-    V2 = Rng.uniformReal(-1, 1);
-  std::map<std::string, std::vector<double>> Got =
-      Exec.runPlain({{"x", In}});
-  std::map<std::string, std::vector<double>> Want =
-      *ReferenceExecutor(P).run({{"x", In}});
-  double MaxErr = 0;
-  for (size_t I = 0; I < 256; ++I)
-    MaxErr = std::max(MaxErr,
-                      std::abs(Got.at("out")[I] - Want.at("out")[I]));
-  // 6 bits of slack on the heuristic model.
-  EXPECT_LT(MaxErr, std::exp2(-(Precision - 6)));
+  for (const Program *P : {&Deep.program(), &Rot.program()}) {
+    Expected<CompiledProgram> CP = compile(*P);
+    ASSERT_TRUE(CP.ok()) << P->name() << ": " << CP.message();
+    NoiseEstimate E = estimateNoise(*CP->Prog, CP->PolyDegree);
+    double Precision = E.OutputPrecisionBits[0];
+    ASSERT_GT(Precision, 4) << P->name();
+
+    Expected<std::shared_ptr<CkksWorkspace>> WS =
+        CkksWorkspace::createClient(*CP, 3);
+    ASSERT_TRUE(WS.ok()) << WS.message();
+    Expected<std::unique_ptr<Runner>> R = Runner::local(*CP, WS.value());
+    ASSERT_TRUE(R.ok()) << R.message();
+    RandomSource Rng(5);
+    std::vector<double> In(P->vecSize());
+    for (double &V : In)
+      V = Rng.uniformReal(-1, 1);
+    Expected<Valuation> Got = (*R)->run(Valuation().set("x", In));
+    ASSERT_TRUE(Got.ok()) << Got.message();
+    std::map<std::string, std::vector<double>> Want =
+        *ReferenceExecutor(*P).run({{"x", In}});
+    double MaxErr = 0;
+    for (size_t I = 0; I < In.size(); ++I)
+      MaxErr = std::max(MaxErr,
+                        std::abs(Got->vector("out")[I] - Want.at("out")[I]));
+    // 2 bits of slack on the model.
+    EXPECT_LT(MaxErr, std::exp2(-(Precision - 2)))
+        << P->name() << ": predicted " << Precision << " bits";
+  }
 }
 
 TEST(NoiseEstimate, ChetModeIsNoisierThanEva) {

@@ -205,7 +205,7 @@ TEST_P(ExecutorAgreement, ParallelAndBulkMatchSerial) {
   Expected<CompiledProgram> CP = compile(*P);
   ASSERT_TRUE(CP.ok()) << CP.message();
   Expected<std::shared_ptr<CkksWorkspace>> WS =
-      CkksWorkspace::create(*CP, Seed);
+      CkksWorkspace::createClient(*CP, Seed);
   ASSERT_TRUE(WS.ok()) << WS.message();
   std::map<std::string, std::vector<double>> Inputs =
       randomInputs(*P, Seed + 2);
@@ -214,15 +214,20 @@ TEST_P(ExecutorAgreement, ParallelAndBulkMatchSerial) {
   CkksExecutor Parallel(*CP, WS.value(), {.Threads = 2});
   CkksExecutor Bulk(*CP, WS.value(),
                     {.Threads = 2, .Style = LocalStyle::KernelBulk});
-  SealedInputs Sealed = Serial.encryptInputs(Inputs);
+  ProgramSignature Sig = ProgramSignature::of(*CP);
+  Expected<SealedRequest> Sealed =
+      sealInputs(*WS.value(), Sig, Valuation::fromMap(Inputs));
+  ASSERT_TRUE(Sealed.ok()) << Sealed.message();
 
-  std::map<std::string, Ciphertext> A = Serial.run(Sealed);
-  std::map<std::string, Ciphertext> B = Parallel.run(Sealed);
-  std::map<std::string, Ciphertext> C = Bulk.run(Sealed);
-  for (const auto &[Name, CtA] : A) {
-    std::vector<double> VA = Serial.decryptOutput(CtA);
-    std::vector<double> VB = Serial.decryptOutput(B.at(Name));
-    std::vector<double> VC = Serial.decryptOutput(C.at(Name));
+  std::map<std::string, std::vector<double>> A =
+      decryptOutputs(*WS.value(), Sig, Serial.run(Sealed->Inputs));
+  std::map<std::string, std::vector<double>> B =
+      decryptOutputs(*WS.value(), Sig, Parallel.run(Sealed->Inputs));
+  std::map<std::string, std::vector<double>> C =
+      decryptOutputs(*WS.value(), Sig, Bulk.run(Sealed->Inputs));
+  for (const auto &[Name, VA] : A) {
+    const std::vector<double> &VB = B.at(Name);
+    const std::vector<double> &VC = C.at(Name);
     for (size_t I = 0; I < VA.size(); ++I) {
       // Identical instruction streams on identical inputs: results are
       // bit-identical regardless of schedule.
@@ -308,16 +313,17 @@ TEST_P(RotationDifferential, HoistingAndBackendsAreBitIdentical) {
   ASSERT_TRUE(Compiled.ok()) << Compiled.message();
   CompiledProgram CP = std::move(Compiled.value());
   Expected<std::shared_ptr<CkksWorkspace>> WS =
-      CkksWorkspace::create(CP, Seed);
+      CkksWorkspace::createClient(CP, Seed);
   ASSERT_TRUE(WS.ok()) << WS.message();
 
   // Seal once so every backend consumes identical ciphertext bits.
-  CkksExecutor Sealer(CP, WS.value());
-  SealedInputs Sealed = Sealer.encryptInputs(Inputs);
+  Expected<SealedRequest> Sealed = sealInputs(
+      *WS.value(), ProgramSignature::of(CP), Valuation::fromMap(Inputs));
+  ASSERT_TRUE(Sealed.ok()) << Sealed.message();
   Valuation V;
-  for (const auto &[Name, Ct] : Sealed.Cipher)
+  for (const auto &[Name, Ct] : Sealed->Inputs.Cipher)
     V.set(Name, Ct);
-  for (const auto &[Name, Pl] : Sealed.Plain)
+  for (const auto &[Name, Pl] : Sealed->Inputs.Plain)
     V.set(Name, Pl);
 
   struct Cfg {
@@ -410,7 +416,7 @@ struct CkksLaws : public ::testing::Test {
               .value();
     Enc = std::make_unique<CkksEncoder>(Ctx);
     Gen = std::make_unique<KeyGenerator>(Ctx, 77);
-    Encryptor_ = std::make_unique<Encryptor>(Ctx, Gen->createPublicKey(), 78);
+    Encryptor_ = std::make_unique<Encryptor>(Ctx, 78);
     Dec = std::make_unique<Decryptor>(Ctx, Gen->secretKey());
     Eval = std::make_unique<Evaluator>(Ctx);
   }
@@ -418,7 +424,8 @@ struct CkksLaws : public ::testing::Test {
   Ciphertext enc(const std::vector<double> &V) {
     Plaintext Pt;
     Enc->encode(V, std::ldexp(1.0, 40), 3, Pt);
-    return Encryptor_->encrypt(Pt);
+    uint64_t Seed = 0;
+    return Encryptor_->encryptSymmetric(Pt, Gen->secretKey(), Seed);
   }
   std::vector<double> dec(const Ciphertext &Ct) {
     return Enc->decode(Dec->decrypt(Ct));

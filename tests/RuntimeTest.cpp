@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "eva/api/Runner.h"
 #include "eva/frontend/Expr.h"
 #include "eva/ir/Printer.h"
 #include "eva/runtime/CkksExecutor.h"
@@ -56,6 +57,21 @@ double maxOutputError(const std::map<std::string, std::vector<double>> &A,
   return Err;
 }
 
+/// Encrypts \p Inputs, runs \p CP and decrypts through a local Runner over
+/// \p WS with \p Opts; empty on a run error.
+std::map<std::string, std::vector<double>>
+runLocal(const CompiledProgram &CP, std::shared_ptr<CkksWorkspace> WS,
+         const std::map<std::string, std::vector<double>> &Inputs,
+         const LocalRunnerOptions &Opts = {}) {
+  Expected<std::unique_ptr<Runner>> R = Runner::local(CP, std::move(WS), Opts);
+  EXPECT_TRUE(R.ok()) << (R.ok() ? "" : R.message());
+  if (!R.ok())
+    return {};
+  Expected<Valuation> Out = (*R)->run(Valuation::fromMap(Inputs));
+  EXPECT_TRUE(Out.ok()) << (Out.ok() ? "" : Out.message());
+  return Out.ok() ? Out->toMap() : std::map<std::string, std::vector<double>>();
+}
+
 /// Compiles and runs under both the reference and the CKKS executor;
 /// returns the max elementwise deviation.
 double compileAndCompare(const Program &P, const CompilerOptions &Options,
@@ -71,13 +87,11 @@ double compileAndCompare(const Program &P, const CompilerOptions &Options,
   std::map<std::string, std::vector<double>> Want = *Ref.run(Inputs);
 
   Expected<std::shared_ptr<CkksWorkspace>> WS =
-      CkksWorkspace::create(*CP, Seed + 7);
+      CkksWorkspace::createClient(*CP, Seed + 7);
   EXPECT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
   if (!WS.ok())
     return 1e9;
-  CkksExecutor Exec(*CP, WS.value());
-  std::map<std::string, std::vector<double>> Got = Exec.runPlain(Inputs);
-  return maxOutputError(Want, Got);
+  return maxOutputError(Want, runLocal(*CP, WS.value(), Inputs));
 }
 
 TEST(EndToEnd, PolynomialEvaluation) {
@@ -178,11 +192,13 @@ TEST_P(AllExecutors, AgreeOnSobelLikeProgram) {
   std::map<std::string, std::vector<double>> Want = *Ref.run(Inputs);
 
   Expected<std::shared_ptr<CkksWorkspace>> WS =
-      CkksWorkspace::create(*CP, 1000);
+      CkksWorkspace::createClient(*CP, 1000);
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
-  CkksExecutor Exec(*CP, WS.value(), {.Threads = K.Threads, .Style = K.Style});
-  std::map<std::string, std::vector<double>> Got = Exec.runPlain(Inputs);
-  EXPECT_LT(maxOutputError(Want, Got), 1e-2);
+  LocalRunnerOptions Opts;
+  Opts.Threads = K.Threads;
+  Opts.Style = K.Style;
+  EXPECT_LT(maxOutputError(Want, runLocal(*CP, WS.value(), Inputs, Opts)),
+            1e-2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -220,7 +236,7 @@ TEST(EndToEnd, AllExecutorsProduceIdenticalOutputsOnMultiKernelProgram) {
   Expected<CompiledProgram> CP = compile(B.program(), CompilerOptions::eva());
   ASSERT_TRUE(CP.ok()) << (CP.ok() ? "" : CP.message());
   Expected<std::shared_ptr<CkksWorkspace>> WS =
-      CkksWorkspace::create(*CP, 4242);
+      CkksWorkspace::createClient(*CP, 4242);
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
 
   std::map<std::string, std::vector<double>> Inputs =
@@ -231,21 +247,26 @@ TEST(EndToEnd, AllExecutorsProduceIdenticalOutputsOnMultiKernelProgram) {
                     {.Threads = 4, .Style = LocalStyle::KernelBulk});
 
   // Encrypt once; every schedule consumes the identical ciphertexts.
-  SealedInputs Sealed = Serial.encryptInputs(Inputs);
-  std::map<std::string, Ciphertext> SerialOut = Serial.run(Sealed);
-  std::map<std::string, Ciphertext> ParallelOut = Parallel.run(Sealed);
-  std::map<std::string, Ciphertext> BulkOut = Bulk.run(Sealed);
+  ProgramSignature Sig = ProgramSignature::of(*CP);
+  Expected<SealedRequest> Sealed =
+      sealInputs(*WS.value(), Sig, Valuation::fromMap(Inputs));
+  ASSERT_TRUE(Sealed.ok()) << Sealed.message();
+  std::map<std::string, std::vector<double>> SerialOut =
+      decryptOutputs(*WS.value(), Sig, Serial.run(Sealed->Inputs));
+  std::map<std::string, std::vector<double>> ParallelOut =
+      decryptOutputs(*WS.value(), Sig, Parallel.run(Sealed->Inputs));
+  std::map<std::string, std::vector<double>> BulkOut =
+      decryptOutputs(*WS.value(), Sig, Bulk.run(Sealed->Inputs));
 
   ASSERT_EQ(SerialOut.size(), 2u);
   ASSERT_EQ(ParallelOut.size(), 2u);
   ASSERT_EQ(BulkOut.size(), 2u);
-  for (const auto &[Name, Ct] : SerialOut) {
-    std::vector<double> Want = Serial.decryptOutput(Ct);
+  for (const auto &[Name, Want] : SerialOut) {
     ASSERT_TRUE(ParallelOut.count(Name)) << Name;
     ASSERT_TRUE(BulkOut.count(Name)) << Name;
-    EXPECT_EQ(Want, Serial.decryptOutput(ParallelOut.at(Name)))
+    EXPECT_EQ(Want, ParallelOut.at(Name))
         << "parallel DAG schedule diverged on " << Name;
-    EXPECT_EQ(Want, Serial.decryptOutput(BulkOut.at(Name)))
+    EXPECT_EQ(Want, BulkOut.at(Name))
         << "kernel schedule diverged on " << Name;
   }
 
@@ -272,15 +293,20 @@ TEST(EndToEnd, MemoryReuseBoundsLiveCiphertexts) {
   Expected<CompiledProgram> CP = compile(B.program());
   ASSERT_TRUE(CP.ok()) << (CP.ok() ? "" : CP.message());
   Expected<std::shared_ptr<CkksWorkspace>> WS =
-      CkksWorkspace::create(*CP, 5);
+      CkksWorkspace::createClient(*CP, 5);
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
   std::map<std::string, std::vector<double>> Inputs = randomInputs(
       B.program(), 3, 0.9, 1.1);
   for (LocalStyle Style : {LocalStyle::ParallelDag, LocalStyle::KernelBulk}) {
-    CkksExecutor Exec(*CP, WS.value(), {.Threads = 2, .Style = Style});
-    Exec.runPlain(Inputs);
-    EXPECT_GT(Exec.stats().TotalNodeCount, 10u);
-    EXPECT_LE(Exec.stats().PeakLiveNodes, 4u)
+    LocalRunnerOptions Opts;
+    Opts.Threads = 2;
+    Opts.Style = Style;
+    Expected<std::unique_ptr<Runner>> R = Runner::local(*CP, WS.value(), Opts);
+    ASSERT_TRUE(R.ok()) << R.message();
+    ASSERT_TRUE((*R)->run(Valuation::fromMap(Inputs)).ok());
+    const ExecutionStats &Stats = *(*R)->executionStats();
+    EXPECT_GT(Stats.TotalNodeCount, 10u);
+    EXPECT_LE(Stats.PeakLiveNodes, 4u)
         << (Style == LocalStyle::ParallelDag ? "DAG" : "kernel")
         << " schedule";
   }

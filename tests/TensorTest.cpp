@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "eva/api/Runner.h"
 #include "eva/runtime/CkksExecutor.h"
 #include "eva/runtime/ReferenceExecutor.h"
 #include "eva/tensor/Network.h"
@@ -250,9 +251,13 @@ TEST(Networks, EncryptedInferenceMatchesPlain) {
   std::unique_ptr<Program> P = N.buildProgram(S);
   Expected<CompiledProgram> CP = compile(*P);
   ASSERT_TRUE(CP.ok()) << (CP.ok() ? "" : CP.message());
-  Expected<std::shared_ptr<CkksWorkspace>> WS = CkksWorkspace::create(*CP, 3);
+  Expected<std::shared_ptr<CkksWorkspace>> WS =
+      CkksWorkspace::createClient(*CP, 3);
   ASSERT_TRUE(WS.ok()) << (WS.ok() ? "" : WS.message());
-  CkksExecutor Exec(*CP, WS.value(), {.Threads = 2});
+  LocalRunnerOptions Opts;
+  Opts.Threads = 2;
+  Expected<std::unique_ptr<Runner>> R = Runner::local(*CP, WS.value(), Opts);
+  ASSERT_TRUE(R.ok()) << R.message();
 
   Tensor Image = Tensor::random({1, 8, 8}, Rng);
   std::vector<double> Slots(P->vecSize(), 0.0);
@@ -260,11 +265,11 @@ TEST(Networks, EncryptedInferenceMatchesPlain) {
   for (size_t Y = 0; Y < 8; ++Y)
     for (size_t X = 0; X < 8; ++X)
       Slots[L.slotOf(0, Y, X)] = Image.at3(0, Y, X);
-  std::map<std::string, std::vector<double>> Out =
-      Exec.runPlain({{"image", Slots}});
+  Expected<Valuation> Out = (*R)->run(Valuation().set("image", Slots));
+  ASSERT_TRUE(Out.ok()) << Out.message();
   Tensor Want = N.runPlain(Image);
   for (size_t O = 0; O < 4; ++O)
-    EXPECT_NEAR(Out.at("scores")[O], Want.at(O), 1e-2) << "class " << O;
+    EXPECT_NEAR(Out->vector("scores")[O], Want.at(O), 1e-2) << "class " << O;
 }
 
 } // namespace
