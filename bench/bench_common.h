@@ -1,15 +1,13 @@
-//===- bench_common.h - Shared helpers for the table/figure benches -*- C++ -*-===//
+//===- bench_common.h - Shared helpers of the run_benches suites -*- C++ -*-===//
 //
 // Part of the EVA-CKKS project (PLDI 2020 "EVA" reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Common plumbing for the benchmark binaries that regenerate the paper's
-/// tables and figures, and the JSON reporter of `run_benches`. Environment
-/// knob:
-///   EVA_BENCH_FULL=1     run every network at full size (default: the
-///                        heavier networks are skipped or compile-only)
+/// Common plumbing of `run_benches`' suites: preparing a network, sampling
+/// a timed operation, and the JSON reporter that writes BENCH_*.json. No
+/// environment variable changes what a suite runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,19 +21,16 @@
 #include "eva/tensor/Network.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace evabench {
-
-inline bool fullMode() {
-  const char *V = std::getenv("EVA_BENCH_FULL");
-  return V != nullptr && V[0] == '1';
-}
 
 /// The host's hardware thread count (at least 1): the thread count of
 /// benches that run one executor, and the ceiling of the Fig 7 sweep.
@@ -92,36 +87,29 @@ makeLocalRunner(const PreparedNetwork &PN, eva::LocalStyle Style,
   return std::move(R.value());
 }
 
-/// Compiles \p Net with \p Options and builds keys. Returns false (with a
-/// message) on failure.
-inline bool prepare(eva::NetworkDefinition Net,
-                    const eva::CompilerOptions &Options, PreparedNetwork &Out,
-                    bool WithContext = true) {
-  eva::TensorScales Scales;
+/// Compiles \p Net with \p Options and builds client keys (seed 1234),
+/// timing both. A compile or key error ends the run.
+inline PreparedNetwork prepare(eva::NetworkDefinition Net,
+                               const eva::CompilerOptions &Options) {
+  PreparedNetwork Out;
   Out.Net = std::move(Net);
-  Out.Prog = Out.Net.buildProgram(Scales);
+  Out.Prog = Out.Net.buildProgram(eva::TensorScales());
   eva::Timer CompileT;
   eva::Expected<eva::CompiledProgram> CP = eva::compile(*Out.Prog, Options);
   Out.CompileSeconds = CompileT.seconds();
-  if (!CP) {
-    std::fprintf(stderr, "%s: compile error: %s\n", Out.Net.name().c_str(),
-                 CP.message().c_str());
-    return false;
-  }
+  if (!CP)
+    eva::fatalError("bench: " + Out.Net.name() +
+                    ": compile error: " + CP.message());
   Out.Compiled = std::move(CP.value());
-  if (!WithContext)
-    return true;
   eva::Timer ContextT;
   eva::Expected<std::shared_ptr<eva::CkksWorkspace>> WS =
       eva::CkksWorkspace::createClient(Out.Compiled, 1234);
   Out.ContextSeconds = ContextT.seconds();
-  if (!WS) {
-    std::fprintf(stderr, "%s: context error: %s\n", Out.Net.name().c_str(),
-                 WS.message().c_str());
-    return false;
-  }
+  if (!WS)
+    eva::fatalError("bench: " + Out.Net.name() +
+                    ": context error: " + WS.message());
   Out.Workspace = WS.value();
-  return true;
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -129,32 +117,26 @@ inline bool prepare(eva::NetworkDefinition Net,
 //===----------------------------------------------------------------------===//
 
 /// One measured operation. Times are wall-clock seconds per iteration.
-/// SpeedupVs1 is mean(1 thread) / mean(this), recorded for thread-sweep
-/// results (0 means "not part of a sweep" and is omitted from the JSON).
 /// SamplesInMean < Iterations records that the mean excluded outlier
-/// iterations (see measure()).
+/// iterations (see measure()). A row whose minimum was not measured (a mean
+/// read off a histogram) leaves MinSeconds empty, and the JSON omits it.
+/// Fields are the row's other named numbers ("speedup_vs_1thread",
+/// "requests_per_second", "bytes", "decompositions", "ntts", "mulmods",
+/// "arena_heap_bytes", the paper suite's columns), written in the order
+/// they were added.
 struct BenchResult {
   std::string Op;
   size_t Threads = 1;
   size_t Iterations = 0;
   size_t SamplesInMean = 0;
   double MeanSeconds = 0;
-  double MinSeconds = 0;
-  double SpeedupVs1 = 0;
-  /// Throughput results (the service bench) also carry requests/second
-  /// (0 means "not a throughput result" and is omitted from the JSON).
-  double Rps = 0;
-  /// Size results (the rotation bench's key-upload payloads) carry a byte
-  /// count; 0 omits the field.
-  double Bytes = 0;
-  /// Rotation-cost results carry the run's key-switch decomposition count
-  /// (ExecutionStats::KeySwitchDecompositions); 0 omits the field.
-  double Decompositions = 0;
-  /// Cost-ledger counts of one iteration (ExecutionStats::Ntts, MulMods,
-  /// ArenaHeapBytes); 0 omits the field.
-  double Ntts = 0;
-  double MulMods = 0;
-  double ArenaHeapBytes = 0;
+  std::optional<double> MinSeconds;
+  std::vector<std::pair<std::string, double>> Fields;
+
+  BenchResult &field(std::string Name, double Value) {
+    Fields.emplace_back(std::move(Name), Value);
+    return *this;
+  }
 };
 
 /// Samples \p Fn — a callable reporting its own per-iteration duration in
@@ -230,7 +212,8 @@ inline BenchResult measure(const std::string &Op, FnT &&Fn,
 /// The header names the host: its hardware thread count and the SIMD level
 /// the kernels dispatched to. samples_in_mean < iterations means the
 /// slowest iteration was excluded from the mean (measure()'s outlier trim);
-/// thread-sweep results also carry "speedup_vs_1thread".
+/// a row's named fields (e.g. thread-sweep rows' "speedup_vs_1thread")
+/// follow its times.
 ///
 /// A report also collects its suite's pass/fail checks (check()); the
 /// checks are not part of the JSON.
@@ -245,22 +228,18 @@ public:
   /// populations were mixed (the bug that once shipped min > mean rows in
   /// BENCH_service.json).
   void add(BenchResult R) {
-    if (R.MinSeconds > R.MeanSeconds)
+    if (R.MinSeconds && *R.MinSeconds > R.MeanSeconds)
       eva::fatalError("bench: impossible result for op '" + R.Op +
-                      "': min_seconds " + std::to_string(R.MinSeconds) +
+                      "': min_seconds " + std::to_string(*R.MinSeconds) +
                       " > mean_seconds " + std::to_string(R.MeanSeconds));
-    std::printf("  %-38s threads=%-3zu iters=%-4zu mean=%10.6fs "
-                "min=%10.6fs",
-                R.Op.c_str(), R.Threads, R.Iterations, R.MeanSeconds,
-                R.MinSeconds);
-    if (R.SpeedupVs1 > 0)
-      std::printf(" speedup=%.2fx", R.SpeedupVs1);
-    if (R.Rps > 0)
-      std::printf(" rps=%.1f", R.Rps);
-    if (R.Decompositions > 0)
-      std::printf(" decomp=%.0f", R.Decompositions);
-    if (R.Bytes > 0)
-      std::printf(" bytes=%.0f", R.Bytes);
+    std::printf("  %-38s threads=%-3zu iters=%-4zu mean=%10.6fs ",
+                R.Op.c_str(), R.Threads, R.Iterations, R.MeanSeconds);
+    if (R.MinSeconds)
+      std::printf("min=%10.6fs", *R.MinSeconds);
+    else
+      std::printf("min=%11s", "-");
+    for (const auto &[Name, Value] : R.Fields)
+      std::printf(" %s=%s", Name.c_str(), number(Value).c_str());
     std::printf("\n");
     Results.push_back(std::move(R));
   }
@@ -293,42 +272,17 @@ public:
       std::snprintf(Buf, sizeof(Buf),
                     "    {\"op\": \"%s\", \"threads\": %zu, "
                     "\"iterations\": %zu, \"samples_in_mean\": %zu, "
-                    "\"mean_seconds\": %.9g, \"min_seconds\": %.9g",
+                    "\"mean_seconds\": %.9g",
                     escape(R.Op).c_str(), R.Threads, R.Iterations,
-                    R.SamplesInMean, R.MeanSeconds, R.MinSeconds);
+                    R.SamplesInMean, R.MeanSeconds);
       Out += Buf;
-      if (R.SpeedupVs1 > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"speedup_vs_1thread\": %.4g",
-                      R.SpeedupVs1);
+      if (R.MinSeconds) {
+        std::snprintf(Buf, sizeof(Buf), ", \"min_seconds\": %.9g",
+                      *R.MinSeconds);
         Out += Buf;
       }
-      if (R.Rps > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"requests_per_second\": %.4g",
-                      R.Rps);
-        Out += Buf;
-      }
-      if (R.Bytes > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"bytes\": %.0f", R.Bytes);
-        Out += Buf;
-      }
-      if (R.Decompositions > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"decompositions\": %.0f",
-                      R.Decompositions);
-        Out += Buf;
-      }
-      if (R.Ntts > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"ntts\": %.0f", R.Ntts);
-        Out += Buf;
-      }
-      if (R.MulMods > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"mulmods\": %.0f", R.MulMods);
-        Out += Buf;
-      }
-      if (R.ArenaHeapBytes > 0) {
-        std::snprintf(Buf, sizeof(Buf), ", \"arena_heap_bytes\": %.0f",
-                      R.ArenaHeapBytes);
-        Out += Buf;
-      }
+      for (const auto &[Name, Value] : R.Fields)
+        Out += ", \"" + escape(Name) + "\": " + number(Value);
       Out += I + 1 == Results.size() ? "}\n" : "},\n";
     }
     Out += "  ]\n";
@@ -346,6 +300,16 @@ public:
   }
 
 private:
+  /// Integer values (counts, bytes, exponents) print exactly; the rest with
+  /// four significant digits.
+  static std::string number(double V) {
+    char Buf[64];
+    std::snprintf(Buf, sizeof(Buf),
+                  V == std::floor(V) && std::abs(V) < 1e15 ? "%.0f" : "%.4g",
+                  V);
+    return Buf;
+  }
+
   static std::string escape(const std::string &S) {
     std::string E;
     for (char C : S) {
@@ -362,10 +326,11 @@ private:
   int Failures = 0;
 };
 
-/// The run_benches suites that live in their own files: rotation_cost.cpp
-/// and service_throughput.cpp.
+/// The run_benches suites that live in their own files: rotation_cost.cpp,
+/// service_throughput.cpp and paper_tables.cpp.
 void rotationSuite(JsonReport &Report);
 void serviceSuite(JsonReport &Report);
+void paperSuite(JsonReport &Report);
 
 } // namespace evabench
 

@@ -200,14 +200,14 @@ void evabench::rotationSuite(JsonReport &Report) {
       BenchResult R = measure(
           Hoist ? "rotation_fan16_hoisted" : "rotation_fan16_serial",
           [&] { runOnce(CP, WS, Sealed, Hoist); });
-      R.Decompositions = static_cast<double>(
-          (Hoist ? Hoisted : Serial).Stats.KeySwitchDecompositions);
       BenchResult Per = R;
       Per.Op += "_per_rotation";
       Per.MeanSeconds /= N;
-      Per.MinSeconds /= N;
-      Per.Decompositions = 0;
+      *Per.MinSeconds /= N;
       Report.add(Per);
+      R.field("decompositions",
+              static_cast<double>(
+                  (Hoist ? Hoisted : Serial).Stats.KeySwitchDecompositions));
       Report.add(std::move(R));
     }
   }
@@ -244,8 +244,8 @@ void evabench::rotationSuite(JsonReport &Report) {
                                    " reference-close (err " +
                                    std::to_string(Err) + ")");
       BenchResult R = measure(Names[K], [&] { runOnce(CP, WS, Sealed, true); });
-      R.Decompositions =
-          static_cast<double>(Runs[K].Stats.KeySwitchDecompositions);
+      R.field("decompositions",
+              static_cast<double>(Runs[K].Stats.KeySwitchDecompositions));
       Report.add(std::move(R));
     }
     double NaiveD = static_cast<double>(Runs[0].Stats.KeySwitchDecompositions);
@@ -283,10 +283,9 @@ void evabench::rotationSuite(JsonReport &Report) {
           0.0);
       // serializeGaloisKeys(Gk) is byte-for-byte the GaloisKeyBytes payload
       // ServiceClient uploads at session open.
-      R.Bytes = static_cast<double>(serializeGaloisKeys(WS->Gk).size());
-      UploadBytes[K] = R.Bytes;
+      UploadBytes[K] = static_cast<double>(serializeGaloisKeys(WS->Gk).size());
       StepCounts[K] = CP.RotationSteps.size();
-      Report.add(std::move(R));
+      Report.add(R.field("bytes", UploadBytes[K]));
 
       std::unique_ptr<Runner> Run = std::move(Runner::local(CP, WS).value());
       double Err = maxAbsError(

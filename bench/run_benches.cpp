@@ -9,14 +9,17 @@
 //   scaling   BENCH_scaling.json   Figure 7: CHET vs EVA latency vs threads
 //   rotation  BENCH_rotation.json  rotation-cost subsystem (rotation_cost.cpp)
 //   service   BENCH_service.json   service throughput (service_throughput.cpp)
+//   paper     BENCH_paper.json     Tables 3, 4, 6, 7, 8 and the Section 5.3
+//                                  ablation (paper_tables.cpp)
 //
-// Usage: run_benches [OUTDIR] [micro|scaling|rotation|service ...]
+// Usage: run_benches [OUTDIR] [micro|scaling|rotation|service|paper ...]
 //
 // OUTDIR (created if missing) defaults to the current directory; no suite
-// names means all four.
+// names means all five.
 // Some suites also run pass/fail checks (the rotation gates, the
-// telemetry-overhead bound, the 2-thread scaling bound); a failed check
-// still writes its suite's file, and the run exits nonzero at the end.
+// telemetry-overhead bound, the 2-thread scaling bound, the paper suite's
+// accuracy bound and policy orderings); a failed check still writes its
+// suite's file, and the run exits nonzero at the end.
 //
 // Each document carries the git sha the binary was configured from, so every
 // point in the perf trajectory is attributable to a commit. CI uploads the
@@ -40,6 +43,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <malloc.h>
 
 #ifndef EVA_GIT_SHA
 #define EVA_GIT_SHA "unknown"
@@ -51,16 +55,20 @@ using namespace evabench;
 namespace {
 
 /// Charges ONE extra invocation of \p Fn to a fresh cost ledger and attaches
-/// its NTT/mulmod/arena-byte counts to \p R alongside the timing.
+/// its nonzero NTT/mulmod/arena-byte counts to \p R alongside the timing.
 template <typename FnT> void annotateLedger(BenchResult &R, FnT &&Fn) {
   ExecutionStats Ledger;
   {
     LedgerScope Scope(&Ledger);
     Fn();
   }
-  R.Ntts = static_cast<double>(Ledger.Ntts);
-  R.MulMods = static_cast<double>(Ledger.MulMods);
-  R.ArenaHeapBytes = static_cast<double>(Ledger.ArenaHeapBytes);
+  const std::pair<const char *, uint64_t> Counts[] = {
+      {"ntts", Ledger.Ntts},
+      {"mulmods", Ledger.MulMods},
+      {"arena_heap_bytes", Ledger.ArenaHeapBytes}};
+  for (const auto &[Name, Count] : Counts)
+    if (Count > 0)
+      R.field(Name, static_cast<double>(Count));
 }
 
 /// Per-op microbenchmarks at N = 8192 (the paper's most common degree): the
@@ -126,84 +134,74 @@ void microSuite(JsonReport &Report) {
   }
 }
 
-/// Figure 7's strong scaling: compute latency of one LeNet-5 inference at
-/// {1, 2, 4, ...} threads up to the core count, for EVA (EVA compile, the
-/// DAG schedule over the whole program) and the CHET baseline (CHET compile,
-/// the kernel schedule, parallel only within each tensor kernel).
-/// LeNet-5-small always; LeNet-5-medium too under EVA_BENCH_FULL=1. Each
-/// point records its speedup over the 1-thread mean.
+/// Figure 7's strong scaling: compute latency of one LeNet-5-small
+/// inference at {1, 2, 4, ...} threads up to the core count, for EVA (EVA
+/// compile, the DAG schedule over the whole program) and the CHET baseline
+/// (CHET compile, the kernel schedule, parallel only within each tensor
+/// kernel). The top thread count is also Table 5's setting. Each point
+/// records its speedup over the 1-thread mean.
 void scalingSuite(JsonReport &Report) {
-  struct Network {
-    const char *Name;
-    NetworkDefinition (*Make)(uint64_t);
-  };
   struct System {
     const char *Name;
     CompilerOptions Options;
     LocalStyle Style;
   };
-  const Network Networks[] = {{"lenet5_small", makeLeNet5Small},
-                              {"lenet5_medium", makeLeNet5Medium}};
   const System Systems[] = {
       {"eva", CompilerOptions::eva(), LocalStyle::ParallelDag},
       {"chet", CompilerOptions::chet(), LocalStyle::KernelBulk}};
   const std::vector<size_t> Threads = threadSweep();
 
-  for (size_t I = 0; I < (fullMode() ? 2u : 1u); ++I) {
-    for (const System &Sys : Systems) {
-      // One workspace per configuration, shared across the thread sweep
-      // (keygen dominates otherwise) but freed before the next one runs, so
-      // one configuration's Galois keys never pressure another's points.
-      const std::string Op = std::string(Networks[I].Name) + "_" + Sys.Name;
-      PreparedNetwork PN;
-      if (!prepare(Networks[I].Make(2024), Sys.Options, PN))
-        fatalError("bench: failed to prepare " + Op);
-      RandomSource Rng(99);
-      Tensor Image = Tensor::random(
-          {PN.Net.inputChannels(), PN.Net.inputHeight(), PN.Net.inputWidth()},
-          Rng);
-      Valuation Inputs = Valuation().set(
-          "image", imageSlots(PN.Net, Image, PN.Prog->vecSize()));
+  for (const System &Sys : Systems) {
+    // One workspace per configuration, shared across the thread sweep
+    // (keygen dominates otherwise) but freed before the next one runs, so
+    // one configuration's Galois keys never pressure another's points.
+    const std::string Op = std::string("lenet5_small_") + Sys.Name;
+    PreparedNetwork PN = prepare(makeLeNet5Small(2024), Sys.Options);
+    RandomSource Rng(99);
+    Tensor Image = Tensor::random(
+        {PN.Net.inputChannels(), PN.Net.inputHeight(), PN.Net.inputWidth()},
+        Rng);
+    Valuation Inputs = Valuation().set(
+        "image", imageSlots(PN.Net, Image, PN.Prog->vecSize()));
 
-      // One untimed warmup run: the first inference pays first-touch faults
-      // on the shared keys and evaluator tables, which would otherwise be
-      // billed entirely to the 1-thread point and skew every speedup. It
-      // runs at the top thread count, which is cheaper (CHET: about 25 s
-      // down to 7 s on 4 cores) and leaves the 1-thread means within the
-      // run-to-run spread they show after a 1-thread warmup.
-      if (Expected<Valuation> Out =
-              makeLocalRunner(PN, Sys.Style, Threads.back())->run(Inputs);
-          !Out)
-        fatalError("bench: " + Out.message());
+    // One untimed warmup run: the first inference pays first-touch faults
+    // on the shared keys and evaluator tables, which would otherwise be
+    // billed entirely to the 1-thread point and skew every speedup. It
+    // runs at the top thread count, which is cheaper (CHET: about 25 s
+    // down to 7 s on 4 cores) and leaves the 1-thread means within the
+    // run-to-run spread they show after a 1-thread warmup.
+    if (Expected<Valuation> Out =
+            makeLocalRunner(PN, Sys.Style, Threads.back())->run(Inputs);
+        !Out)
+      fatalError("bench: " + Out.message());
 
-      std::vector<double> Means;
-      for (size_t T : Threads) {
-        std::unique_ptr<Runner> Exec = makeLocalRunner(PN, Sys.Style, T);
-        // Bills only the compute phase, not per-iteration encrypt/decrypt.
-        BenchResult R = measureSeconds(
-            Op,
-            [&] {
-              if (Expected<Valuation> Out = Exec->run(Inputs); !Out)
-                fatalError("bench: " + Out.message());
-              return Exec->lastTiming().ComputeSeconds;
-            },
-            /*MinIters=*/3, /*MinTotalSeconds=*/0.0);
-        R.Threads = T;
-        Means.push_back(R.MeanSeconds);
-        R.SpeedupVs1 = Means[0] / R.MeanSeconds;
-        Report.add(std::move(R));
-      }
-      // The inverse-scaling guard. 5% tolerance so jitter on a 3-iteration
-      // mean does not fail unrelated changes; the regression it guards
-      // against was 2 threads ~6% SLOWER, which still trips it.
-      if (Means.size() < 2)
-        std::printf("  (one core: no 2-thread point to check)\n");
-      else
-        Report.check(Means[1] <= 1.05 * Means[0],
-                     Op + ": 2 threads no more than 5% slower than 1 (" +
-                         std::to_string(Means[1]) + " s vs " +
-                         std::to_string(Means[0]) + " s)");
+    std::vector<double> Means;
+    for (size_t T : Threads) {
+      std::unique_ptr<Runner> Exec = makeLocalRunner(PN, Sys.Style, T);
+      // Bills only the compute phase, not per-iteration encrypt/decrypt.
+      BenchResult R = measureSeconds(
+          Op,
+          [&] {
+            if (Expected<Valuation> Out = Exec->run(Inputs); !Out)
+              fatalError("bench: " + Out.message());
+            return Exec->lastTiming().ComputeSeconds;
+          },
+          /*MinIters=*/3, /*MinTotalSeconds=*/0.0);
+      R.Threads = T;
+      Means.push_back(R.MeanSeconds);
+      R.field("speedup_vs_1thread", Means[0] / R.MeanSeconds);
+      Report.add(std::move(R));
     }
+    // The inverse-scaling guard. 5% tolerance so jitter on a 3-iteration
+    // mean does not fail unrelated changes; the regression it guards
+    // against was 2 threads ~6% SLOWER, which still trips it.
+    if (Means.size() < 2)
+      std::printf("  (one core: no 2-thread point to check)\n");
+    else
+      Report.check(Means[1] <= 1.05 * Means[0],
+                   Op + ": 2 threads no more than 5% slower than 1 (" +
+                       std::to_string(Means[1]) + " s vs " +
+                       std::to_string(Means[0]) + " s)");
   }
 }
 
@@ -216,11 +214,12 @@ struct Suite {
 const Suite Suites[] = {{"micro", microSuite},
                         {"scaling", scalingSuite},
                         {"rotation", rotationSuite},
-                        {"service", serviceSuite}};
+                        {"service", serviceSuite},
+                        {"paper", paperSuite}};
 
 int usage() {
   std::fprintf(stderr, "usage: run_benches [OUTDIR] "
-                       "[micro|scaling|rotation|service ...]\n");
+                       "[micro|scaling|rotation|service|paper ...]\n");
   return 1;
 }
 
@@ -266,6 +265,11 @@ int main(int Argc, char **Argv) {
     }
     std::printf("wrote %s\n\n", Path.c_str());
     Failures += Report.failures();
+    // Hand the suite's freed heap back to the OS, so that the run's peak is
+    // its heaviest suite's (about 9 GB: CHET LeNet-5-small keys in scaling
+    // and paper). Without this the allocator's arenas keep what scaling
+    // freed, and paper pushes the run to 12.5 GB.
+    malloc_trim(0);
   }
   if (Failures > 0) {
     std::printf("%d check(s) FAILED\n", Failures);

@@ -22,7 +22,8 @@
 //    stats`) broken out as mean rows, so queue wait and compute are
 //    separable in the perf trajectory. Means are exact (sum / count);
 //    histogram quantiles are interpolations between buckets about 2.5x
-//    apart, so no quantile row is emitted;
+//    apart, so no quantile row is emitted, and a histogram keeps no
+//    minimum, so these rows have no min_seconds;
 //  * telemetry overhead A/B — the 1-session point re-run against a
 //    ServiceConfig::Telemetry=false server; min-latency overhead above 2%
 //    fails the check (the metrics hot path must stay in the noise).
@@ -139,10 +140,9 @@ SweepResult runSweepPoint(Service &Svc, size_t Sessions, size_t MinRequests,
   return R;
 }
 
-/// One span histogram -> one report row carrying its mean. MinSeconds is the
-/// lower edge of the first populated bucket (clamped below the mean so the
-/// reporter's min<=mean invariant holds for coarse single-bucket
-/// distributions).
+/// One span histogram -> one report row carrying its exact mean (sum /
+/// count). A histogram keeps no minimum, only bucket edges, so the row has
+/// no min_seconds.
 void addSpanRow(JsonReport &Report, const HistogramSnapshot &H,
                 const std::string &Op) {
   BenchResult R;
@@ -150,7 +150,6 @@ void addSpanRow(JsonReport &Report, const HistogramSnapshot &H,
   R.Iterations = H.Count;
   R.SamplesInMean = H.Count;
   R.MeanSeconds = H.mean();
-  R.MinSeconds = std::min(H.mean(), H.quantile(0.0));
   Report.add(R);
 }
 
@@ -210,8 +209,8 @@ void evabench::serviceSuite(JsonReport &Report) {
     // latency distribution was left-skewed; the emitter now rejects that.)
     Mean.MeanSeconds = R.MeanLatency;
     Mean.MinSeconds = R.MinLatency;
-    Mean.Rps = static_cast<double>(R.Requests) / R.WallSeconds;
-    Report.add(Mean);
+    Report.add(Mean.field("requests_per_second",
+                          static_cast<double>(R.Requests) / R.WallSeconds));
 
     BenchResult P95;
     P95.Op = "service_" + std::to_string(Sessions) + "sessions_p95";

@@ -82,24 +82,18 @@ private:
   std::map<std::string, Value> Values;
 };
 
-/// How strictly validateInputs checks a valuation.
-struct ValidationPolicy {
-  /// Whether ciphertext entries are acceptable for cipher inputs (local
-  /// backends accept pre-encrypted inputs; the reference semantics has no
-  /// ciphertexts).
-  bool AllowCipherEntries = true;
-  /// Whether plain values must be finite (the CKKS encoder's float->integer
-  /// rounding is undefined for NaN/Inf; the reference semantics tolerates
-  /// them but shares the contract for backend interchangeability).
-  bool RequireFinite = true;
-};
+/// Parses one `name=v1,v2,...` entry (the `--in` syntax of `evac run` and
+/// `evacall`) into \p Into. Returns false, leaving \p Into unchanged, on a
+/// missing name, a value that is not a number, or an empty list.
+bool parseInlineInput(const char *Spec, Valuation &Into);
 
 /// Validates \p V as the input set of a program with signature \p Sig.
 /// Returns success, or one diagnostic listing *every* problem found:
 /// missing/extra/misnamed names (with a did-you-mean suggestion), wrong
-/// vector lengths, non-finite values, and wrong ciphertext scale/level.
-Status validateInputs(const ProgramSignature &Sig, const Valuation &V,
-                      const ValidationPolicy &Policy = {});
+/// vector lengths, non-finite values (the CKKS encoder's float->integer
+/// rounding is undefined for NaN/Inf, and the reference semantics shares
+/// the contract), and wrong ciphertext scale/level.
+Status validateInputs(const ProgramSignature &Sig, const Valuation &V);
 
 } // namespace eva
 

@@ -56,8 +56,12 @@ std::string serializeProgram(const Program &P);
 /// or semantically invalid input (dangling ids, bad opcodes, cycles).
 Expected<std::unique_ptr<Program>> deserializeProgram(std::string_view Data);
 
-/// Convenience file I/O.
+/// Convenience file I/O. saveProgram writes wire format.
 Status saveProgram(const Program &P, const std::string &Path);
+/// Reads a program file in either format: a textual listing (it starts
+/// with the `program ` header, see TextFormat.h) or wire format. Fails with
+/// "cannot open PATH", or with the parser's diagnostic, which does not name
+/// the file.
 Expected<std::unique_ptr<Program>> loadProgram(const std::string &Path);
 
 } // namespace eva

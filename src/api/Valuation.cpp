@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 
 using namespace eva;
 
@@ -164,8 +166,31 @@ const IoSpec *closestInput(const ProgramSignature &Sig,
 
 } // namespace
 
-Status eva::validateInputs(const ProgramSignature &Sig, const Valuation &V,
-                           const ValidationPolicy &Policy) {
+bool eva::parseInlineInput(const char *Spec, Valuation &Into) {
+  const char *Eq = std::strchr(Spec, '=');
+  if (!Eq || Eq == Spec)
+    return false;
+  std::vector<double> Values;
+  const char *P = Eq + 1;
+  while (*P) {
+    char *End = nullptr;
+    double V = std::strtod(P, &End);
+    if (End == P)
+      return false;
+    Values.push_back(V);
+    P = End;
+    if (*P == ',')
+      ++P;
+    else if (*P)
+      return false;
+  }
+  if (Values.empty())
+    return false;
+  Into.set(std::string(Spec, Eq - Spec), std::move(Values));
+  return true;
+}
+
+Status eva::validateInputs(const ProgramSignature &Sig, const Valuation &V) {
   std::vector<std::string> Problems;
 
   for (const IoSpec &Spec : Sig.Inputs) {
@@ -183,12 +208,6 @@ Status eva::validateInputs(const ProgramSignature &Sig, const Valuation &V,
       if (!Spec.isCipher()) {
         Problems.push_back("input '" + Spec.Name +
                            "' is plain but a ciphertext was supplied");
-        continue;
-      }
-      if (!Policy.AllowCipherEntries) {
-        Problems.push_back("input '" + Spec.Name +
-                           "': this backend takes plain values, not "
-                           "ciphertexts");
         continue;
       }
       if (Ct->size() != 2)
@@ -228,18 +247,16 @@ Status eva::validateInputs(const ProgramSignature &Sig, const Valuation &V,
                            std::to_string(Sig.VecSize) +
                            " (shorter inputs are replicated)");
     }
-    if (Policy.RequireFinite) {
-      if (Vec) {
-        for (size_t I = 0; I < Vec->size(); ++I)
-          if (!std::isfinite((*Vec)[I])) {
-            Problems.push_back("input '" + Spec.Name +
-                               "': non-finite value at slot " +
-                               std::to_string(I));
-            break;
-          }
-      } else if (!std::isfinite(ScalarV)) {
-        Problems.push_back("input '" + Spec.Name + "': non-finite value");
-      }
+    if (Vec) {
+      for (size_t I = 0; I < Vec->size(); ++I)
+        if (!std::isfinite((*Vec)[I])) {
+          Problems.push_back("input '" + Spec.Name +
+                             "': non-finite value at slot " +
+                             std::to_string(I));
+          break;
+        }
+    } else if (!std::isfinite(ScalarV)) {
+      Problems.push_back("input '" + Spec.Name + "': non-finite value");
     }
   }
 

@@ -28,13 +28,11 @@ std::vector<double> replicate(const std::vector<double> &V, uint64_t M) {
 
 Expected<std::map<std::string, std::vector<double>>> ReferenceExecutor::run(
     const std::map<std::string, std::vector<double>> &Inputs) const {
-  // The id scheme has no ciphertexts, but shares the rest of the input
-  // contract with the CKKS backends (finiteness included) so that the
-  // backends stay drop-in interchangeable.
-  ValidationPolicy Policy;
-  Policy.AllowCipherEntries = false;
+  // The id scheme has no ciphertexts (a map holds none), but shares the
+  // rest of the input contract with the CKKS backends (finiteness included)
+  // so that the backends stay drop-in interchangeable.
   if (Status S = validateInputs(ProgramSignature::of(P),
-                                Valuation::fromMap(Inputs), Policy);
+                                Valuation::fromMap(Inputs));
       !S.ok())
     return S;
 

@@ -7,6 +7,7 @@
 #include "eva/serialize/ProtoIO.h"
 
 #include "eva/core/Analysis.h"
+#include "eva/ir/TextFormat.h"
 #include "eva/serialize/Wire.h"
 #include "eva/support/BitOps.h"
 
@@ -532,5 +533,6 @@ Expected<std::unique_ptr<Program>> eva::loadProgram(const std::string &Path) {
     return Expected<std::unique_ptr<Program>>::error("cannot open " + Path);
   std::string Data((std::istreambuf_iterator<char>(In)),
                    std::istreambuf_iterator<char>());
-  return deserializeProgram(Data);
+  return Data.rfind("program ", 0) == 0 ? parseProgramText(Data)
+                                        : deserializeProgram(Data);
 }

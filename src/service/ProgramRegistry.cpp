@@ -9,11 +9,9 @@
 #include "eva/api/ProgramSignature.h"
 #include "eva/core/Analysis.h"
 #include "eva/ir/Printer.h"
-#include "eva/ir/TextFormat.h"
 #include "eva/serialize/ProtoIO.h"
 #include "eva/support/Log.h"
 
-#include <fstream>
 
 using namespace eva;
 
@@ -91,16 +89,11 @@ Status ProgramRegistry::registerSource(const Program &Source,
 
 Status ProgramRegistry::loadFromFile(const std::string &Path,
                                      const CompilerOptions &Options) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Status::error("cannot open " + Path);
-  std::string Data((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  Expected<std::unique_ptr<Program>> P =
-      Data.rfind("program ", 0) == 0 ? parseProgramText(Data)
-                                     : deserializeProgram(Data);
-  if (!P)
-    return Status::error(Path + ": " + P.message());
+  Expected<std::unique_ptr<Program>> P = loadProgram(Path);
+  if (!P) // a parse error does not name the file; "cannot open" does
+    return Status::error(P.message() == "cannot open " + Path
+                             ? P.message()
+                             : Path + ": " + P.message());
   return registerSource(**P, Options);
 }
 

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 
 using namespace eva;
 
@@ -412,6 +413,20 @@ TEST(ProtoIO, FileSaveAndLoad) {
   Expected<std::unique_ptr<Program>> Q = loadProgram(Path);
   ASSERT_TRUE(Q.ok()) << (Q.ok() ? "" : Q.message());
   EXPECT_EQ((*Q)->nodeCount(), P->nodeCount());
+
+  // A textual listing loads too; it is told apart by its header.
+  std::string TextPath = ::testing::TempDir() + "eva_prog.txt";
+  std::ofstream(TextPath) << printProgram(*P, /*ElideConstants=*/false);
+  Expected<std::unique_ptr<Program>> T = loadProgram(TextPath);
+  ASSERT_TRUE(T.ok()) << (T.ok() ? "" : T.message());
+  EXPECT_EQ((*T)->nodeCount(), P->nodeCount());
+
+  // The registry and evacall name the file only in parse errors, so they
+  // rely on this exact message.
+  std::string Missing = ::testing::TempDir() + "eva_no_such_prog.evabin";
+  Expected<std::unique_ptr<Program>> M = loadProgram(Missing);
+  ASSERT_FALSE(M.ok());
+  EXPECT_EQ(M.message(), "cannot open " + Missing);
 }
 
 TEST(ProtoIOHostile, ByteFlippedProgramsNeverReachAnExecutor) {

@@ -35,7 +35,6 @@
 #include "eva/core/Compiler.h"
 #include "eva/math/Simd.h"
 #include "eva/ir/Printer.h"
-#include "eva/ir/TextFormat.h"
 #include "eva/serialize/ProtoIO.h"
 #include "eva/service/Client.h"
 #include "eva/service/Server.h"
@@ -286,30 +285,6 @@ private:
   size_t Pos = 0;
 };
 
-/// Parses `name=v1,v2,...` (the evacall --in syntax).
-bool parseInlineInput(const char *Spec, std::string &Name,
-                      std::vector<double> &Values) {
-  const char *Eq = std::strchr(Spec, '=');
-  if (!Eq || Eq == Spec)
-    return false;
-  Name.assign(Spec, Eq - Spec);
-  Values.clear();
-  const char *P = Eq + 1;
-  while (*P) {
-    char *End = nullptr;
-    double V = std::strtod(P, &End);
-    if (End == P)
-      return false;
-    Values.push_back(V);
-    P = End;
-    if (*P == ',')
-      ++P;
-    else if (*P)
-      return false;
-  }
-  return !Values.empty();
-}
-
 /// Prints the run result as a JSON document (full double precision, so two
 /// backends' outputs are byte-comparable).
 void printRunJson(const std::string &Program, const char *Backend,
@@ -353,13 +328,10 @@ int runCommand(int Argc, char **Argv) {
     } else if (std::strcmp(Argv[I], "--inputs") == 0 && I + 1 < Argc) {
       InputsJsonPath = Argv[++I];
     } else if (std::strcmp(Argv[I], "--in") == 0 && I + 1 < Argc) {
-      std::string Name;
-      std::vector<double> Values;
-      if (!parseInlineInput(Argv[++I], Name, Values)) {
+      if (!parseInlineInput(Argv[++I], Inputs)) {
         std::fprintf(stderr, "evac: error: bad --in spec '%s'\n", Argv[I]);
         return 1;
       }
-      Inputs.set(Name, std::move(Values));
     } else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc) {
       Threads = static_cast<size_t>(std::max(1, std::atoi(Argv[++I])));
     } else if (std::strcmp(Argv[I], "--seed") == 0 && I + 1 < Argc) {
@@ -404,16 +376,7 @@ int runCommand(int Argc, char **Argv) {
       }
   }
 
-  std::ifstream In(InputPath, std::ios::binary);
-  if (!In) {
-    std::fprintf(stderr, "evac: error: cannot open %s\n", InputPath);
-    return 1;
-  }
-  std::string Data((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  Expected<std::unique_ptr<Program>> P =
-      Data.rfind("program ", 0) == 0 ? parseProgramText(Data)
-                                     : deserializeProgram(Data);
+  Expected<std::unique_ptr<Program>> P = loadProgram(InputPath);
   if (!P) {
     std::fprintf(stderr, "evac: error: %s\n", P.message().c_str());
     return 1;
@@ -547,16 +510,7 @@ int lintCommand(int Argc, char **Argv) {
   // regardless of the build default or environment.
   Options.VerifyPasses = 1;
 
-  std::ifstream In(InputPath, std::ios::binary);
-  if (!In) {
-    std::fprintf(stderr, "evac: error: cannot open %s\n", InputPath);
-    return 1;
-  }
-  std::string Data((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  Expected<std::unique_ptr<Program>> P =
-      Data.rfind("program ", 0) == 0 ? parseProgramText(Data)
-                                     : deserializeProgram(Data);
+  Expected<std::unique_ptr<Program>> P = loadProgram(InputPath);
   if (!P) {
     std::fprintf(stderr, "evac: error: %s\n", P.message().c_str());
     return 1;
@@ -690,18 +644,9 @@ int main(int Argc, char **Argv) {
   if (!InputPath)
     return usage(Argv[0]);
 
-  // Accept both formats: textual listings start with the program header,
-  // everything else is treated as proto3 wire format.
-  std::ifstream In(InputPath, std::ios::binary);
-  if (!In) {
-    std::fprintf(stderr, "evac: error: cannot open %s\n", InputPath);
-    return 1;
-  }
-  std::string Data((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  Expected<std::unique_ptr<Program>> P =
-      Data.rfind("program ", 0) == 0 ? parseProgramText(Data)
-                                     : deserializeProgram(Data);
+  // Accept both formats (loadProgram tells a textual listing from wire
+  // format by its header).
+  Expected<std::unique_ptr<Program>> P = loadProgram(InputPath);
   if (!P) {
     std::fprintf(stderr, "evac: error: %s\n", P.message().c_str());
     return 1;

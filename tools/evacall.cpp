@@ -33,7 +33,6 @@
 
 #include "eva/api/ProgramSignature.h"
 #include "eva/api/Runner.h"
-#include "eva/ir/TextFormat.h"
 #include "eva/serialize/ProtoIO.h"
 #include "eva/service/Audit.h"
 #include "eva/service/Client.h"
@@ -77,29 +76,6 @@ int usage(const char *Prog) {
                "F; --req N selects a request id (default: last line)\n",
                Prog, Prog, Prog, Prog);
   return 1;
-}
-
-bool parseValues(const char *Spec, std::string &Name,
-                 std::vector<double> &Values) {
-  const char *Eq = std::strchr(Spec, '=');
-  if (!Eq || Eq == Spec)
-    return false;
-  Name.assign(Spec, Eq - Spec);
-  Values.clear();
-  const char *P = Eq + 1;
-  while (*P) {
-    char *End = nullptr;
-    double V = std::strtod(P, &End);
-    if (End == P)
-      return false;
-    Values.push_back(V);
-    P = End;
-    if (*P == ',')
-      ++P;
-    else if (*P)
-      return false;
-  }
-  return !Values.empty();
 }
 
 /// \p Given plus reproducible uniform noise in [-1, 1] for every input of
@@ -186,16 +162,11 @@ int statsMain(int Argc, char **Argv) {
 /// source), so the replayed DAG is the one the server ran.
 Expected<CompiledProgram> loadCompiled(const char *Path,
                                        const CompilerOptions &Options) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Status::error(std::string("cannot open ") + Path);
-  std::string Data((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  Expected<std::unique_ptr<Program>> P =
-      Data.rfind("program ", 0) == 0 ? parseProgramText(Data)
-                                     : deserializeProgram(Data);
-  if (!P)
-    return Status::error(std::string(Path) + ": " + P.message());
+  Expected<std::unique_ptr<Program>> P = loadProgram(Path);
+  if (!P) // a parse error does not name the file; "cannot open" does
+    return Status::error(P.message() == std::string("cannot open ") + Path
+                             ? P.message()
+                             : std::string(Path) + ": " + P.message());
   return compile(**P, Options);
 }
 
@@ -218,11 +189,8 @@ int auditVerifyMain(int Argc, char **Argv) {
     } else if (std::strcmp(Argv[I], "--seed") == 0 && I + 1 < Argc) {
       Seed = std::strtoull(Argv[++I], nullptr, 10);
     } else if (std::strcmp(Argv[I], "--in") == 0 && I + 1 < Argc) {
-      std::string Name;
-      std::vector<double> Values;
-      if (!parseValues(Argv[++I], Name, Values))
+      if (!parseInlineInput(Argv[++I], GivenInputs))
         return usage(Argv[0]);
-      GivenInputs.set(Name, std::move(Values));
     } else if (std::strcmp(Argv[I], "--chet") == 0) {
       Options = CompilerOptions::chet();
     } else if (std::strcmp(Argv[I], "--lazy") == 0) {
@@ -338,11 +306,8 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(Argv[I], "--program") == 0 && I + 1 < Argc) {
       ProgramName = Argv[++I];
     } else if (std::strcmp(Argv[I], "--in") == 0 && I + 1 < Argc) {
-      std::string Name;
-      std::vector<double> Values;
-      if (!parseValues(Argv[++I], Name, Values))
+      if (!parseInlineInput(Argv[++I], GivenInputs))
         return usage(Argv[0]);
-      GivenInputs.set(Name, std::move(Values));
     } else if (std::strcmp(Argv[I], "--seed") == 0 && I + 1 < Argc) {
       Seed = static_cast<uint64_t>(std::strtoull(Argv[++I], nullptr, 10));
     } else if (std::strcmp(Argv[I], "--show") == 0 && I + 1 < Argc) {
