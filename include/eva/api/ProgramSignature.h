@@ -12,12 +12,12 @@
 /// exposes the same ProgramSignature, so a Valuation validated against it
 /// runs unchanged on any of them (see eva/api/Runner.h).
 ///
-/// The signature is derived from three sources that must agree:
-///  * an uncompiled Program (frontend graph; levels unknown, Level = 0),
-///  * a CompiledProgram (Algorithm 1 output; fresh cipher inputs sit at the
-///    full data chain),
-///  * the service's wire-level ParamSignature (what a remote client fetches
-///    before it can build keys).
+/// The signature is derived from an uncompiled Program (frontend graph;
+/// levels unknown, Level = 0) or from a CompiledProgram (Algorithm 1
+/// output; fresh cipher inputs sit at the full data chain). The service's
+/// wire-level ParamSignature (eva/service/Messages.h) is this contract plus
+/// the encryption parameters, so what a remote client fetches before it
+/// builds keys is the same type the local backends expose.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,6 @@
 
 #include "eva/core/Compiler.h"
 #include "eva/ir/Program.h"
-#include "eva/service/Messages.h"
 
 #include <string>
 #include <string_view>
@@ -66,9 +65,6 @@ struct ProgramSignature {
   /// Signature of a compiled program: fresh cipher inputs sit at the full
   /// data chain of the selected modulus.
   static ProgramSignature of(const CompiledProgram &CP);
-  /// Signature recovered from the service's wire-level ParamSignature (what
-  /// a remote client fetched via LIST_PROGRAMS).
-  static ProgramSignature of(const ParamSignature &Sig);
 };
 
 } // namespace eva

@@ -30,11 +30,13 @@
 /// expandUniformNtt, roughly halving key upload size. When a seed is
 /// present the corresponding polynomial field is omitted.
 ///
-/// Loaders are defensive like the program reader in ProtoIO.h: every
-/// polynomial is validated against the supplied context (degree, component
-/// counts, residues reduced modulo their primes), so malformed or hostile
-/// input yields a diagnostic, never undefined behaviour — a requirement for
-/// a server deserializing ciphertexts from untrusted clients.
+/// Loaders are defensive like the program reader in ProtoIO.h: they read
+/// through FieldReader (Wire.h), so a known field sent with another wire
+/// type or bytes that end inside a field are refused, and every polynomial
+/// is validated against the supplied context (degree, component counts,
+/// residues reduced modulo their primes). Malformed or hostile input yields
+/// a diagnostic, never undefined behaviour — a requirement for a server
+/// deserializing ciphertexts and keys from untrusted clients.
 ///
 //===----------------------------------------------------------------------===//
 

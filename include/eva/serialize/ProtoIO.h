@@ -34,6 +34,13 @@
 /// their absence and ignore unknown fields, so the format stays wire-
 /// compatible with the paper's.
 ///
+/// The reader runs through FieldReader (Wire.h): a known field sent with
+/// another wire type, or bytes that end inside a field, are refused. So is
+/// a number the IR cannot hold: a rotation outside int32, a rescale value
+/// outside int, a constant type other than SCALAR_CONST or VECTOR_CONST,
+/// and an input type other than a plain or cipher scalar or vector. An
+/// absent type keeps its default (VECTOR_CONST, VECTOR_CIPHER).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVA_SERIALIZE_PROTOIO_H
@@ -53,7 +60,8 @@ namespace eva {
 std::string serializeProgram(const Program &P);
 
 /// Parses a program from wire format; fails with a diagnostic on malformed
-/// or semantically invalid input (dangling ids, bad opcodes, cycles).
+/// or semantically invalid input (dangling ids, bad opcodes, cycles), and
+/// runs the structural verifier on everything it accepts.
 Expected<std::unique_ptr<Program>> deserializeProgram(std::string_view Data);
 
 /// Convenience file I/O. saveProgram writes wire format.

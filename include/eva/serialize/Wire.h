@@ -11,15 +11,26 @@
 /// Buffers dependency. Readers are defensive: malformed input yields an
 /// error, never undefined behaviour.
 ///
+/// Every decoder of the format (programs in ProtoIO.h, ciphertexts and keys
+/// in CkksIO.h, the service messages in service/Messages.h) runs through
+/// FieldReader, so one rule covers unknown, mistyped and truncated fields
+/// everywhere; WireReader holds the primitives it is built on. Fixed-width
+/// values (fixed64 fields, packed doubles, key residues) go through the one
+/// little-endian pair putLE64/getLE64.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVA_SERIALIZE_WIRE_H
 #define EVA_SERIALIZE_WIRE_H
 
+#include "eva/support/Error.h"
+
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace eva {
 
@@ -28,6 +39,43 @@ enum class WireType : uint8_t {
   Fixed64 = 1,
   LengthDelimited = 2,
 };
+
+/// Stores \p V at \p Out as 8 little-endian bytes.
+inline void putLE64(char *Out, uint64_t V) {
+  if constexpr (std::endian::native == std::endian::big)
+    V = __builtin_bswap64(V);
+  std::memcpy(Out, &V, 8);
+}
+
+/// Loads 8 little-endian bytes at \p In: one 8-byte load on a
+/// little-endian host, which the key loader's per-coefficient loop relies on.
+inline uint64_t getLE64(const char *In) {
+  uint64_t V;
+  std::memcpy(&V, In, 8);
+  if constexpr (std::endian::native == std::endian::big)
+    V = __builtin_bswap64(V);
+  return V;
+}
+
+/// Packed doubles as they travel in a program's constant vectors and the
+/// service's plain inputs: raw little-endian 8-byte values, no framing.
+inline std::string packDoubles(const std::vector<double> &Vals) {
+  std::string Raw(Vals.size() * 8, '\0');
+  for (size_t I = 0; I < Vals.size(); ++I)
+    putLE64(Raw.data() + I * 8, std::bit_cast<uint64_t>(Vals[I]));
+  return Raw;
+}
+
+/// Appends the doubles packed in \p Raw to \p Out; false when \p Raw is not
+/// a whole number of 8-byte values.
+inline bool unpackDoubles(std::string_view Raw, std::vector<double> &Out) {
+  if (Raw.size() % 8 != 0)
+    return false;
+  Out.reserve(Out.size() + Raw.size() / 8);
+  for (size_t I = 0; I < Raw.size(); I += 8)
+    Out.push_back(std::bit_cast<double>(getLE64(Raw.data() + I)));
+  return true;
+}
 
 class WireWriter {
 public:
@@ -51,10 +99,9 @@ public:
 
   void doubleField(uint32_t Field, double V) {
     tag(Field, WireType::Fixed64);
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, 8);
-    for (int I = 0; I < 8; ++I)
-      Buffer.push_back(static_cast<char>((Bits >> (8 * I)) & 0xFF));
+    char Bytes[8];
+    putLE64(Bytes, std::bit_cast<uint64_t>(V));
+    Buffer.append(Bytes, 8);
   }
 
   void bytesField(uint32_t Field, std::string_view Bytes) {
@@ -77,19 +124,21 @@ public:
   bool atEnd() const { return Pos >= Data.size() || Failed; }
   bool failed() const { return Failed; }
 
-  /// Reads the next field header; returns false at end or on error.
+  /// Reads the next field header; returns false at end or on error. A
+  /// field number past proto's 2^29 - 1 is an error, not a value to
+  /// truncate into another field's number.
   bool nextField(uint32_t &Field, WireType &Type) {
     if (atEnd())
       return false;
     uint64_t Key;
     if (!readVarint(Key))
       return false;
-    Field = static_cast<uint32_t>(Key >> 3);
     uint8_t T = Key & 7;
-    if (T != 0 && T != 1 && T != 2) {
+    if ((Key >> 3) > MaxField || (T != 0 && T != 1 && T != 2)) {
       Failed = true;
       return false;
     }
+    Field = static_cast<uint32_t>(Key >> 3);
     Type = static_cast<WireType>(T);
     return true;
   }
@@ -119,16 +168,12 @@ public:
   }
 
   bool readDouble(double &V) {
-    if (Pos + 8 > Data.size()) {
+    if (Data.size() - Pos < 8) {
       Failed = true;
       return false;
     }
-    uint64_t Bits = 0;
-    for (int I = 0; I < 8; ++I)
-      Bits |= static_cast<uint64_t>(static_cast<uint8_t>(Data[Pos + I]))
-              << (8 * I);
+    V = std::bit_cast<double>(getLE64(Data.data() + Pos));
     Pos += 8;
-    std::memcpy(&V, &Bits, 8);
     return true;
   }
 
@@ -166,9 +211,134 @@ public:
   }
 
 private:
+  static constexpr uint64_t MaxField = (1u << 29) - 1;
   std::string_view Data;
   size_t Pos = 0;
   bool Failed = false;
+};
+
+/// Decodes one message: the loop over its fields, and the rules every
+/// decoder of the format shares.
+///  - A field no take() names is skipped, so unknown fields (a newer peer's
+///    extensions) are tolerated.
+///  - A named field that arrived with another wire type is refused
+///    ("malformed ciphertext field 2: wire type 0, expected 1"): it means
+///    another schema or a hostile peer, and no value can be read from it.
+///  - Bytes that end inside a field, and headers or varints the format
+///    cannot hold, are refused ("truncated or malformed ciphertext").
+/// After the first failure next() returns false, so a decoder names its
+/// fields, keeps its semantic checks, and looks at ok() once:
+///
+/// \code
+///   FieldReader R(Data, "ciphertext");
+///   while (R.next()) {
+///     R.take(2, Ct.Scale);
+///     R.take(3, Seed);
+///   }
+///   if (!R.ok())
+///     return R.status();
+/// \endcode
+class FieldReader {
+public:
+  /// \p Message names the message in diagnostics (a string literal).
+  FieldReader(std::string_view Data, const char *Message)
+      : R(Data), Message(Message) {}
+
+  /// Moves to the next field, skipping the current one if no take() read
+  /// it. False at the end of the message and after a failure.
+  bool next() {
+    if (!ok())
+      return false;
+    if (Pending && !R.skip(Type))
+      return truncated();
+    Pending = false;
+    if (R.atEnd())
+      return false;
+    if (!R.nextField(Field, Type))
+      return truncated();
+    Pending = true;
+    return true;
+  }
+
+  /// Reads the current field into \p V if it is field \p F; true when it
+  /// did. A varint reads into uint64_t, a fixed64 into double, and a
+  /// length-delimited field into std::string_view (a view of the input) or
+  /// std::string; a std::vector of those appends (a repeated field).
+  bool take(uint32_t F, uint64_t &V) {
+    return expect(F, WireType::Varint) && read(R.readVarint(V));
+  }
+  bool take(uint32_t F, double &V) {
+    return expect(F, WireType::Fixed64) && read(R.readDouble(V));
+  }
+  bool take(uint32_t F, std::string_view &V) {
+    return expect(F, WireType::LengthDelimited) && read(R.readBytes(V));
+  }
+  bool take(uint32_t F, std::string &V) {
+    std::string_view B;
+    if (!take(F, B))
+      return false;
+    V.assign(B);
+    return true;
+  }
+  template <typename T> bool take(uint32_t F, std::vector<T> &V) {
+    T Value{};
+    if (!take(F, Value))
+      return false;
+    V.push_back(std::move(Value));
+    return true;
+  }
+
+  /// Decodes field \p F as an embedded message with \p Decode, a callable
+  /// (std::string_view) -> Status; its failure becomes this reader's.
+  template <typename DecodeFn> bool takeMessage(uint32_t F, DecodeFn &&Decode) {
+    std::string_view B;
+    if (!take(F, B))
+      return false;
+    Failure = Decode(B);
+    return ok();
+  }
+  /// A repeated embedded message: decodes field \p F into a new element of
+  /// \p Out with \p Decode, a callable (std::string_view, T &) -> Status.
+  template <typename T, typename DecodeFn>
+  bool takeMessage(uint32_t F, std::vector<T> &Out, DecodeFn &&Decode) {
+    return takeMessage(
+        F, [&](std::string_view B) { return Decode(B, Out.emplace_back()); });
+  }
+
+  bool ok() const { return Failure.ok(); }
+  /// The first failure's diagnostic (success while ok()).
+  Status status() const { return Failure; }
+
+private:
+  bool expect(uint32_t F, WireType Want) {
+    if (!Pending || Field != F)
+      return false;
+    Pending = false;
+    if (Type == Want)
+      return true;
+    Failure = Status::error(std::string("malformed ") + Message + " field " +
+                            std::to_string(Field) + ": wire type " +
+                            std::to_string(static_cast<int>(Type)) +
+                            ", expected " +
+                            std::to_string(static_cast<int>(Want)));
+    return false;
+  }
+
+  bool read(bool Read) { return Read || truncated(); }
+
+  bool truncated() {
+    Failure =
+        Status::error(std::string("truncated or malformed ") + Message);
+    return false;
+  }
+
+  WireReader R;
+  const char *Message;
+  uint32_t Field = 0;
+  WireType Type = WireType::Varint;
+  /// The current field has not been read yet.
+  bool Pending = false;
+  Status Failure;
 };
 
 } // namespace eva

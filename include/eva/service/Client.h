@@ -131,6 +131,9 @@ public:
   /// Server-assigned trace id of the most recent successful submit();
   /// 0 before any request or against servers predating request tracing.
   uint64_t lastRequestId() const { return LastRequestId; }
+  /// The open session's signature: the typed I/O contract requests are
+  /// sealed and decrypted against (Runner::remote exposes it) plus the
+  /// parameters the client stack was built from.
   const ParamSignature &signature() const { return Sig; }
   /// The client stack's context and keys. Before the first openSession the
   /// context is null, the key sets are empty and there is no secret key.

@@ -52,11 +52,18 @@
 ///                          repeated HistogramVal histograms = 3; }
 /// \endcode
 ///
+/// Every deserialize* reads through FieldReader (serialize/Wire.h), like the
+/// program and key loaders: unknown fields are skipped, and a known field
+/// sent with another wire type or bytes that end inside a field are
+/// refused with a diagnostic naming the message. The server decodes
+/// untrusted client bytes here, and the client decodes the server's.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVA_SERVICE_MESSAGES_H
 #define EVA_SERVICE_MESSAGES_H
 
+#include "eva/api/ProgramSignature.h"
 #include "eva/ckks/SecurityTable.h"
 #include "eva/support/Error.h"
 #include "eva/support/Telemetry.h"
@@ -85,32 +92,20 @@ enum class MessageType : uint8_t {
 
 const char *messageTypeName(MessageType T);
 
-/// One named program input as the client must supply it.
-struct ServiceInputSpec {
-  std::string Name;
-  double LogScale = 0;
-  bool IsCipher = true;
-};
-
-struct ServiceOutputSpec {
-  std::string Name;
-  double LogScale = 0;
-};
-
 /// Everything a client needs to build a matching encryption context and
-/// key set for one registered program: the compiled parameters (both sides
-/// derive identical primes deterministically from the bit sizes), the
-/// rotation-step set requiring Galois keys, and the I/O schema.
-struct ParamSignature {
-  std::string ProgramName;
+/// key set for one registered program: the program's typed I/O contract
+/// (api/ProgramSignature.h) plus the compiled parameters (both sides derive
+/// identical primes deterministically from the bit sizes) and the
+/// rotation-step set requiring Galois keys. On the wire an input carries
+/// only its name, scale and `cipher` bit, so a decoded signature types
+/// plain inputs as Vector; cipher inputs and all outputs sit at the full
+/// data chain (Level = ContextBitSizes.size() - 1).
+struct ParamSignature : ProgramSignature {
   uint64_t PolyDegree = 0;
-  uint64_t VecSize = 0;
   std::vector<int> ContextBitSizes; ///< storage order, special prime last
   std::vector<uint64_t> RotationSteps;
   SecurityLevel Security = SecurityLevel::TC128;
   bool NeedsRelin = false;
-  std::vector<ServiceInputSpec> Inputs;
-  std::vector<ServiceOutputSpec> Outputs;
   /// Publish-time lint findings ("[kind] %id: message"), surfaced so clients
   /// can see the server's static-analysis verdict without recompiling.
   /// Programs that fail *verification* are refused at registration; warnings
@@ -175,9 +170,6 @@ Expected<OpenSessionMsg> deserializeOpenSession(std::string_view Data);
 
 std::string serializeSessionOpened(const SessionOpenedMsg &M);
 Expected<SessionOpenedMsg> deserializeSessionOpened(std::string_view Data);
-
-/// Plain values as they travel in NamedPlain.values: LE 8-byte doubles.
-std::string packDoubles(const std::vector<double> &Vals);
 
 std::string serializeExecute(const ExecuteMsg &M);
 Expected<ExecuteMsg> deserializeExecute(std::string_view Data);

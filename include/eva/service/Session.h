@@ -45,7 +45,7 @@ public:
   uint64_t id() const { return Id; }
   const CkksContext &context() const { return *WS->Context; }
   /// The typed I/O contract every request is validated against.
-  const ProgramSignature &signature() const { return Sig; }
+  const ProgramSignature &signature() const { return Prog->Signature; }
 
   /// Runs one encrypted request to completion on the calling thread, through
   /// the same api/Runner every other caller uses, in cipher-in/cipher-out
@@ -66,7 +66,6 @@ private:
   uint64_t Id;
   std::shared_ptr<const RegisteredProgram> Prog;
   std::shared_ptr<CkksWorkspace> WS;
-  ProgramSignature Sig;
   /// Per-program instruments, resolved once at construction (null / empty
   /// without a metrics registry).
   Counter *Served = nullptr;

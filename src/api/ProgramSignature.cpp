@@ -50,19 +50,3 @@ ProgramSignature ProgramSignature::of(const CompiledProgram &CP) {
   size_t DataPrimes = CP.BitSizes.empty() ? 0 : CP.BitSizes.size() - 1;
   return signatureOfProgram(*CP.Prog, DataPrimes);
 }
-
-ProgramSignature ProgramSignature::of(const ParamSignature &Wire) {
-  ProgramSignature Sig;
-  Sig.ProgramName = Wire.ProgramName;
-  Sig.VecSize = Wire.VecSize;
-  size_t DataPrimes =
-      Wire.ContextBitSizes.empty() ? 0 : Wire.ContextBitSizes.size() - 1;
-  for (const ServiceInputSpec &In : Wire.Inputs)
-    Sig.Inputs.push_back({In.Name,
-                          In.IsCipher ? ValueType::Cipher : ValueType::Vector,
-                          In.LogScale, In.IsCipher ? DataPrimes : 0});
-  for (const ServiceOutputSpec &Out : Wire.Outputs)
-    Sig.Outputs.push_back(
-        {Out.Name, ValueType::Cipher, Out.LogScale, DataPrimes});
-  return Sig;
-}

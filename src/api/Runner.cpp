@@ -157,11 +157,12 @@ public:
             Client.openSession(*Wire, Opts.KeySeed, Opts.ReproducibleSeeds);
         !S.ok())
       return S;
-    Sig = ProgramSignature::of(*Wire);
     return Status::success();
   }
 
-  const ProgramSignature &signature() const override { return Sig; }
+  const ProgramSignature &signature() const override {
+    return Client.signature();
+  }
   const char *backend() const override { return "remote"; }
 
   Expected<Valuation> run(const Valuation &Inputs) override {
@@ -192,7 +193,6 @@ public:
 private:
   std::unique_ptr<Transport> OwnedT;
   ServiceClient Client;
-  ProgramSignature Sig;
   Timing LastTiming;
 };
 

@@ -10,91 +10,59 @@
 #include "eva/serialize/Wire.h"
 
 #include <cmath>
-#include <cstring>
 
 using namespace eva;
 
 namespace {
 
-void appendRawU64(std::string &Out, const std::vector<uint64_t> &Vals) {
-  size_t Base = Out.size();
-  Out.resize(Base + Vals.size() * 8);
-  for (size_t I = 0; I < Vals.size(); ++I) {
-    uint64_t V = Vals[I];
-    for (int B = 0; B < 8; ++B)
-      Out[Base + I * 8 + B] = static_cast<char>((V >> (8 * B)) & 0xFF);
-  }
-}
-
-uint64_t readRawU64(std::string_view Raw, size_t I) {
-  uint64_t V = 0;
-  for (int B = 0; B < 8; ++B)
-    V |= static_cast<uint64_t>(static_cast<uint8_t>(Raw[I * 8 + B]))
-         << (8 * B);
-  return V;
-}
-
 void writePoly(WireWriter &W, uint32_t Field, const RnsPoly &P) {
   W.bytesField(Field, serializeRnsPoly(P));
 }
 
-/// Parses one RnsPoly message body and validates it against the context.
-Expected<RnsPoly> parsePoly(const CkksContext &Ctx, std::string_view Data,
-                            size_t MaxPrimes) {
-  using Result = Expected<RnsPoly>;
+/// Parses one RnsPoly message body into \p P and validates it against the
+/// context.
+Status parsePoly(const CkksContext &Ctx, std::string_view Data,
+                 size_t MaxPrimes, RnsPoly &P) {
   uint64_t Degree = 0, PrimeCount = 0;
   std::vector<std::string_view> RawComps;
-
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::Varint) {
-      if (!R.readVarint(Degree))
-        return Result::error("malformed poly degree");
-    } else if (Field == 2 && Type == WireType::Varint) {
-      if (!R.readVarint(PrimeCount))
-        return Result::error("malformed poly prime count");
-    } else if (Field == 3 && Type == WireType::LengthDelimited) {
-      std::string_view Raw;
-      if (!R.readBytes(Raw))
-        return Result::error("malformed poly component");
-      RawComps.push_back(Raw);
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed poly field");
-    }
+  FieldReader R(Data, "poly");
+  while (R.next()) {
+    R.take(1, Degree);
+    R.take(2, PrimeCount);
+    R.take(3, RawComps);
   }
-  if (R.failed())
-    return Result::error("truncated poly");
+  if (!R.ok())
+    return R.status();
   if (Degree != Ctx.polyDegree())
-    return Result::error("poly degree " + std::to_string(Degree) +
+    return Status::error("poly degree " + std::to_string(Degree) +
                          " does not match context degree " +
                          std::to_string(Ctx.polyDegree()));
   if (PrimeCount != RawComps.size())
-    return Result::error("poly declares " + std::to_string(PrimeCount) +
+    return Status::error("poly declares " + std::to_string(PrimeCount) +
                          " components but carries " +
                          std::to_string(RawComps.size()));
   if (RawComps.empty() || RawComps.size() > MaxPrimes)
-    return Result::error("poly component count " +
-                         std::to_string(RawComps.size()) +
-                         " outside [1, " + std::to_string(MaxPrimes) + "]");
+    return Status::error("poly component count " +
+                         std::to_string(RawComps.size()) + " outside [1, " +
+                         std::to_string(MaxPrimes) + "]");
 
-  RnsPoly P(Degree, RawComps.size());
+  P = RnsPoly(Degree, RawComps.size());
   for (size_t C = 0; C < RawComps.size(); ++C) {
     if (RawComps[C].size() != Degree * 8)
-      return Result::error("poly component " + std::to_string(C) +
+      return Status::error("poly component " + std::to_string(C) +
                            " has wrong size");
     uint64_t Q = Ctx.prime(C).value();
+    const char *Raw = RawComps[C].data();
     for (uint64_t I = 0; I < Degree; ++I) {
-      uint64_t V = readRawU64(RawComps[C], I);
+      uint64_t V = getLE64(Raw + I * 8);
       // Arithmetic kernels assume reduced residues; an out-of-range value
       // from a hostile client must be rejected, not computed with.
       if (V >= Q)
-        return Result::error("poly residue exceeds its prime modulus");
+        return Status::error("poly residue exceeds its prime modulus");
       P.Comps[C][I] = V;
     }
   }
-  return P;
+  return Status::success();
 }
 
 /// KSwitchPair: 1=k0, 2=k1 (omitted when seeded), 3=c1_seed.
@@ -113,70 +81,80 @@ void writeKSwitchKey(WireWriter &W, uint32_t Field, const KSwitchKey &K) {
   W.bytesField(Field, KW.str());
 }
 
-Expected<KSwitchKey> parseKSwitchKey(const CkksContext &Ctx,
-                                     std::string_view Data) {
-  using Result = Expected<KSwitchKey>;
-  KSwitchKey Key;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view PairBytes;
-      if (!R.readBytes(PairBytes))
-        return Result::error("malformed key-switch pair");
-      std::array<RnsPoly, 2> Pair;
-      uint64_t Seed = 0;
-      bool HaveK0 = false, HaveK1 = false;
-      WireReader PR(PairBytes);
-      uint32_t F;
-      WireType T;
-      while (PR.nextField(F, T)) {
-        if ((F == 1 || F == 2) && T == WireType::LengthDelimited) {
-          std::string_view PolyBytes;
-          if (!PR.readBytes(PolyBytes))
-            return Result::error("malformed key-switch polynomial");
-          Expected<RnsPoly> P =
-              parsePoly(Ctx, PolyBytes, Ctx.totalPrimeCount());
-          if (!P)
-            return P.takeStatus();
-          // Key-switch components span the full modulus chain.
-          if (P->primeCount() != Ctx.totalPrimeCount())
-            return Result::error("key-switch polynomial must span all primes");
-          Pair[F - 1] = std::move(*P);
-          (F == 1 ? HaveK0 : HaveK1) = true;
-        } else if (F == 3 && T == WireType::Varint) {
-          if (!PR.readVarint(Seed))
-            return Result::error("malformed key-switch seed");
-        } else if (!PR.skip(T)) {
-          return Result::error("malformed key-switch field");
-        }
-      }
-      if (PR.failed())
-        return Result::error("truncated key-switch pair");
-      if (!HaveK0)
-        return Result::error("key-switch pair missing k0");
-      if (Seed != 0) {
-        if (HaveK1)
-          return Result::error("key-switch pair has both k1 and a seed");
-        Pair[1] = expandUniformNtt(Ctx, Ctx.totalPrimeCount(), Seed);
-      } else if (!HaveK1) {
-        return Result::error("key-switch pair missing k1 and seed");
-      }
-      Key.Keys.push_back(std::move(Pair));
-      Key.C1Seeds.push_back(Seed);
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed key-switch key field");
-    }
+Status parseKSwitchPair(const CkksContext &Ctx, std::string_view Data,
+                        KSwitchKey &Key) {
+  // Key-switch components span the full modulus chain.
+  const size_t Primes = Ctx.totalPrimeCount();
+  std::array<RnsPoly, 2> Pair;
+  auto PolyInto = [&](RnsPoly &P) {
+    return [&](std::string_view B) { return parsePoly(Ctx, B, Primes, P); };
+  };
+  uint64_t Seed = 0;
+  bool HaveK0 = false, HaveK1 = false;
+  FieldReader R(Data, "key-switch pair");
+  while (R.next()) {
+    HaveK0 |= R.takeMessage(1, PolyInto(Pair[0]));
+    HaveK1 |= R.takeMessage(2, PolyInto(Pair[1]));
+    R.take(3, Seed);
   }
-  if (R.failed())
-    return Result::error("truncated key-switch key");
+  if (!R.ok())
+    return R.status();
+  if (!HaveK0)
+    return Status::error("key-switch pair missing k0");
+  if (Seed != 0) {
+    if (HaveK1)
+      return Status::error("key-switch pair has both k1 and a seed");
+    Pair[1] = expandUniformNtt(Ctx, Primes, Seed);
+  } else if (!HaveK1) {
+    return Status::error("key-switch pair missing k1 and seed");
+  }
+  if (Pair[0].primeCount() != Primes || Pair[1].primeCount() != Primes)
+    return Status::error("key-switch polynomial must span all primes");
+  Key.Keys.push_back(std::move(Pair));
+  Key.C1Seeds.push_back(Seed);
+  return Status::success();
+}
+
+/// Parses a KSwitchKey into \p Key, replacing what it held.
+Status parseKSwitchKey(const CkksContext &Ctx, std::string_view Data,
+                       KSwitchKey &Key) {
+  Key = KSwitchKey();
+  FieldReader R(Data, "key-switch key");
+  while (R.next())
+    R.takeMessage(
+        1, [&](std::string_view B) { return parseKSwitchPair(Ctx, B, Key); });
+  if (!R.ok())
+    return R.status();
   if (Key.Keys.size() != Ctx.dataPrimeCount())
-    return Result::error("key-switch key has " +
+    return Status::error("key-switch key has " +
                          std::to_string(Key.Keys.size()) +
                          " decomposition components, context needs " +
                          std::to_string(Ctx.dataPrimeCount()));
-  return Key;
+  return Status::success();
+}
+
+Status parseGaloisEntry(const CkksContext &Ctx, std::string_view Data,
+                        GaloisKeys &Gk) {
+  uint64_t Elt = 0;
+  KSwitchKey Key;
+  bool HaveKey = false;
+  FieldReader R(Data, "galois entry");
+  while (R.next()) {
+    R.take(1, Elt);
+    HaveKey |= R.takeMessage(
+        2, [&](std::string_view B) { return parseKSwitchKey(Ctx, B, Key); });
+  }
+  if (!R.ok())
+    return R.status();
+  // Valid Galois elements are odd and in (1, 2N).
+  if (Elt < 3 || Elt >= 2 * Ctx.polyDegree() || Elt % 2 == 0)
+    return Status::error("galois element " + std::to_string(Elt) +
+                         " out of range");
+  if (!HaveKey)
+    return Status::error("galois entry missing key");
+  if (!Gk.Keys.emplace(Elt, std::move(Key)).second)
+    return Status::error("duplicate galois element " + std::to_string(Elt));
+  return Status::success();
 }
 
 } // namespace
@@ -186,8 +164,9 @@ std::string eva::serializeRnsPoly(const RnsPoly &P) {
   PW.varintField(1, P.Degree);
   PW.varintField(2, P.primeCount());
   for (const std::vector<uint64_t> &Comp : P.Comps) {
-    std::string Raw;
-    appendRawU64(Raw, Comp);
+    std::string Raw(Comp.size() * 8, '\0');
+    for (size_t I = 0; I < Comp.size(); ++I)
+      putLE64(Raw.data() + I * 8, Comp[I]);
     PW.bytesField(3, Raw);
   }
   return PW.take();
@@ -211,34 +190,20 @@ Expected<Ciphertext> eva::deserializeCiphertext(const CkksContext &Ctx,
   using Result = Expected<Ciphertext>;
   Ciphertext Ct;
   uint64_t C1Seed = 0;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view PolyBytes;
-      if (!R.readBytes(PolyBytes))
-        return Result::error("malformed ciphertext poly");
-      // A ciphertext grown by unrelinearized multiplies stays small; cap the
-      // polynomial count defensively so hostile input cannot balloon memory.
-      if (Ct.Polys.size() >= 8)
-        return Result::error("ciphertext has too many polynomials");
-      Expected<RnsPoly> P = parsePoly(Ctx, PolyBytes, Ctx.dataPrimeCount());
-      if (!P)
-        return P.takeStatus();
-      Ct.Polys.push_back(std::move(*P));
-    } else if (Field == 2 && Type == WireType::Fixed64) {
-      if (!R.readDouble(Ct.Scale))
-        return Result::error("malformed ciphertext scale");
-    } else if (Field == 3 && Type == WireType::Varint) {
-      if (!R.readVarint(C1Seed))
-        return Result::error("malformed ciphertext seed");
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed ciphertext field");
-    }
+  FieldReader R(Data, "ciphertext");
+  while (R.next()) {
+    R.takeMessage(1, Ct.Polys, [&](std::string_view B, RnsPoly &P) {
+      // A ciphertext grown by unrelinearized multiplies stays small; cap
+      // the polynomial count so hostile input cannot balloon memory.
+      if (Ct.Polys.size() > 8)
+        return Status::error("ciphertext has too many polynomials");
+      return parsePoly(Ctx, B, Ctx.dataPrimeCount(), P);
+    });
+    R.take(2, Ct.Scale);
+    R.take(3, C1Seed);
   }
-  if (R.failed())
-    return Result::error("truncated ciphertext");
+  if (!R.ok())
+    return R.status();
   if (C1Seed != 0) {
     if (Ct.Polys.size() != 1)
       return Result::error("seed-compressed ciphertext must store exactly "
@@ -264,30 +229,16 @@ std::string eva::serializeRelinKeys(const RelinKeys &Rk) {
 
 Expected<RelinKeys> eva::deserializeRelinKeys(const CkksContext &Ctx,
                                               std::string_view Data) {
-  using Result = Expected<RelinKeys>;
   RelinKeys Rk;
   bool HaveKey = false;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view KeyBytes;
-      if (!R.readBytes(KeyBytes))
-        return Result::error("malformed relin key");
-      Expected<KSwitchKey> K = parseKSwitchKey(Ctx, KeyBytes);
-      if (!K)
-        return K.takeStatus();
-      Rk.Key = std::move(*K);
-      HaveKey = true;
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed relin keys field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated relin keys");
+  FieldReader R(Data, "relin keys");
+  while (R.next())
+    HaveKey |= R.takeMessage(
+        1, [&](std::string_view B) { return parseKSwitchKey(Ctx, B, Rk.Key); });
+  if (!R.ok())
+    return R.status();
   if (!HaveKey)
-    return Result::error("relin keys missing key");
+    return Expected<RelinKeys>::error("relin keys missing key");
   return Rk;
 }
 
@@ -304,55 +255,12 @@ std::string eva::serializeGaloisKeys(const GaloisKeys &Gk) {
 
 Expected<GaloisKeys> eva::deserializeGaloisKeys(const CkksContext &Ctx,
                                                 std::string_view Data) {
-  using Result = Expected<GaloisKeys>;
   GaloisKeys Gk;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view EntryBytes;
-      if (!R.readBytes(EntryBytes))
-        return Result::error("malformed galois entry");
-      uint64_t Elt = 0;
-      KSwitchKey Key;
-      bool HaveKey = false;
-      WireReader ER(EntryBytes);
-      uint32_t F;
-      WireType T;
-      while (ER.nextField(F, T)) {
-        if (F == 1 && T == WireType::Varint) {
-          if (!ER.readVarint(Elt))
-            return Result::error("malformed galois element");
-        } else if (F == 2 && T == WireType::LengthDelimited) {
-          std::string_view KeyBytes;
-          if (!ER.readBytes(KeyBytes))
-            return Result::error("malformed galois key");
-          Expected<KSwitchKey> K = parseKSwitchKey(Ctx, KeyBytes);
-          if (!K)
-            return K.takeStatus();
-          Key = std::move(*K);
-          HaveKey = true;
-        } else if (!ER.skip(T)) {
-          return Result::error("malformed galois entry field");
-        }
-      }
-      if (ER.failed())
-        return Result::error("truncated galois entry");
-      // Valid Galois elements are odd and in (1, 2N).
-      if (Elt < 3 || Elt >= 2 * Ctx.polyDegree() || Elt % 2 == 0)
-        return Result::error("galois element " + std::to_string(Elt) +
-                             " out of range");
-      if (!HaveKey)
-        return Result::error("galois entry missing key");
-      if (!Gk.Keys.emplace(Elt, std::move(Key)).second)
-        return Result::error("duplicate galois element " +
-                             std::to_string(Elt));
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed galois keys field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated galois keys");
+  FieldReader R(Data, "galois keys");
+  while (R.next())
+    R.takeMessage(
+        1, [&](std::string_view B) { return parseGaloisEntry(Ctx, B, Gk); });
+  if (!R.ok())
+    return R.status();
   return Gk;
 }

@@ -12,6 +12,7 @@
 #include "eva/support/BitOps.h"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -147,19 +148,9 @@ std::string eva::serializeProgram(const Program &P) {
     C.varintField(2, N->type() == ValueType::Scalar ? PT_SCALAR_CONST
                                                     : PT_VECTOR_CONST);
     C.doubleField(3, N->logScale());
+    // Packed repeated double: one length-delimited field.
     WireWriter Vec;
-    {
-      // Packed repeated double: one length-delimited field of raw
-      // little-endian 8-byte values.
-      std::string Raw;
-      for (double D : N->constValue()) {
-        uint64_t Bits;
-        std::memcpy(&Bits, &D, 8);
-        for (int I = 0; I < 8; ++I)
-          Raw.push_back(static_cast<char>((Bits >> (8 * I)) & 0xFF));
-      }
-      Vec.bytesField(1, Raw);
-    }
+    Vec.bytesField(1, packDoubles(N->constValue()));
     C.bytesField(4, Vec.str());
     W.bytesField(2, C.str());
   }
@@ -207,30 +198,123 @@ std::string eva::serializeProgram(const Program &P) {
 
 namespace {
 
-bool decodeObjectId(std::string_view Bytes, uint64_t &Id) {
-  WireReader R(Bytes);
-  uint32_t Field;
-  WireType Type;
-  Id = 0;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::Varint) {
-      if (!R.readVarint(Id))
-        return false;
-    } else if (!R.skip(Type)) {
-      return false;
-    }
-  }
-  return !R.failed();
-}
+struct RawConst {
+  uint64_t Id = 0;
+  uint64_t Type = PT_VECTOR_CONST;
+  double Scale = 0;
+  std::vector<double> Values;
+};
+
+struct RawInput {
+  uint64_t Id = 0;
+  uint64_t Type = PT_VECTOR_CIPHER;
+  double Scale = 0;
+  std::string Name;
+};
+
+struct RawOutput {
+  uint64_t Id = 0;
+  double Scale = 0;
+  std::string Name;
+};
 
 struct RawInstruction {
   uint64_t Id = 0;
   uint64_t Op = 0;
   std::vector<uint64_t> Args;
   int64_t Rotation = 0;
-  int RescaleBits = 0;
+  uint64_t RescaleBits = 0;
   double AttrScale = 0;
 };
+
+/// Object { uint64 id = 1; }
+Status decodeObject(std::string_view Data, uint64_t &Id) {
+  FieldReader R(Data, "object");
+  while (R.next())
+    R.take(1, Id);
+  return R.status();
+}
+
+auto objectInto(uint64_t &Id) {
+  return [&Id](std::string_view Data) { return decodeObject(Data, Id); };
+}
+
+Status decodeConstant(std::string_view Data, RawConst &C) {
+  FieldReader R(Data, "constant");
+  while (R.next()) {
+    R.takeMessage(1, objectInto(C.Id));
+    R.take(2, C.Type);
+    R.take(3, C.Scale);
+    R.takeMessage(4, [&C](std::string_view Vec) {
+      FieldReader VR(Vec, "constant vector");
+      std::string_view Raw;
+      while (VR.next())
+        if (VR.take(1, Raw) && !unpackDoubles(Raw, C.Values))
+          return Status::error("malformed packed doubles");
+      return VR.status();
+    });
+  }
+  if (!R.ok())
+    return R.status();
+  if (C.Type != PT_SCALAR_CONST && C.Type != PT_VECTOR_CONST)
+    return Status::error("constant type code " + std::to_string(C.Type) +
+                         " is not SCALAR_CONST or VECTOR_CONST");
+  return Status::success();
+}
+
+Status decodeInput(std::string_view Data, RawInput &In) {
+  FieldReader R(Data, "input");
+  while (R.next()) {
+    R.takeMessage(1, objectInto(In.Id));
+    R.take(2, In.Type);
+    R.take(3, In.Scale);
+    R.take(15, In.Name);
+  }
+  if (!R.ok())
+    return R.status();
+  if (In.Type != PT_SCALAR_PLAIN && In.Type != PT_SCALAR_CIPHER &&
+      In.Type != PT_VECTOR_PLAIN && In.Type != PT_VECTOR_CIPHER)
+    return Status::error("input type code " + std::to_string(In.Type) +
+                         " is not a plain or cipher scalar or vector");
+  return Status::success();
+}
+
+Status decodeOutput(std::string_view Data, RawOutput &Out) {
+  FieldReader R(Data, "output");
+  while (R.next()) {
+    R.takeMessage(1, objectInto(Out.Id));
+    R.take(2, Out.Scale);
+    R.take(15, Out.Name);
+  }
+  return R.status();
+}
+
+Status decodeInstruction(std::string_view Data, RawInstruction &Inst) {
+  FieldReader R(Data, "instruction");
+  uint64_t Zigzag = 0;
+  while (R.next()) {
+    R.takeMessage(1, objectInto(Inst.Id));
+    R.take(2, Inst.Op);
+    R.takeMessage(3, Inst.Args, decodeObject);
+    R.take(4, Zigzag);
+    R.take(5, Inst.RescaleBits);
+    R.take(6, Inst.AttrScale);
+  }
+  if (!R.ok())
+    return R.status();
+  // The IR holds a rotation as int32_t and a rescale value as int: refuse
+  // what they cannot hold instead of keeping its low bits.
+  Inst.Rotation = unzigzag(Zigzag);
+  if (Inst.Rotation < std::numeric_limits<int32_t>::min() ||
+      Inst.Rotation > std::numeric_limits<int32_t>::max())
+    return Status::error("rotation " + std::to_string(Inst.Rotation) +
+                         " out of range");
+  if (Inst.RescaleBits >
+      static_cast<uint64_t>(std::numeric_limits<int>::max()))
+    return Status::error("rescale bits " + std::to_string(Inst.RescaleBits) +
+                         " out of range");
+  return Status::success();
+}
 
 } // namespace
 
@@ -239,207 +323,22 @@ eva::deserializeProgram(std::string_view Data) {
   using Result = Expected<std::unique_ptr<Program>>;
   uint64_t VecSize = 0;
   std::string Name = "program";
-
-  struct RawConst {
-    uint64_t Id;
-    uint64_t Type;
-    double Scale;
-    std::vector<double> Values;
-  };
-  struct RawInput {
-    uint64_t Id;
-    uint64_t Type;
-    double Scale;
-    std::string Name;
-  };
-  struct RawOutput {
-    uint64_t Id;
-    double Scale;
-    std::string Name;
-  };
   std::vector<RawConst> Consts;
   std::vector<RawInput> Ins;
   std::vector<RawOutput> Outs;
   std::vector<RawInstruction> Insts;
 
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    switch (Field) {
-    case 1: {
-      if (Type != WireType::Varint || !R.readVarint(VecSize))
-        return Result::error("malformed vec_size");
-      break;
-    }
-    case 2: { // Constant
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed constant");
-      RawConst C{0, PT_VECTOR_CONST, 0, {}};
-      WireReader CR(B);
-      uint32_t F;
-      WireType T;
-      while (CR.nextField(F, T)) {
-        if (F == 1 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          if (!CR.readBytes(O) || !decodeObjectId(O, C.Id))
-            return Result::error("malformed constant object");
-        } else if (F == 2 && T == WireType::Varint) {
-          if (!CR.readVarint(C.Type))
-            return Result::error("malformed constant type");
-        } else if (F == 3 && T == WireType::Fixed64) {
-          if (!CR.readDouble(C.Scale))
-            return Result::error("malformed constant scale");
-        } else if (F == 4 && T == WireType::LengthDelimited) {
-          std::string_view V;
-          if (!CR.readBytes(V))
-            return Result::error("malformed constant vector");
-          WireReader VR(V);
-          uint32_t VF;
-          WireType VT;
-          while (VR.nextField(VF, VT)) {
-            if (VF == 1 && VT == WireType::LengthDelimited) {
-              std::string_view Raw;
-              if (!VR.readBytes(Raw) || Raw.size() % 8 != 0)
-                return Result::error("malformed packed doubles");
-              for (size_t I = 0; I < Raw.size(); I += 8) {
-                uint64_t Bits = 0;
-                for (int K = 0; K < 8; ++K)
-                  Bits |= static_cast<uint64_t>(
-                              static_cast<uint8_t>(Raw[I + K]))
-                          << (8 * K);
-                double D;
-                std::memcpy(&D, &Bits, 8);
-                C.Values.push_back(D);
-              }
-            } else if (!VR.skip(VT)) {
-              return Result::error("malformed vector field");
-            }
-          }
-        } else if (!CR.skip(T)) {
-          return Result::error("malformed constant field");
-        }
-      }
-      Consts.push_back(std::move(C));
-      break;
-    }
-    case 3: { // Input
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed input");
-      RawInput In{0, PT_VECTOR_CIPHER, 0, {}};
-      WireReader IR(B);
-      uint32_t F;
-      WireType T;
-      while (IR.nextField(F, T)) {
-        if (F == 1 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          if (!IR.readBytes(O) || !decodeObjectId(O, In.Id))
-            return Result::error("malformed input object");
-        } else if (F == 2 && T == WireType::Varint) {
-          if (!IR.readVarint(In.Type))
-            return Result::error("malformed input type");
-        } else if (F == 3 && T == WireType::Fixed64) {
-          if (!IR.readDouble(In.Scale))
-            return Result::error("malformed input scale");
-        } else if (F == 15 && T == WireType::LengthDelimited) {
-          std::string_view NameBytes;
-          if (!IR.readBytes(NameBytes))
-            return Result::error("malformed input name");
-          In.Name = std::string(NameBytes);
-        } else if (!IR.skip(T)) {
-          return Result::error("malformed input field");
-        }
-      }
-      Ins.push_back(std::move(In));
-      break;
-    }
-    case 4: { // Output
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed output");
-      RawOutput Out{0, 0, {}};
-      WireReader OR(B);
-      uint32_t F;
-      WireType T;
-      while (OR.nextField(F, T)) {
-        if (F == 1 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          if (!OR.readBytes(O) || !decodeObjectId(O, Out.Id))
-            return Result::error("malformed output object");
-        } else if (F == 2 && T == WireType::Fixed64) {
-          if (!OR.readDouble(Out.Scale))
-            return Result::error("malformed output scale");
-        } else if (F == 15 && T == WireType::LengthDelimited) {
-          std::string_view NameBytes;
-          if (!OR.readBytes(NameBytes))
-            return Result::error("malformed output name");
-          Out.Name = std::string(NameBytes);
-        } else if (!OR.skip(T)) {
-          return Result::error("malformed output field");
-        }
-      }
-      Outs.push_back(std::move(Out));
-      break;
-    }
-    case 5: { // Instruction
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed instruction");
-      RawInstruction Inst;
-      WireReader IR(B);
-      uint32_t F;
-      WireType T;
-      while (IR.nextField(F, T)) {
-        if (F == 1 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          if (!IR.readBytes(O) || !decodeObjectId(O, Inst.Id))
-            return Result::error("malformed instruction output");
-        } else if (F == 2 && T == WireType::Varint) {
-          if (!IR.readVarint(Inst.Op))
-            return Result::error("malformed opcode");
-        } else if (F == 3 && T == WireType::LengthDelimited) {
-          std::string_view O;
-          uint64_t ArgId;
-          if (!IR.readBytes(O) || !decodeObjectId(O, ArgId))
-            return Result::error("malformed instruction arg");
-          Inst.Args.push_back(ArgId);
-        } else if (F == 4 && T == WireType::Varint) {
-          uint64_t Z;
-          if (!IR.readVarint(Z))
-            return Result::error("malformed rotation");
-          Inst.Rotation = unzigzag(Z);
-        } else if (F == 5 && T == WireType::Varint) {
-          uint64_t Bits;
-          if (!IR.readVarint(Bits))
-            return Result::error("malformed rescale bits");
-          Inst.RescaleBits = static_cast<int>(Bits);
-        } else if (F == 6 && T == WireType::Fixed64) {
-          if (!IR.readDouble(Inst.AttrScale))
-            return Result::error("malformed attr scale");
-        } else if (!IR.skip(T)) {
-          return Result::error("malformed instruction field");
-        }
-      }
-      Insts.push_back(std::move(Inst));
-      break;
-    }
-    case 6: { // Program name (extension)
-      std::string_view B;
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed program name");
-      Name = std::string(B);
-      break;
-    }
-    default:
-      if (!R.skip(Type))
-        return Result::error("malformed unknown field");
-      break;
-    }
+  FieldReader R(Data, "program");
+  while (R.next()) {
+    R.take(1, VecSize);
+    R.takeMessage(2, Consts, decodeConstant);
+    R.takeMessage(3, Ins, decodeInput);
+    R.takeMessage(4, Outs, decodeOutput);
+    R.takeMessage(5, Insts, decodeInstruction);
+    R.take(6, Name); // extension
   }
-  if (R.failed())
-    return Result::error("truncated or malformed program");
+  if (!R.ok())
+    return R.status();
   if (!isPowerOfTwo(VecSize))
     return Result::error("vec_size must be a power of two");
 
@@ -488,7 +387,7 @@ eva::deserializeProgram(std::string_view Data) {
             : ValueType::Cipher;
     Node *N = P->makeInstruction(Op, std::move(Parms), Ty);
     N->setRotation(static_cast<int32_t>(Inst.Rotation));
-    N->setRescaleBits(Inst.RescaleBits);
+    N->setRescaleBits(static_cast<int>(Inst.RescaleBits));
     if (Op == OpCode::NormalizeScale)
       N->setLogScale(Inst.AttrScale);
     if (!ById.emplace(Inst.Id, N).second)

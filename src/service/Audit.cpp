@@ -7,6 +7,7 @@
 #include "eva/service/Audit.h"
 
 #include "eva/serialize/CkksIO.h"
+#include "eva/serialize/Wire.h"
 #include "eva/service/Client.h"
 
 #include <algorithm>
@@ -26,9 +27,7 @@ namespace {
 
 uint64_t hashLenPrefixed(std::string_view Data, uint64_t State) {
   char Len[8];
-  uint64_t N = Data.size();
-  for (int I = 0; I < 8; ++I)
-    Len[I] = static_cast<char>((N >> (8 * I)) & 0xFF);
+  putLE64(Len, Data.size());
   State = fnv1a64(std::string_view(Len, 8), State);
   return fnv1a64(Data, State);
 }

@@ -132,7 +132,7 @@ Status ServiceClient::openSession(const ParamSignature &SigIn,
 Expected<SealedRequest> ServiceClient::encryptInputs(const Valuation &Inputs) {
   if (SessionId == 0)
     return Expected<SealedRequest>::error("no open session");
-  return sealInputs(*WS, ProgramSignature::of(Sig), Inputs);
+  return sealInputs(*WS, Sig, Inputs);
 }
 
 Expected<SealedRequest> ServiceClient::encryptInputs(
@@ -181,7 +181,7 @@ ServiceClient::submit(const SealedRequest &Req) {
 
 std::map<std::string, std::vector<double>> ServiceClient::decryptOutputs(
     const std::map<std::string, Ciphertext> &Outputs) const {
-  return eva::decryptOutputs(*WS, ProgramSignature::of(Sig), Outputs);
+  return eva::decryptOutputs(*WS, Sig, Outputs);
 }
 
 Expected<std::map<std::string, std::vector<double>>>

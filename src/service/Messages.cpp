@@ -9,8 +9,6 @@
 #include "eva/serialize/Wire.h"
 #include "eva/support/BitOps.h"
 
-#include <cstring>
-
 using namespace eva;
 
 const char *eva::messageTypeName(MessageType T) {
@@ -51,36 +49,13 @@ std::string serializeIdMsg(uint64_t Id) {
 }
 
 Expected<uint64_t> deserializeIdMsg(std::string_view Data, const char *What) {
-  using Result = Expected<uint64_t>;
   uint64_t Id = 0;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::Varint) {
-      if (!R.readVarint(Id))
-        return Result::error(std::string("malformed ") + What + " id");
-    } else if (!R.skip(Type)) {
-      return Result::error(std::string("malformed ") + What + " field");
-    }
-  }
-  if (R.failed())
-    return Result::error(std::string("truncated ") + What);
+  FieldReader R(Data, What);
+  while (R.next())
+    R.take(1, Id);
+  if (!R.ok())
+    return R.status();
   return Id;
-}
-
-bool unpackDoubles(std::string_view Raw, std::vector<double> &Out) {
-  if (Raw.size() % 8 != 0)
-    return false;
-  Out.resize(Raw.size() / 8);
-  for (size_t I = 0; I < Out.size(); ++I) {
-    uint64_t Bits = 0;
-    for (int B = 0; B < 8; ++B)
-      Bits |= static_cast<uint64_t>(static_cast<uint8_t>(Raw[I * 8 + B]))
-              << (8 * B);
-    std::memcpy(&Out[I], &Bits, 8);
-  }
-  return true;
 }
 
 /// NamedCipher / NamedPlain: { string name = 1; bytes payload = 2; }
@@ -94,27 +69,13 @@ std::string serializeNamedBytes(const std::string &Name,
 
 Status parseNamedBytes(std::string_view Data, std::string &Name,
                        std::string &Payload, const char *What) {
-  Name.clear();
-  Payload.clear();
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Status::error(std::string("malformed ") + What + " name");
-      Name = std::string(B);
-    } else if (Field == 2 && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Status::error(std::string("malformed ") + What + " payload");
-      Payload = std::string(B);
-    } else if (!R.skip(Type)) {
-      return Status::error(std::string("malformed ") + What + " field");
-    }
+  FieldReader R(Data, What);
+  while (R.next()) {
+    R.take(1, Name);
+    R.take(2, Payload);
   }
-  if (R.failed())
-    return Status::error(std::string("truncated ") + What);
+  if (!R.ok())
+    return R.status();
   if (Name.empty())
     return Status::error(std::string(What) + " missing name");
   return Status::success();
@@ -129,23 +90,12 @@ std::string eva::serializeError(const ErrorMsg &M) {
 }
 
 Expected<ErrorMsg> eva::deserializeError(std::string_view Data) {
-  using Result = Expected<ErrorMsg>;
   ErrorMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view B;
-      if (!R.readBytes(B))
-        return Result::error("malformed error message");
-      M.Message = std::string(B);
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed error field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated error message");
+  FieldReader R(Data, "error message");
+  while (R.next())
+    R.take(1, M.Message);
+  if (!R.ok())
+    return R.status();
   return M;
 }
 
@@ -159,14 +109,14 @@ std::string eva::serializeParamSignature(const ParamSignature &Sig) {
   for (uint64_t S : Sig.RotationSteps)
     W.varintField(5, S);
   W.varintField(6, Sig.Security == SecurityLevel::None ? 0 : 1);
-  for (const ServiceInputSpec &In : Sig.Inputs) {
+  for (const IoSpec &In : Sig.Inputs) {
     WireWriter IW;
     IW.bytesField(1, In.Name);
     IW.doubleField(2, In.LogScale);
-    IW.varintField(3, In.IsCipher ? 1 : 0);
+    IW.varintField(3, In.isCipher() ? 1 : 0);
     W.bytesField(7, IW.str());
   }
-  for (const ServiceOutputSpec &Out : Sig.Outputs) {
+  for (const IoSpec &Out : Sig.Outputs) {
     WireWriter OW;
     OW.bytesField(1, Out.Name);
     OW.doubleField(2, Out.LogScale);
@@ -179,117 +129,60 @@ std::string eva::serializeParamSignature(const ParamSignature &Sig) {
   return W.take();
 }
 
+/// InputSpec { string name = 1; double log_scale = 2; bool cipher = 3; }
+/// and OutputSpec { string name = 1; double log_scale = 2; } into \p Spec.
+static Status parseIoSpec(std::string_view Data, IoSpec &Spec, bool IsInput) {
+  uint64_t Cipher = 1;
+  FieldReader R(Data, IsInput ? "input spec" : "output spec");
+  while (R.next()) {
+    R.take(1, Spec.Name);
+    R.take(2, Spec.LogScale);
+    if (IsInput)
+      R.take(3, Cipher);
+  }
+  if (!R.ok())
+    return R.status();
+  if (Spec.Name.empty())
+    return Status::error(std::string(IsInput ? "input" : "output") +
+                         " spec missing name");
+  Spec.Type = Cipher != 0 ? ValueType::Cipher : ValueType::Vector;
+  return Status::success();
+}
+
 Expected<ParamSignature> eva::deserializeParamSignature(std::string_view Data) {
   using Result = Expected<ParamSignature>;
   ParamSignature Sig;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    uint64_t V = 0;
-    std::string_view B;
-    switch (Field) {
-    case 1:
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed signature program name");
-      Sig.ProgramName = std::string(B);
-      break;
-    case 2:
-      if (Type != WireType::Varint || !R.readVarint(Sig.PolyDegree))
-        return Result::error("malformed signature poly degree");
-      break;
-    case 3:
-      if (Type != WireType::Varint || !R.readVarint(Sig.VecSize))
-        return Result::error("malformed signature vec size");
-      break;
-    case 4:
-      if (Type != WireType::Varint || !R.readVarint(V) || V > 64)
-        return Result::error("malformed signature bit size");
+  uint64_t V = 0;
+  FieldReader R(Data, "signature");
+  while (R.next()) {
+    R.take(1, Sig.ProgramName);
+    R.take(2, Sig.PolyDegree);
+    R.take(3, Sig.VecSize);
+    if (R.take(4, V)) {
+      if (V > 64)
+        return Result::error("signature bit size " + std::to_string(V) +
+                             " out of range");
       Sig.ContextBitSizes.push_back(static_cast<int>(V));
-      break;
-    case 5:
-      if (Type != WireType::Varint || !R.readVarint(V))
-        return Result::error("malformed signature rotation step");
-      Sig.RotationSteps.push_back(V);
-      break;
-    case 6:
-      if (Type != WireType::Varint || !R.readVarint(V) || V > 1)
-        return Result::error("malformed signature security level");
+    }
+    R.take(5, Sig.RotationSteps);
+    if (R.take(6, V)) {
+      if (V > 1)
+        return Result::error("signature security level " +
+                             std::to_string(V) + " out of range");
       Sig.Security = V == 0 ? SecurityLevel::None : SecurityLevel::TC128;
-      break;
-    case 7: {
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed signature input");
-      ServiceInputSpec In;
-      WireReader IR(B);
-      uint32_t F;
-      WireType T;
-      while (IR.nextField(F, T)) {
-        std::string_view NB;
-        uint64_t IV = 0;
-        if (F == 1 && T == WireType::LengthDelimited) {
-          if (!IR.readBytes(NB))
-            return Result::error("malformed input spec name");
-          In.Name = std::string(NB);
-        } else if (F == 2 && T == WireType::Fixed64) {
-          if (!IR.readDouble(In.LogScale))
-            return Result::error("malformed input spec scale");
-        } else if (F == 3 && T == WireType::Varint) {
-          if (!IR.readVarint(IV))
-            return Result::error("malformed input spec kind");
-          In.IsCipher = IV != 0;
-        } else if (!IR.skip(T)) {
-          return Result::error("malformed input spec field");
-        }
-      }
-      if (IR.failed() || In.Name.empty())
-        return Result::error("truncated input spec");
-      Sig.Inputs.push_back(std::move(In));
-      break;
     }
-    case 8: {
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed signature output");
-      ServiceOutputSpec Out;
-      WireReader OR(B);
-      uint32_t F;
-      WireType T;
-      while (OR.nextField(F, T)) {
-        std::string_view NB;
-        if (F == 1 && T == WireType::LengthDelimited) {
-          if (!OR.readBytes(NB))
-            return Result::error("malformed output spec name");
-          Out.Name = std::string(NB);
-        } else if (F == 2 && T == WireType::Fixed64) {
-          if (!OR.readDouble(Out.LogScale))
-            return Result::error("malformed output spec scale");
-        } else if (!OR.skip(T)) {
-          return Result::error("malformed output spec field");
-        }
-      }
-      if (OR.failed() || Out.Name.empty())
-        return Result::error("truncated output spec");
-      Sig.Outputs.push_back(std::move(Out));
-      break;
-    }
-    case 9:
-      if (Type != WireType::Varint || !R.readVarint(V))
-        return Result::error("malformed signature relin flag");
+    R.takeMessage(7, Sig.Inputs, [](std::string_view B, IoSpec &In) {
+      return parseIoSpec(B, In, true);
+    });
+    R.takeMessage(8, Sig.Outputs, [](std::string_view B, IoSpec &Out) {
+      return parseIoSpec(B, Out, false);
+    });
+    if (R.take(9, V))
       Sig.NeedsRelin = V != 0;
-      break;
-    case 10:
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed signature lint warning");
-      Sig.LintWarnings.push_back(std::string(B));
-      break;
-    default:
-      if (!R.skip(Type))
-        return Result::error("malformed signature field");
-      break;
-    }
+    R.take(10, Sig.LintWarnings);
   }
-  if (R.failed())
-    return Result::error("truncated signature");
+  if (!R.ok())
+    return R.status();
   if (Sig.ProgramName.empty())
     return Result::error("signature missing program name");
   if (Sig.PolyDegree == 0 || Sig.ContextBitSizes.empty())
@@ -303,6 +196,13 @@ Expected<ParamSignature> eva::deserializeParamSignature(std::string_view Data) {
                          std::to_string(Sig.PolyDegree) +
                          " cannot hold vec_size " +
                          std::to_string(Sig.VecSize));
+  // Fresh ciphertexts sit at the full data chain, as
+  // ProgramSignature::of(const CompiledProgram &) places them.
+  size_t DataPrimes = Sig.ContextBitSizes.size() - 1;
+  for (IoSpec &In : Sig.Inputs)
+    In.Level = In.isCipher() ? DataPrimes : 0;
+  for (IoSpec &Out : Sig.Outputs)
+    Out.Level = DataPrimes;
   return Sig;
 }
 
@@ -314,26 +214,18 @@ std::string eva::serializeProgramList(const ProgramListMsg &M) {
 }
 
 Expected<ProgramListMsg> eva::deserializeProgramList(std::string_view Data) {
-  using Result = Expected<ProgramListMsg>;
   ProgramListMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view B;
-      if (!R.readBytes(B))
-        return Result::error("malformed program list entry");
-      Expected<ParamSignature> Sig = deserializeParamSignature(B);
-      if (!Sig)
-        return Sig.takeStatus();
-      M.Programs.push_back(std::move(*Sig));
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed program list field");
-    }
-  }
-  if (R.failed())
-    return Result::error("truncated program list");
+  FieldReader R(Data, "program list");
+  while (R.next())
+    R.takeMessage(1, M.Programs, [](std::string_view B, ParamSignature &Sig) {
+      Expected<ParamSignature> Decoded = deserializeParamSignature(B);
+      if (!Decoded)
+        return Decoded.takeStatus();
+      Sig = std::move(*Decoded);
+      return Status::success();
+    });
+  if (!R.ok())
+    return R.status();
   return M;
 }
 
@@ -346,27 +238,18 @@ std::string eva::serializeOpenSession(const OpenSessionMsg &M) {
 }
 
 Expected<OpenSessionMsg> eva::deserializeOpenSession(std::string_view Data) {
-  using Result = Expected<OpenSessionMsg>;
   OpenSessionMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    if (Field >= 1 && Field <= 3 && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Result::error("malformed open-session field");
-      (Field == 1 ? M.ProgramName
-       : Field == 2 ? M.RelinKeyBytes
-                    : M.GaloisKeyBytes) = std::string(B);
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed open-session field");
-    }
+  FieldReader R(Data, "open-session message");
+  while (R.next()) {
+    R.take(1, M.ProgramName);
+    R.take(2, M.RelinKeyBytes);
+    R.take(3, M.GaloisKeyBytes);
   }
-  if (R.failed())
-    return Result::error("truncated open-session message");
+  if (!R.ok())
+    return R.status();
   if (M.ProgramName.empty())
-    return Result::error("open-session missing program name");
+    return Expected<OpenSessionMsg>::error(
+        "open-session missing program name");
   return M;
 }
 
@@ -382,17 +265,6 @@ eva::deserializeSessionOpened(std::string_view Data) {
   return SessionOpenedMsg{*Id};
 }
 
-std::string eva::packDoubles(const std::vector<double> &Vals) {
-  std::string Raw(Vals.size() * 8, '\0');
-  for (size_t I = 0; I < Vals.size(); ++I) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &Vals[I], 8);
-    for (int B = 0; B < 8; ++B)
-      Raw[I * 8 + B] = static_cast<char>((Bits >> (8 * B)) & 0xFF);
-  }
-  return Raw;
-}
-
 std::string eva::serializeExecute(const ExecuteMsg &M) {
   WireWriter W;
   W.varintField(1, M.SessionId);
@@ -404,39 +276,24 @@ std::string eva::serializeExecute(const ExecuteMsg &M) {
 }
 
 Expected<ExecuteMsg> eva::deserializeExecute(std::string_view Data) {
-  using Result = Expected<ExecuteMsg>;
   ExecuteMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::Varint) {
-      if (!R.readVarint(M.SessionId))
-        return Result::error("malformed execute session id");
-    } else if ((Field == 2 || Field == 3) &&
-               Type == WireType::LengthDelimited) {
-      std::string_view B;
-      if (!R.readBytes(B))
-        return Result::error("malformed execute input");
-      std::string Name, Payload;
-      if (Status S = parseNamedBytes(
-              B, Name, Payload, Field == 2 ? "cipher input" : "plain input");
-          !S.ok())
+  FieldReader R(Data, "execute message");
+  while (R.next()) {
+    R.take(1, M.SessionId);
+    R.takeMessage(2, M.CipherInputs, [](std::string_view B, auto &In) {
+      return parseNamedBytes(B, In.first, In.second, "cipher input");
+    });
+    R.takeMessage(3, M.PlainInputs, [](std::string_view B, auto &In) {
+      std::string Raw;
+      if (Status S = parseNamedBytes(B, In.first, Raw, "plain input"); !S.ok())
         return S;
-      if (Field == 2) {
-        M.CipherInputs.emplace_back(std::move(Name), std::move(Payload));
-      } else {
-        std::vector<double> Values;
-        if (!unpackDoubles(Payload, Values))
-          return Result::error("malformed plain input values");
-        M.PlainInputs.emplace_back(std::move(Name), std::move(Values));
-      }
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed execute field");
-    }
+      if (!unpackDoubles(Raw, In.second))
+        return Status::error("malformed plain input values");
+      return Status::success();
+    });
   }
-  if (R.failed())
-    return Result::error("truncated execute message");
+  if (!R.ok())
+    return R.status();
   return M;
 }
 
@@ -451,29 +308,16 @@ std::string eva::serializeExecuteResult(const ExecuteResultMsg &M) {
 
 Expected<ExecuteResultMsg>
 eva::deserializeExecuteResult(std::string_view Data) {
-  using Result = Expected<ExecuteResultMsg>;
   ExecuteResultMsg M;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      std::string_view B;
-      if (!R.readBytes(B))
-        return Result::error("malformed execute result output");
-      std::string Name, Payload;
-      if (Status S = parseNamedBytes(B, Name, Payload, "output"); !S.ok())
-        return S;
-      M.Outputs.emplace_back(std::move(Name), std::move(Payload));
-    } else if (Field == 2 && Type == WireType::Varint) {
-      if (!R.readVarint(M.RequestId))
-        return Result::error("malformed execute result request id");
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed execute result field");
-    }
+  FieldReader R(Data, "execute result");
+  while (R.next()) {
+    R.takeMessage(1, M.Outputs, [](std::string_view B, auto &Out) {
+      return parseNamedBytes(B, Out.first, Out.second, "output");
+    });
+    R.take(2, M.RequestId);
   }
-  if (R.failed())
-    return Result::error("truncated execute result");
+  if (!R.ok())
+    return R.status();
   return M;
 }
 
@@ -514,26 +358,13 @@ std::string serializeNamedValue(const std::string &Name, uint64_t Value) {
 
 Status parseNamedValue(std::string_view Data, std::string &Name,
                        uint64_t &Value, const char *What) {
-  Name.clear();
-  Value = 0;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    if (Field == 1 && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Status::error(std::string("malformed ") + What + " name");
-      Name = std::string(B);
-    } else if (Field == 2 && Type == WireType::Varint) {
-      if (!R.readVarint(Value))
-        return Status::error(std::string("malformed ") + What + " value");
-    } else if (!R.skip(Type)) {
-      return Status::error(std::string("malformed ") + What + " field");
-    }
+  FieldReader R(Data, What);
+  while (R.next()) {
+    R.take(1, Name);
+    R.take(2, Value);
   }
-  if (R.failed())
-    return Status::error(std::string("truncated ") + What);
+  if (!R.ok())
+    return R.status();
   if (Name.empty())
     return Status::error(std::string(What) + " missing name");
   return Status::success();
@@ -551,56 +382,25 @@ std::string serializeHistogramVal(const HistogramSnapshot &H) {
   return W.take();
 }
 
-Expected<HistogramSnapshot> parseHistogramVal(std::string_view Data) {
-  using Result = Expected<HistogramSnapshot>;
-  HistogramSnapshot H;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    uint64_t V = 0;
-    double D = 0;
-    switch (Field) {
-    case 1:
-      if (Type != WireType::LengthDelimited || !R.readBytes(B))
-        return Result::error("malformed histogram name");
-      H.Name = std::string(B);
-      break;
-    case 2:
-      if (Type != WireType::Fixed64 || !R.readDouble(D))
-        return Result::error("malformed histogram bound");
-      H.UpperBounds.push_back(D);
-      break;
-    case 3:
-      if (Type != WireType::Varint || !R.readVarint(V))
-        return Result::error("malformed histogram bucket");
-      H.Buckets.push_back(V);
-      break;
-    case 4:
-      if (Type != WireType::Varint || !R.readVarint(H.Count))
-        return Result::error("malformed histogram count");
-      break;
-    case 5:
-      if (Type != WireType::Fixed64 || !R.readDouble(H.Sum))
-        return Result::error("malformed histogram sum");
-      break;
-    default:
-      if (!R.skip(Type))
-        return Result::error("malformed histogram field");
-      break;
-    }
+Status parseHistogramVal(std::string_view Data, HistogramSnapshot &H) {
+  FieldReader R(Data, "histogram");
+  while (R.next()) {
+    R.take(1, H.Name);
+    R.take(2, H.UpperBounds);
+    R.take(3, H.Buckets);
+    R.take(4, H.Count);
+    R.take(5, H.Sum);
   }
-  if (R.failed())
-    return Result::error("truncated histogram");
+  if (!R.ok())
+    return R.status();
   if (H.Name.empty())
-    return Result::error("histogram missing name");
+    return Status::error("histogram missing name");
   // Shape invariant of a fixed-boundary histogram: one overflow bucket
   // beyond the finite bounds. A hostile or corrupt payload must not
   // produce a snapshot whose quantile() indexes out of step.
   if (H.Buckets.size() != H.UpperBounds.size() + 1)
-    return Result::error("histogram bucket/bound count mismatch");
-  return H;
+    return Status::error("histogram bucket/bound count mismatch");
+  return Status::success();
 }
 
 } // namespace
@@ -618,39 +418,21 @@ std::string eva::serializeMetrics(const MetricsSnapshot &Snap) {
 }
 
 Expected<MetricsSnapshot> eva::deserializeMetrics(std::string_view Data) {
-  using Result = Expected<MetricsSnapshot>;
   MetricsSnapshot Snap;
-  WireReader R(Data);
-  uint32_t Field;
-  WireType Type;
-  while (R.nextField(Field, Type)) {
-    std::string_view B;
-    if ((Field >= 1 && Field <= 3) && Type == WireType::LengthDelimited) {
-      if (!R.readBytes(B))
-        return Result::error("malformed metrics entry");
-      if (Field == 1) {
-        std::string Name;
-        uint64_t V;
-        if (Status S = parseNamedValue(B, Name, V, "counter"); !S.ok())
-          return S;
-        Snap.Counters.push_back({std::move(Name), V});
-      } else if (Field == 2) {
-        std::string Name;
-        uint64_t V;
-        if (Status S = parseNamedValue(B, Name, V, "gauge"); !S.ok())
-          return S;
-        Snap.Gauges.push_back({std::move(Name), static_cast<int64_t>(V)});
-      } else {
-        Expected<HistogramSnapshot> H = parseHistogramVal(B);
-        if (!H)
-          return H.takeStatus();
-        Snap.Histograms.push_back(std::move(*H));
-      }
-    } else if (!R.skip(Type)) {
-      return Result::error("malformed metrics field");
-    }
+  FieldReader R(Data, "metrics message");
+  while (R.next()) {
+    R.takeMessage(1, Snap.Counters, [](std::string_view B, auto &C) {
+      return parseNamedValue(B, C.Name, C.Value, "counter");
+    });
+    R.takeMessage(2, Snap.Gauges, [](std::string_view B, auto &G) {
+      uint64_t V = 0;
+      Status S = parseNamedValue(B, G.Name, V, "gauge");
+      G.Value = static_cast<int64_t>(V);
+      return S;
+    });
+    R.takeMessage(3, Snap.Histograms, parseHistogramVal);
   }
-  if (R.failed())
-    return Result::error("truncated metrics message");
+  if (!R.ok())
+    return R.status();
   return Snap;
 }

@@ -12,28 +12,18 @@
 #include "eva/serialize/ProtoIO.h"
 #include "eva/support/Log.h"
 
-
 using namespace eva;
 
 ParamSignature eva::signatureOf(const CompiledProgram &CP) {
   ParamSignature Sig;
-  const Program &P = *CP.Prog;
-  Sig.ProgramName = P.name();
+  // The I/O contract is the typed api/ProgramSignature; the wire signature
+  // adds what a client needs to build its context and keys.
+  static_cast<ProgramSignature &>(Sig) = ProgramSignature::of(CP);
   Sig.PolyDegree = CP.PolyDegree;
-  Sig.VecSize = P.vecSize();
   Sig.ContextBitSizes = CP.contextBitSizes();
   Sig.RotationSteps.assign(CP.RotationSteps.begin(), CP.RotationSteps.end());
   Sig.Security = CP.Options.Security;
-  Sig.NeedsRelin = countOps(P, OpCode::Relinearize) > 0;
-  // The I/O schema is the typed api/ProgramSignature: the wire signature is
-  // its serializable superset (parameters + keys), so a client's
-  // ProgramSignature::of(ParamSignature) round-trips exactly what the
-  // server derived here.
-  ProgramSignature Io = ProgramSignature::of(CP);
-  for (const IoSpec &In : Io.Inputs)
-    Sig.Inputs.push_back({In.Name, In.LogScale, In.isCipher()});
-  for (const IoSpec &Out : Io.Outputs)
-    Sig.Outputs.push_back({Out.Name, Out.LogScale});
+  Sig.NeedsRelin = countOps(*CP.Prog, OpCode::Relinearize) > 0;
   return Sig;
 }
 

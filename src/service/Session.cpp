@@ -68,8 +68,7 @@ size_t eva::pinnedKeyBytes(const RelinKeys &Rk, const GaloisKeys &Gk) {
 Session::Session(uint64_t IdIn, std::shared_ptr<const RegisteredProgram> ProgIn,
                  std::shared_ptr<CkksWorkspace> WSIn,
                  MetricsRegistry *MetricsIn)
-    : Id(IdIn), Prog(std::move(ProgIn)), WS(std::move(WSIn)),
-      Sig(ProgramSignature::of(Prog->CP)) {
+    : Id(IdIn), Prog(std::move(ProgIn)), WS(std::move(WSIn)) {
   if (MetricsIn) {
     const std::string &Name = Prog->Signature.ProgramName;
     Served = &MetricsIn->counter(

@@ -92,25 +92,31 @@ TEST(ProgramSignature, DerivedFromCompiledProgram) {
 }
 
 TEST(ProgramSignature, AgreesWithServiceParamSignature) {
-  // The service's wire signature carries the same typed I/O contract: a
-  // client reconstructing a ProgramSignature from the fetched
-  // ParamSignature sees exactly what the server derived.
+  // The service's wire signature carries the same typed I/O contract: the
+  // signature a client decodes from the server's bytes is what the server
+  // derived, apart from the one fact the wire drops (a plain input's
+  // scalar-or-vector type).
   CompiledProgram CP = compiled();
   ProgramSignature Direct = ProgramSignature::of(CP);
-  ProgramSignature ViaWire = ProgramSignature::of(signatureOf(CP));
-  EXPECT_EQ(Direct.ProgramName, ViaWire.ProgramName);
-  EXPECT_EQ(Direct.VecSize, ViaWire.VecSize);
-  ASSERT_EQ(Direct.Inputs.size(), ViaWire.Inputs.size());
+  Expected<ParamSignature> ViaWire =
+      deserializeParamSignature(serializeParamSignature(signatureOf(CP)));
+  ASSERT_TRUE(ViaWire.ok()) << (ViaWire.ok() ? "" : ViaWire.message());
+  EXPECT_EQ(Direct.ProgramName, ViaWire->ProgramName);
+  EXPECT_EQ(Direct.VecSize, ViaWire->VecSize);
+  ASSERT_EQ(Direct.Inputs.size(), ViaWire->Inputs.size());
   for (size_t I = 0; I < Direct.Inputs.size(); ++I) {
-    EXPECT_EQ(Direct.Inputs[I].Name, ViaWire.Inputs[I].Name);
+    EXPECT_EQ(Direct.Inputs[I].Name, ViaWire->Inputs[I].Name);
     EXPECT_EQ(Direct.Inputs[I].Type == ValueType::Cipher,
-              ViaWire.Inputs[I].Type == ValueType::Cipher);
-    EXPECT_EQ(Direct.Inputs[I].LogScale, ViaWire.Inputs[I].LogScale);
-    EXPECT_EQ(Direct.Inputs[I].Level, ViaWire.Inputs[I].Level);
+              ViaWire->Inputs[I].Type == ValueType::Cipher);
+    EXPECT_EQ(Direct.Inputs[I].LogScale, ViaWire->Inputs[I].LogScale);
+    EXPECT_EQ(Direct.Inputs[I].Level, ViaWire->Inputs[I].Level);
   }
-  ASSERT_EQ(Direct.Outputs.size(), ViaWire.Outputs.size());
-  for (size_t I = 0; I < Direct.Outputs.size(); ++I)
-    EXPECT_EQ(Direct.Outputs[I].Name, ViaWire.Outputs[I].Name);
+  ASSERT_EQ(Direct.Outputs.size(), ViaWire->Outputs.size());
+  for (size_t I = 0; I < Direct.Outputs.size(); ++I) {
+    EXPECT_EQ(Direct.Outputs[I].Name, ViaWire->Outputs[I].Name);
+    EXPECT_EQ(Direct.Outputs[I].LogScale, ViaWire->Outputs[I].LogScale);
+    EXPECT_EQ(Direct.Outputs[I].Level, ViaWire->Outputs[I].Level);
+  }
 }
 
 TEST(ProgramSignature, UncompiledProgramHasNoLevels) {

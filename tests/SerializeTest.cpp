@@ -13,12 +13,24 @@
 #include "eva/serialize/CkksIO.h"
 #include "eva/serialize/ProtoIO.h"
 #include "eva/serialize/Wire.h"
+#include "eva/service/Client.h"
+#include "eva/service/Service.h"
+#include "eva/support/Log.h"
 #include "eva/support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
+
+#ifndef EVA_FIXTURES_DIR
+#error "EVA_FIXTURES_DIR must be defined by the build"
+#endif
 
 using namespace eva;
 
@@ -157,6 +169,28 @@ TEST(Wire, SkipsUnknownFields) {
   EXPECT_FALSE(R.failed());
 }
 
+TEST(Wire, RejectsFieldNumbersPastTheProtoRange) {
+  // Field 2^32 + 1 would alias field 1 if its number were truncated to 32
+  // bits; proto field numbers stop at 2^29 - 1.
+  for (uint64_t Field : {(1ull << 32) + 1, 1ull << 29}) {
+    WireWriter W;
+    W.varint(Field << 3 | static_cast<uint64_t>(WireType::Varint));
+    W.varint(5);
+    WireReader R(W.str());
+    uint32_t F;
+    WireType T;
+    EXPECT_FALSE(R.nextField(F, T)) << "field " << Field;
+    EXPECT_TRUE(R.failed());
+  }
+  WireWriter W;
+  W.varintField((1u << 29) - 1, 5);
+  WireReader R(W.str());
+  uint32_t F;
+  WireType T;
+  ASSERT_TRUE(R.nextField(F, T));
+  EXPECT_EQ(F, (1u << 29) - 1);
+}
+
 std::unique_ptr<Program> buildRichProgram() {
   ProgramBuilder B("rich", 64);
   Expr X = B.inputCipher("x", 30);
@@ -275,6 +309,117 @@ TEST(ProtoIO, RejectsNonPowerOfTwoVecSize) {
   EXPECT_FALSE(deserializeProgram(W.str()).ok());
 }
 
+/// Rewrites \p Data with the first field at \p Path (one field number per
+/// nesting level; inner levels are length-delimited messages) re-encoded by
+/// \p Put, given the writer, the field number and the old value as a
+/// 64-bit word: a varint, the fixed64 bits, or the byte length. Every other
+/// field is re-encoded as it was. nullopt when no field is at \p Path.
+using PutFn = std::function<void(WireWriter &, uint32_t, uint64_t)>;
+std::optional<std::string> rewriteField(std::string_view Data,
+                                        const std::vector<uint32_t> &Path,
+                                        const PutFn &Put) {
+  WireReader R(Data);
+  WireWriter W;
+  bool Done = false;
+  uint32_t F;
+  WireType T;
+  while (R.nextField(F, T)) {
+    uint64_t V = 0;
+    double D = 0;
+    std::string_view B;
+    bool Read = T == WireType::Varint    ? R.readVarint(V)
+                : T == WireType::Fixed64 ? R.readDouble(D)
+                                         : R.readBytes(B);
+    if (!Read)
+      return std::nullopt;
+    if (T == WireType::Fixed64)
+      V = std::bit_cast<uint64_t>(D);
+    if (!Done && F == Path[0]) {
+      if (Path.size() == 1) {
+        Put(W, F, T == WireType::LengthDelimited ? B.size() : V);
+        Done = true;
+        continue;
+      }
+      if (T == WireType::LengthDelimited) {
+        std::vector<uint32_t> Inner(Path.begin() + 1, Path.end());
+        if (std::optional<std::string> Nested = rewriteField(B, Inner, Put)) {
+          W.bytesField(F, *Nested);
+          Done = true;
+          continue;
+        }
+      }
+    }
+    if (T == WireType::Varint)
+      W.varintField(F, V);
+    else if (T == WireType::Fixed64)
+      W.doubleField(F, D);
+    else
+      W.bytesField(F, B);
+  }
+  if (R.failed() || !Done)
+    return std::nullopt;
+  return W.take();
+}
+
+/// \p Data with the varint at \p Path replaced by \p V.
+std::string withVarint(std::string_view Data,
+                       const std::vector<uint32_t> &Path, uint64_t V) {
+  std::optional<std::string> Out =
+      rewriteField(Data, Path, [V](WireWriter &W, uint32_t F, uint64_t) {
+        W.varintField(F, V);
+      });
+  EXPECT_TRUE(Out.has_value()) << "no field at the path";
+  return Out.value_or("");
+}
+
+TEST(ProtoIO, RefusesNumbersItsIrCannotHold) {
+  // The IR holds a rotation as int32_t and a rescale value as int, and each
+  // role admits only some type codes: a value outside them is refused,
+  // naming it, instead of keeping its low bits or becoming a default.
+  ProgramBuilder B("ranges", 8);
+  Expr X = B.inputCipher("x", 30);
+  B.output("out", (X << 3) * B.constantVector({1, 2}, 20), 30);
+  std::string Rotating = serializeProgram(B.program());
+  ASSERT_TRUE(deserializeProgram(Rotating).ok());
+  ProgramBuilder Deep("deep", 8);
+  Expr Y = Deep.inputCipher("y", 40);
+  Deep.output("out", Y * Y * Y, 40);
+  Expected<CompiledProgram> CP = compile(Deep.program());
+  ASSERT_TRUE(CP.ok());
+  ASSERT_GT(countOps(*CP->Prog, OpCode::Rescale), 0u);
+  std::string Rescaling = serializeProgram(*CP->Prog);
+
+  const uint64_t TwoTo32 = 1ull << 32;
+  struct Case {
+    std::string Data;
+    std::string Want;
+  } Cases[] = {
+      // Zigzag 2 * (2^32 + 3): once loaded as rotate_left steps=3.
+      {withVarint(Rotating, {5, 4}, 2 * (TwoTo32 + 3)), "rotation 4294967299"},
+      {withVarint(Rotating, {5, 4}, TwoTo32 + 1), "rotation -2147483649"},
+      {withVarint(Rescaling, {5, 5}, TwoTo32 + 20), "rescale bits 4294967316"},
+      // Constants are SCALAR_CONST (1) or VECTOR_CONST (4).
+      {withVarint(Rotating, {2, 2}, 7), "constant type code 7"},
+      {withVarint(Rotating, {2, 2}, 5), "constant type code 5"},
+      // Inputs are SCALAR_PLAIN, SCALAR_CIPHER, VECTOR_PLAIN or
+      // VECTOR_CIPHER (2, 3, 5, 6).
+      {withVarint(Rotating, {3, 2}, 1), "input type code 1"},
+      {withVarint(Rotating, {3, 2}, 0), "input type code 0"},
+      {withVarint(Rotating, {3, 2}, 9), "input type code 9"},
+  };
+  for (const Case &C : Cases) {
+    Expected<std::unique_ptr<Program>> Q = deserializeProgram(C.Data);
+    if (Q.ok()) {
+      ADD_FAILURE() << C.Want << " loaded";
+      continue;
+    }
+    EXPECT_NE(Q.message().find(C.Want), std::string::npos) << Q.message();
+  }
+  // In range, the same rewrites load.
+  EXPECT_TRUE(deserializeProgram(withVarint(Rotating, {5, 4}, 2 * 5)).ok());
+  EXPECT_TRUE(deserializeProgram(withVarint(Rotating, {3, 2}, 5)).ok());
+}
+
 //===----------------------------------------------------------------------===//
 // Hostile bytes against the evaluation-key loaders (the session-open
 // attack surface: a tenant uploads these before any cryptographic checks)
@@ -385,27 +530,6 @@ TEST(KeyWireHostile, CorruptedResidueBytesRejected) {
   EXPECT_FALSE(deserializeGaloisKeys(*K.Ctx, Corrupt).ok());
 }
 
-TEST(KeyWireHostile, RandomByteFlipsNeverCrashTheLoaders) {
-  KeyWire K;
-  std::string Galois = serializeGaloisKeys(K.Gen->createGaloisKeys({1, 5}));
-  std::string Relin = serializeRelinKeys(K.Gen->createRelinKeys());
-  RandomSource Rng(0xBADBEEF);
-  for (int I = 0; I < 200; ++I) {
-    std::string G = Galois;
-    std::string R = Relin;
-    for (int F = 0; F < 3; ++F) {
-      G[Rng.uniformBelow(G.size())] =
-          static_cast<char>(Rng.uniformBelow(256));
-      R[Rng.uniformBelow(R.size())] =
-          static_cast<char>(Rng.uniformBelow(256));
-    }
-    // ok() or error are both acceptable; crashing or hanging is not (the
-    // ASan+UBSan CI job runs this suite).
-    (void)deserializeGaloisKeys(*K.Ctx, G);
-    (void)deserializeRelinKeys(*K.Ctx, R);
-  }
-}
-
 TEST(ProtoIO, FileSaveAndLoad) {
   std::unique_ptr<Program> P = buildRichProgram();
   std::string Path = ::testing::TempDir() + "eva_prog.evabin";
@@ -427,30 +551,6 @@ TEST(ProtoIO, FileSaveAndLoad) {
   Expected<std::unique_ptr<Program>> M = loadProgram(Missing);
   ASSERT_FALSE(M.ok());
   EXPECT_EQ(M.message(), "cannot open " + Missing);
-}
-
-TEST(ProtoIOHostile, ByteFlippedProgramsNeverReachAnExecutor) {
-  // The deserializer runs the full structural verifier on everything it
-  // accepts, so a hostile encoding has exactly two fates: a load error, or a
-  // graph that satisfies every term-graph invariant. Either way no malformed
-  // graph can reach an executor.
-  std::unique_ptr<Program> P = buildRichProgram();
-  std::string Data = serializeProgram(*P);
-  RandomSource Rng(0xF00DF00D);
-  VerifyOptions VO;
-  VO.AllowCompilerOps = true; // the loader's own admission contract
-  for (int I = 0; I < 300; ++I) {
-    std::string Corrupt = Data;
-    for (int F = 0; F < 1 + static_cast<int>(Rng.uniformBelow(4)); ++F)
-      Corrupt[Rng.uniformBelow(Corrupt.size())] =
-          static_cast<char>(Rng.uniformBelow(256));
-    Expected<std::unique_ptr<Program>> Q = deserializeProgram(Corrupt);
-    if (Q.ok()) {
-      EXPECT_TRUE(verifyProgram(**Q, VO).ok())
-          << "loader accepted a graph the verifier rejects (iteration " << I
-          << ")";
-    }
-  }
 }
 
 TEST(ProtoIOHostile, TruncationsAreDiagnosed) {
@@ -519,6 +619,427 @@ TEST(ProtoIO, PropertyRandomProgramsRoundTrip) {
     ASSERT_TRUE(Q.ok()) << "seed " << Seed;
     EXPECT_EQ((*Q)->nodeCount(), P.nodeCount()) << "seed " << Seed;
     EXPECT_TRUE((*Q)->verifyStructure().ok()) << "seed " << Seed;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Every decoder against hostile bytes: a table with one row per decoder,
+// fed mutants of a valid encoding, and a table of known fields sent with
+// another wire type
+//===----------------------------------------------------------------------===//
+
+/// Valid wire bytes of every decoded format: the checked-in programs, and a
+/// conversation with a service serving one small program (N = 1024,
+/// security off) through one open session.
+struct WireSeeds {
+  Service Svc;
+  InProcessTransport T{Svc};
+  ServiceClient Client{T};
+  std::vector<std::pair<std::string, std::string>> Programs;
+  std::string CipherFull, CipherSeeded, Relin, Galois;
+  std::string Error, Signature, ProgramList, OpenSession, SessionOpened,
+      Execute, ExecuteResult, CloseSession, SessionClosed, Metrics;
+
+  WireSeeds() {
+    for (const auto &Entry :
+         std::filesystem::directory_iterator(EVA_FIXTURES_DIR)) {
+      if (Entry.path().extension() != ".evabin")
+        continue;
+      Expected<std::unique_ptr<Program>> P = loadProgram(Entry.path());
+      EXPECT_TRUE(P.ok()) << Entry.path();
+      Programs.emplace_back(Entry.path().stem(), serializeProgram(*P.value()));
+    }
+    std::sort(Programs.begin(), Programs.end());
+    Programs.emplace_back("rich", serializeProgram(*buildRichProgram()));
+
+    ProgramBuilder B("fuzzed", 8);
+    Expr X = B.inputCipher("x", 30);
+    Expr W = B.inputPlain("w", 20);
+    B.output("out", (X * X) + (X << 1) + W, 30);
+    CompilerOptions O;
+    O.Security = SecurityLevel::None;
+    EXPECT_TRUE(Svc.registry().registerSource(B.program(), O).ok());
+    ProgramListMsg List{Client.listPrograms().value()};
+    EXPECT_TRUE(Client.openSession(List.Programs[0], 7, true).ok());
+    SealedRequest Req =
+        Client.encryptInputs({{"x", {0.5, -0.25}}, {"w", {1, 2, 3, 4}}})
+            .value();
+    const Ciphertext &Ct = Req.Inputs.Cipher.at("x");
+    CipherFull = serializeCiphertext(Ct);
+    CipherSeeded = serializeCiphertext(Ct, Req.C1Seeds.at("x"));
+    Relin = serializeRelinKeys(Client.relinKeys());
+    Galois = serializeGaloisKeys(Client.galoisKeys());
+
+    Error = serializeError({"unknown session 12"});
+    Signature = serializeParamSignature(List.Programs[0]);
+    ProgramList = serializeProgramList(List);
+    OpenSession = serializeOpenSession({"fuzzed", Relin, Galois});
+    SessionOpened = serializeSessionOpened({Client.sessionId()});
+    Execute = serializeExecute(executeMsgOf(Req, Client.sessionId()));
+    std::pair<MessageType, std::string> Result =
+        Svc.dispatch(MessageType::Execute, Execute);
+    EXPECT_EQ(Result.first, MessageType::ExecuteResult);
+    ExecuteResult = Result.second;
+    CloseSession = serializeCloseSession({Client.sessionId()});
+    SessionClosed = serializeSessionClosed({Client.sessionId()});
+    Metrics = serializeMetrics(Svc.metricsSnapshot());
+  }
+
+  const CkksContext &context() const { return *Client.context(); }
+};
+
+/// A program's structure without its node numbering, which decoding
+/// reassigns: the sorted hashes of its nodes, each over what the encoder
+/// writes for the node and its operands' hashes.
+std::vector<size_t> structureOf(const Program &P) {
+  std::hash<std::string> Hash;
+  std::map<const Node *, size_t> Of;
+  std::vector<size_t> Out{Hash(P.name() + "/" + std::to_string(P.vecSize()))};
+  for (const Node *N : P.forwardOrder()) {
+    std::string Key = std::string(opName(N->op())) + "|" + N->name() + "|" +
+                      std::to_string(static_cast<int>(N->type())) + "|" +
+                      std::to_string(std::bit_cast<uint64_t>(N->logScale()));
+    if (isRotation(N->op()))
+      Key += "|" + std::to_string(N->rotation());
+    if (N->op() == OpCode::Rescale)
+      Key += "|" + std::to_string(N->rescaleBits());
+    if (N->op() == OpCode::Constant)
+      Key += "|" + packDoubles(N->constValue());
+    for (const Node *Parm : N->parms())
+      Key += "|" + std::to_string(Of.at(Parm));
+    Out.push_back(Of[N] = Hash(Key));
+  }
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// One decoder under fuzzing. Decode runs the row's checks on what the
+/// decoder accepted and returns its re-encoding (nullopt on a refusal);
+/// Same compares two re-encodings.
+struct DecoderRow {
+  using DecodeFn = std::function<std::optional<std::string>(std::string_view)>;
+  DecoderRow(std::string Name, std::string Seed, DecodeFn Decode,
+             std::optional<MessageType> Request = std::nullopt)
+      : Name(std::move(Name)), Seed(std::move(Seed)), Decode(std::move(Decode)),
+        Request(Request) {}
+
+  std::string Name;
+  std::string Seed;
+  DecodeFn Decode;
+  std::function<bool(const std::string &, const std::string &)> Same =
+      std::equal_to<std::string>();
+  /// A request message is also dispatched to the service.
+  std::optional<MessageType> Request;
+};
+
+template <typename T, typename DecodeFn, typename EncodeFn>
+std::function<std::optional<std::string>(std::string_view)>
+reencoding(DecodeFn Decode, EncodeFn Encode) {
+  return [=](std::string_view Data) -> std::optional<std::string> {
+    Expected<T> V = Decode(Data);
+    if (!V.ok())
+      return std::nullopt;
+    return Encode(*V);
+  };
+}
+
+std::vector<DecoderRow> decoderRows(const WireSeeds &S) {
+  std::vector<DecoderRow> Rows;
+  for (const auto &[Name, Bytes] : S.Programs) {
+    DecoderRow Row(
+        "program " + Name, Bytes,
+        [](std::string_view Data) -> std::optional<std::string> {
+          Expected<std::unique_ptr<Program>> P = deserializeProgram(Data);
+          if (!P.ok())
+            return std::nullopt;
+          // The loader's own admission contract: no malformed graph reaches
+          // an executor.
+          VerifyOptions VO;
+          VO.AllowCompilerOps = true;
+          EXPECT_TRUE(verifyProgram(**P, VO).ok())
+              << "loader accepted a graph the verifier rejects";
+          return serializeProgram(**P);
+        });
+    Row.Same = [](const std::string &A, const std::string &B) {
+      return structureOf(*deserializeProgram(A).value()) ==
+             structureOf(*deserializeProgram(B).value());
+    };
+    Rows.push_back(std::move(Row));
+  }
+  const CkksContext &Ctx = S.context();
+  auto Cipher = reencoding<Ciphertext>(
+      [&Ctx](std::string_view D) { return deserializeCiphertext(Ctx, D); },
+      [](const Ciphertext &Ct) { return serializeCiphertext(Ct); });
+  Rows.push_back({"ciphertext (full)", S.CipherFull, Cipher});
+  Rows.push_back({"ciphertext (seed-compressed)", S.CipherSeeded, Cipher});
+  Rows.push_back(
+      {"relin keys", S.Relin,
+       reencoding<RelinKeys>(
+           [&Ctx](std::string_view D) { return deserializeRelinKeys(Ctx, D); },
+           serializeRelinKeys)});
+  const GaloisKeys &Original = S.Client.galoisKeys();
+  Rows.push_back(
+      {"galois keys", S.Galois,
+       [&Ctx, &Original](std::string_view D) -> std::optional<std::string> {
+         Expected<GaloisKeys> Gk = deserializeGaloisKeys(Ctx, D);
+         if (!Gk.ok())
+           return std::nullopt;
+         for (const auto &[Elt, Key] : Gk->Keys)
+           EXPECT_TRUE(Original.has(Elt)) << "invented galois element " << Elt;
+         return serializeGaloisKeys(*Gk);
+       }});
+  Rows.push_back({"error", S.Error,
+                  reencoding<ErrorMsg>(deserializeError, serializeError)});
+  Rows.push_back({"param signature", S.Signature,
+                  reencoding<ParamSignature>(deserializeParamSignature,
+                                             serializeParamSignature)});
+  Rows.push_back({"program list", S.ProgramList,
+                  reencoding<ProgramListMsg>(deserializeProgramList,
+                                             serializeProgramList)});
+  Rows.push_back({"open session", S.OpenSession,
+                  reencoding<OpenSessionMsg>(deserializeOpenSession,
+                                             serializeOpenSession),
+                  MessageType::OpenSession});
+  Rows.push_back({"session opened", S.SessionOpened,
+                  reencoding<SessionOpenedMsg>(deserializeSessionOpened,
+                                               serializeSessionOpened)});
+  Rows.push_back({"execute", S.Execute,
+                  reencoding<ExecuteMsg>(deserializeExecute, serializeExecute),
+                  MessageType::Execute});
+  Rows.push_back({"execute result", S.ExecuteResult,
+                  reencoding<ExecuteResultMsg>(deserializeExecuteResult,
+                                               serializeExecuteResult)});
+  Rows.push_back({"close session", S.CloseSession,
+                  reencoding<CloseSessionMsg>(deserializeCloseSession,
+                                              serializeCloseSession),
+                  MessageType::CloseSession});
+  Rows.push_back({"session closed", S.SessionClosed,
+                  reencoding<SessionClosedMsg>(deserializeSessionClosed,
+                                               serializeSessionClosed)});
+  Rows.push_back({"metrics", S.Metrics,
+                  reencoding<MetricsSnapshot>(deserializeMetrics,
+                                              serializeMetrics)});
+  return Rows;
+}
+
+/// Dispatches \p Payload as a \p Type request: the service must answer
+/// with a frame, an ERROR that decodes or the request's own response.
+void expectResponseFrame(Service &Svc, MessageType Type,
+                         std::string_view Payload) {
+  std::pair<MessageType, std::string> R = Svc.dispatch(Type, Payload);
+  if (R.first == MessageType::Error) {
+    EXPECT_TRUE(deserializeError(R.second).ok());
+    return;
+  }
+  switch (Type) {
+  case MessageType::ListPrograms:
+    EXPECT_EQ(R.first, MessageType::ProgramList);
+    break;
+  case MessageType::OpenSession:
+    EXPECT_EQ(R.first, MessageType::SessionOpened);
+    break;
+  case MessageType::Execute:
+    EXPECT_EQ(R.first, MessageType::ExecuteResult);
+    break;
+  case MessageType::CloseSession:
+    EXPECT_EQ(R.first, MessageType::SessionClosed);
+    break;
+  case MessageType::GetMetrics:
+    EXPECT_EQ(R.first, MessageType::Metrics);
+    break;
+  default:
+    ADD_FAILURE() << messageTypeName(Type) << " is not a request";
+  }
+}
+
+TEST(WireFuzz, EveryDecoderSurvivesMutants) {
+  // Mutants: seeded 1-4 byte overwrites, then every k-th strict prefix.
+  // Each is refused or accepted; no decoder may crash or hang (the
+  // ASan/UBSan CI lane runs this suite). An accepted mutant's re-encoding
+  // must decode and re-encode to the same bytes (programs: the same
+  // structure, since decoding renumbers nodes), and requests must get a
+  // response frame from the service.
+  // Refusals are the expected outcome; keep the service's warnings quiet.
+  struct QuietLog {
+    LogLevel Saved = logLevel();
+    QuietLog() { setLogLevel(LogLevel::Error); }
+    ~QuietLog() { setLogLevel(Saved); }
+  } Quiet;
+  WireSeeds S;
+  std::vector<DecoderRow> Rows = decoderRows(S);
+  ASSERT_GE(Rows.size(), 18u);
+  uint64_t RowSeed = 0xF00DF00D;
+  for (const DecoderRow &Row : Rows) {
+    SCOPED_TRACE(Row.Name);
+    ASSERT_TRUE(Row.Decode(Row.Seed).has_value()) << "seed refused";
+    RandomSource Rng(++RowSeed);
+    std::vector<std::string> Mutants;
+    for (int I = 0; I < 300; ++I) {
+      std::string M = Row.Seed;
+      for (uint64_t F = 0, N = 1 + Rng.uniformBelow(4); F < N; ++F)
+        M[Rng.uniformBelow(M.size())] =
+            static_cast<char>(Rng.uniformBelow(256));
+      Mutants.push_back(std::move(M));
+    }
+    for (size_t Len = 0; Len < Row.Seed.size(); Len += 1 + Row.Seed.size() / 64)
+      Mutants.push_back(Row.Seed.substr(0, Len));
+    size_t Accepted = 0;
+    for (size_t I = 0; I < Mutants.size(); ++I) {
+      if (std::optional<std::string> Again = Row.Decode(Mutants[I])) {
+        ++Accepted;
+        std::optional<std::string> Twice = Row.Decode(*Again);
+        ASSERT_TRUE(Twice.has_value()) << "mutant " << I;
+        EXPECT_TRUE(Row.Same(*Again, *Twice)) << "mutant " << I;
+      }
+      if (Row.Request) {
+        SCOPED_TRACE("dispatched mutant " + std::to_string(I));
+        expectResponseFrame(S.Svc, *Row.Request, Mutants[I]);
+      }
+    }
+    EXPECT_LT(Accepted, Mutants.size()) << "no mutant was refused";
+  }
+  // Every message type, requests or not and one past the last, answers
+  // every row's bytes with a frame.
+  for (int Type = 0; Type <= static_cast<int>(MessageType::Metrics) + 1;
+       ++Type)
+    for (const DecoderRow &Row : Rows) {
+      SCOPED_TRACE(Row.Name + " as type " + std::to_string(Type));
+      expectResponseFrame(S.Svc, static_cast<MessageType>(Type), Row.Seed);
+    }
+}
+
+TEST(WireFuzz, EveryDecoderRefusesAMistypedKnownField) {
+  // One rule for every decoder: a known field that arrives with another
+  // wire type is refused, naming the message's field, never skipped or
+  // guessed at. Each row re-tags one field (a path through nested
+  // messages) of a valid encoding; everything else stays well-formed.
+  WireSeeds S;
+  const CkksContext &Ctx = S.context();
+  using DecodeFn = std::function<Status(std::string_view)>;
+  DecodeFn Program = [](std::string_view D) {
+    return deserializeProgram(D).takeStatus();
+  };
+  DecodeFn Cipher = [&Ctx](std::string_view D) {
+    return deserializeCiphertext(Ctx, D).takeStatus();
+  };
+  DecodeFn Relin = [&Ctx](std::string_view D) {
+    return deserializeRelinKeys(Ctx, D).takeStatus();
+  };
+  DecodeFn Galois = [&Ctx](std::string_view D) {
+    return deserializeGaloisKeys(Ctx, D).takeStatus();
+  };
+  auto Msg = [](auto Decode) -> DecodeFn {
+    return [Decode](std::string_view D) { return Decode(D).takeStatus(); };
+  };
+  std::string Rotsum, Rich = S.Programs.back().second;
+  for (const auto &[Name, Bytes] : S.Programs)
+    if (Name == "rotsum")
+      Rotsum = Bytes;
+  ASSERT_FALSE(Rotsum.empty());
+
+  const WireType V = WireType::Varint, F = WireType::Fixed64,
+                 L = WireType::LengthDelimited;
+  struct Row {
+    const char *Name;
+    const std::string &Seed;
+    DecodeFn Decode;
+    std::vector<uint32_t> Path;
+    WireType As;
+  } Rows[] = {
+      {"program vec_size", Rich, Program, {1}, F},
+      {"program name", Rich, Program, {6}, V},
+      {"constant object id", Rich, Program, {2, 1, 1}, F},
+      {"constant type", Rich, Program, {2, 2}, L},
+      {"constant scale", Rich, Program, {2, 3}, V},
+      {"constant vector", Rich, Program, {2, 4}, V},
+      {"constant vector elements", Rich, Program, {2, 4, 1}, F},
+      {"input type", Rich, Program, {3, 2}, F},
+      {"input name", Rich, Program, {3, 15}, F},
+      {"output scale", Rich, Program, {4, 2}, V},
+      {"output name", Rich, Program, {4, 15}, V},
+      {"instruction opcode", Rich, Program, {5, 2}, F},
+      {"instruction arg", Rich, Program, {5, 3}, V},
+      // Once loaded as rotate_left steps=0.
+      {"instruction rotation", Rotsum, Program, {5, 4}, F},
+      {"ciphertext poly", S.CipherFull, Cipher, {1}, F},
+      {"ciphertext scale", S.CipherFull, Cipher, {2}, V},
+      {"ciphertext seed", S.CipherSeeded, Cipher, {3}, F},
+      {"poly degree", S.CipherFull, Cipher, {1, 1}, F},
+      {"poly prime count", S.CipherFull, Cipher, {1, 2}, L},
+      {"poly component", S.CipherFull, Cipher, {1, 3}, F},
+      {"relin key", S.Relin, Relin, {1}, V},
+      {"key-switch pair", S.Relin, Relin, {1, 1}, F},
+      {"key-switch k0", S.Relin, Relin, {1, 1, 1}, V},
+      {"key-switch seed", S.Relin, Relin, {1, 1, 3}, F},
+      {"galois entry", S.Galois, Galois, {1}, V},
+      {"galois element", S.Galois, Galois, {1, 1}, F},
+      {"galois key", S.Galois, Galois, {1, 2}, V},
+      {"error message", S.Error, Msg(deserializeError), {1}, V},
+      {"signature name", S.Signature, Msg(deserializeParamSignature), {1}, V},
+      {"signature degree", S.Signature, Msg(deserializeParamSignature), {2},
+       L},
+      {"signature rotation step", S.Signature,
+       Msg(deserializeParamSignature), {5}, F},
+      {"signature relin flag", S.Signature, Msg(deserializeParamSignature),
+       {9}, F},
+      {"input spec scale", S.Signature, Msg(deserializeParamSignature),
+       {7, 2}, V},
+      {"input spec cipher", S.Signature, Msg(deserializeParamSignature),
+       {7, 3}, F},
+      {"output spec name", S.Signature, Msg(deserializeParamSignature),
+       {8, 1}, F},
+      {"program list entry", S.ProgramList, Msg(deserializeProgramList), {1},
+       V},
+      {"open-session program", S.OpenSession, Msg(deserializeOpenSession),
+       {1}, V},
+      {"open-session galois keys", S.OpenSession,
+       Msg(deserializeOpenSession), {3}, F},
+      {"session-opened id", S.SessionOpened, Msg(deserializeSessionOpened),
+       {1}, F},
+      {"execute session", S.Execute, Msg(deserializeExecute), {1}, L},
+      {"execute cipher input", S.Execute, Msg(deserializeExecute), {2}, V},
+      {"cipher input name", S.Execute, Msg(deserializeExecute), {2, 1}, V},
+      {"plain input values", S.Execute, Msg(deserializeExecute), {3, 2}, F},
+      {"execute result request", S.ExecuteResult,
+       Msg(deserializeExecuteResult), {2}, F},
+      {"execute result output", S.ExecuteResult,
+       Msg(deserializeExecuteResult), {1, 2}, V},
+      {"close-session id", S.CloseSession, Msg(deserializeCloseSession), {1},
+       F},
+      {"session-closed id", S.SessionClosed, Msg(deserializeSessionClosed),
+       {1}, L},
+      {"metrics counter", S.Metrics, Msg(deserializeMetrics), {1}, V},
+      {"counter value", S.Metrics, Msg(deserializeMetrics), {1, 2}, F},
+      {"gauge name", S.Metrics, Msg(deserializeMetrics), {2, 1}, V},
+      {"histogram bound", S.Metrics, Msg(deserializeMetrics), {3, 2}, V},
+      {"histogram count", S.Metrics, Msg(deserializeMetrics), {3, 4}, F},
+  };
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Name);
+    ASSERT_TRUE(R.Decode(R.Seed).ok()) << "seed refused";
+    std::optional<std::string> Mistyped = rewriteField(
+        R.Seed, R.Path, [As = R.As](WireWriter &W, uint32_t Field, uint64_t V) {
+          if (As == WireType::Varint) {
+            W.varintField(Field, V);
+          } else if (As == WireType::Fixed64) {
+            W.doubleField(Field, std::bit_cast<double>(V));
+          } else {
+            char Word[8];
+            std::memcpy(Word, &V, 8);
+            W.bytesField(Field, std::string_view(Word, 8));
+          }
+        });
+    ASSERT_TRUE(Mistyped.has_value()) << "no field at the path";
+    Status Refusal = R.Decode(*Mistyped);
+    if (Refusal.ok()) {
+      ADD_FAILURE() << "mistyped field accepted";
+      continue;
+    }
+    EXPECT_NE(Refusal.message().find("malformed"), std::string::npos)
+        << Refusal.message();
+    EXPECT_NE(Refusal.message().find(" field " + std::to_string(R.Path.back())),
+              std::string::npos)
+        << Refusal.message();
   }
 }
 

@@ -358,8 +358,9 @@ TEST(Messages, ParamSignatureRoundTrip) {
   Sig.RotationSteps = {1, 4, 16};
   Sig.Security = SecurityLevel::TC128;
   Sig.NeedsRelin = true;
-  Sig.Inputs = {{"x", 30, true}, {"w", 20, false}};
-  Sig.Outputs = {{"out", 30}};
+  Sig.Inputs = {{"x", ValueType::Cipher, 30, 2},
+                {"w", ValueType::Vector, 20, 0}};
+  Sig.Outputs = {{"out", ValueType::Cipher, 30, 2}};
   Sig.LintWarnings = {"[unused-input] %1: input 'w' is never used",
                       "[dead-output] %9: output 'out' depends on no input"};
   Expected<ParamSignature> Q =
@@ -375,10 +376,14 @@ TEST(Messages, ParamSignatureRoundTrip) {
   ASSERT_EQ(Q->Inputs.size(), 2u);
   EXPECT_EQ(Q->Inputs[0].Name, "x");
   EXPECT_EQ(Q->Inputs[0].LogScale, 30);
-  EXPECT_TRUE(Q->Inputs[0].IsCipher);
-  EXPECT_FALSE(Q->Inputs[1].IsCipher);
+  EXPECT_TRUE(Q->Inputs[0].isCipher());
+  EXPECT_FALSE(Q->Inputs[1].isCipher());
+  // Cipher inputs and outputs sit at the full data chain: two data primes.
+  EXPECT_EQ(Q->Inputs[0].Level, 2u);
+  EXPECT_EQ(Q->Inputs[1].Level, 0u);
   ASSERT_EQ(Q->Outputs.size(), 1u);
   EXPECT_EQ(Q->Outputs[0].Name, "out");
+  EXPECT_EQ(Q->Outputs[0].Level, 2u);
   EXPECT_EQ(Q->LintWarnings, Sig.LintWarnings);
 }
 
@@ -411,8 +416,8 @@ TEST(Messages, RejectsGarbage) {
   Sig.ProgramName = "slots";
   Sig.PolyDegree = 1024;
   Sig.ContextBitSizes = {36, 36, 40};
-  Sig.Inputs = {{"x", 30, true}};
-  Sig.Outputs = {{"out", 30}};
+  Sig.Inputs = {{"x", ValueType::Cipher, 30, 2}};
+  Sig.Outputs = {{"out", ValueType::Cipher, 30, 2}};
   Sig.VecSize = 512;
   EXPECT_TRUE(deserializeParamSignature(serializeParamSignature(Sig)).ok());
   for (uint64_t VecSize : {1024, 12, 0}) {

@@ -343,10 +343,10 @@ int main(int Argc, char **Argv) {
                   Sig.ContextBitSizes.size(),
                   Sig.Security == SecurityLevel::TC128 ? "tc128" : "none",
                   Sig.NeedsRelin ? " relin" : "");
-      for (const ServiceInputSpec &In : Sig.Inputs)
+      for (const IoSpec &In : Sig.Inputs)
         std::printf("  input  %-16s scale 2^%.0f %s\n", In.Name.c_str(),
-                    In.LogScale, In.IsCipher ? "(encrypted)" : "(plain)");
-      for (const ServiceOutputSpec &Out : Sig.Outputs)
+                    In.LogScale, In.isCipher() ? "(encrypted)" : "(plain)");
+      for (const IoSpec &Out : Sig.Outputs)
         std::printf("  output %-16s scale 2^%.0f\n", Out.Name.c_str(),
                     Out.LogScale);
     }
