@@ -121,7 +121,9 @@ private:
 
   /// The inner-product half of key switching: extends each digit to every
   /// output prime (+ the special prime), accumulates against \p Key, and
-  /// divides the special prime back out. \p TargetNtt is the NTT-form
+  /// divides the special prime back out. \p Key needs at least as many
+  /// digits as \p Digits (fatalError otherwise) and is read by its shape
+  /// (keyLimbPrime). \p TargetNtt is the NTT-form
   /// polynomial \p Digits decompose; its limb I stands in for digit I
   /// under prime I, which saves one forward NTT per digit.
   std::array<RnsPoly, 2> keySwitchAccumulate(const KeySwitchDigits &Digits,

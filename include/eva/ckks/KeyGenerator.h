@@ -20,6 +20,7 @@
 #include "eva/support/Random.h"
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -39,6 +40,14 @@ class ThreadPool;
 /// polynomials from the same seed regardless of standard library.
 RnsPoly expandUniformNtt(const CkksContext &Ctx, size_t PrimeCount,
                          uint64_t Seed);
+
+/// The uniform polynomial of a key-switching pair with \p Pairs pairs:
+/// \p Seed's stream runs over every context prime in order, as
+/// expandUniformNtt(Ctx, totalPrimeCount(), Seed) draws it, and the result
+/// keeps the Pairs + 1 components of keyLimbPrime (Keys.h). So a trimmed
+/// key's components equal the full key's, whatever Pairs is.
+RnsPoly expandUniformKeyNtt(const CkksContext &Ctx, size_t Pairs,
+                            uint64_t Seed);
 
 class KeyGenerator {
 public:
@@ -61,13 +70,24 @@ public:
   /// therefore independent of the pool size. A null \p Pool uses a
   /// transient pool at hardware concurrency.
   RelinKeys createRelinKeys(ThreadPool *Pool = nullptr);
-  /// One Galois key per distinct left-rotation step in \p Steps. Steps are
-  /// normalized modulo the slot count N/2 first (slot rotation is cyclic),
-  /// so step 0 and any multiple of the slot count are identities that need
-  /// no key; an empty set yields an empty key map. The caller draws key
-  /// k+1 while the pool builds key k.
+  /// One full Galois key per distinct left-rotation step in \p Steps:
+  /// createGaloisKeysAtLevels with every step at dataPrimeCount() primes.
   GaloisKeys createGaloisKeys(const std::set<uint64_t> &Steps,
                               ThreadPool *Pool = nullptr);
+  /// One Galois key per distinct left-rotation step in \p StepPrimes, with
+  /// as many digits as the step's value: the most data primes a rotation by
+  /// it runs at (CompiledProgram::RotationKeyPrimes), in [1,
+  /// dataPrimeCount()]. A key with L digits holds the shape of keyLimbPrime
+  /// (Keys.h). Steps are normalized modulo the slot count N/2 first (slot
+  /// rotation is cyclic), so step 0 and any multiple of the slot count are
+  /// identities that need no key, and steps that normalize alike share the
+  /// larger count; an empty map yields an empty key map. Every key draws
+  /// all dataPrimeCount() digits, so the streams, and each limb a trimmed
+  /// key keeps, match the full keys' bit for bit. The caller draws key k+1
+  /// while the pool builds key k.
+  GaloisKeys
+  createGaloisKeysAtLevels(const std::map<uint64_t, size_t> &StepPrimes,
+                           ThreadPool *Pool = nullptr);
 
   /// Samples an error polynomial in NTT form over \p PrimeCount primes
   /// (exposed for the encryptor's fresh-ciphertext error).
@@ -94,7 +114,8 @@ private:
   KSwitchDraws drawKSwitchKey();
   /// Build phase for digit \p I of a key for target w, given \p WI, limb I
   /// of w in NTT form: writes (k0_i, k1_i), which encrypts
-  /// P * w * (CRT basis_i), into Key.Keys[I] in place. Reads only Ctx,
+  /// P * w * (CRT basis_i), into Key.Keys[I] in place, in the shape of a
+  /// key with Key.Keys.size() pairs (keyLimbPrime). Reads only Ctx,
   /// Secret, \p WI and \p D, so digits of any keys may be built
   /// concurrently.
   void buildKSwitchDigit(std::span<const uint64_t> WI, const KSwitchDraws &D,

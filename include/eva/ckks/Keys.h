@@ -33,17 +33,35 @@ struct SecretKey {
   RnsPoly S; // NTT form over all primes (data + special)
 };
 
-/// One key-switching key: per decomposition prime i, a pair (k0_i, k1_i)
-/// over the full modulus Q*P with k0_i + k1_i * s = e_i + P * w * qtilde_i.
+/// The shape of a key-switching key, in one rule: a key with L pairs
+/// (digits 0..L-1) holds polynomials of L + 1 components, over data primes
+/// 0..L-1 and then the special prime (context index \p SpecialIdx). Returns
+/// the context prime of component \p Limb. A key with L pairs switches
+/// ciphertexts of at most L data primes: digit i of a key switch reads pair
+/// i, and every output prime reads one component of each pair read. A full
+/// key (L = dataPrimeCount()) therefore spans the context primes in order;
+/// a Galois key used only below the top level keeps just the L its
+/// rotations read (CompiledProgram::RotationKeyPrimes).
+inline size_t keyLimbPrime(size_t Pairs, size_t Limb, size_t SpecialIdx) {
+  return Limb < Pairs ? Limb : SpecialIdx;
+}
+
+/// One key-switching key: per decomposition prime i < L, a pair
+/// (k0_i, k1_i) over data primes 0..L-1 and the special prime P (the shape
+/// of keyLimbPrime) with k0_i + k1_i * s = e_i + P * w * qtilde_i.
 struct KSwitchKey {
   std::vector<std::array<RnsPoly, 2>> Keys;
-  /// Parallel to Keys when non-empty: k1_i == expandUniformNtt(C1Seeds[i]).
-  /// The uniform components are expanded from PRNG seeds so the wire format
-  /// can ship the 8-byte seed instead of the polynomial (roughly halving key
-  /// upload size). A seed of 0 means "not seed-derived": the polynomial must
-  /// be shipped in full.
+  /// Parallel to Keys when non-empty: k1_i is the key-shaped expansion of
+  /// C1Seeds[i] (expandUniformKeyNtt). The uniform components are expanded
+  /// from PRNG seeds so the wire format can ship the 8-byte seed instead of
+  /// the polynomial (roughly halving key upload size). A seed of 0 means
+  /// "not seed-derived": the polynomial must be shipped in full.
   std::vector<uint64_t> C1Seeds;
   bool empty() const { return Keys.empty(); }
+  /// Keeps the first \p Pairs digits, each over data primes 0..Pairs-1 and
+  /// the special prime: the limbs a key switch at \p Pairs primes reads,
+  /// with their values unchanged. No-op when the key has at most \p Pairs.
+  void trimTo(size_t Pairs);
 };
 
 struct RelinKeys {

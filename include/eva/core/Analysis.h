@@ -43,6 +43,7 @@
 #include "eva/ir/Program.h"
 #include "eva/support/Error.h"
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -108,7 +109,8 @@ Status verifyProgram(const Program &P,
 /// Verifies a compiler result: the graph under VerifyOptions::compiled()
 /// (rotations required normalized when Options.Optimize), plus the
 /// cross-checks only the container makes possible — every cipher rotation's
-/// normalized step has a Galois key in RotationSteps, the hoist plan's
+/// normalized step has a Galois key in RotationSteps whose recorded level
+/// (RotationKeyPrimes, when present) covers the rotation, the hoist plan's
 /// groups refer to live rotation nodes of their source, the bit-size chain
 /// is well-formed for the selected degree, and the dataflow analyzer
 /// (Constraints 1-4) accepts the graph.
@@ -162,6 +164,14 @@ Expected<ParameterSelection> selectParameters(const Program &P,
                                               const AnalysisResult &AR,
                                               int SfBits, int MinPrimeBits,
                                               SecurityLevel Security);
+
+/// DetermineRotationSteps extended to levels: for each normalized step of a
+/// cipher rotation in \p P, the most data primes (out of \p DataPrimes) any
+/// rotation by that step runs at, read off AR.Level. A Galois key for the
+/// step needs no more digits than that (CompiledProgram::RotationKeyPrimes).
+std::map<uint64_t, size_t> selectRotationKeyPrimes(const Program &P,
+                                                   const AnalysisResult &AR,
+                                                   size_t DataPrimes);
 
 /// Runs the forward dataflow phases over \p P in validation order — rescale
 /// chains (Constraints 1 and 4), scales (Constraint 2), polynomial counts

@@ -29,6 +29,7 @@
 #include "eva/ir/Program.h"
 #include "eva/support/Error.h"
 
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -78,17 +79,36 @@ struct CompilerOptions {
 
 /// Everything needed to run the program: the transformed graph, the prime
 /// bit sizes (paper order: special prime, chain in consumption order,
-/// headroom factors), the rotation-key step set, and the selected degree.
+/// headroom factors), the rotation-key step set and each key's level, and
+/// the selected degree.
 struct CompiledProgram {
   std::unique_ptr<Program> Prog;
   std::vector<int> BitSizes;
   std::set<uint64_t> RotationSteps;
+  /// Per rotation step, the most data primes any rotation by it runs at
+  /// (selectRotationKeyPrimes): its Galois key needs only that many digits,
+  /// each over those primes plus the special prime (keyLimbPrime in
+  /// ckks/Keys.h). A step missing here gets a full key, so an empty map
+  /// (a CompiledProgram assembled outside compile()) means full keys.
+  std::map<uint64_t, size_t> RotationKeyPrimes;
   /// Hoist batches (rotations sharing a source) the executors consume; the
   /// node pointers refer into Prog and survive moves of this struct.
   RotationPlan RotPlan;
   uint64_t PolyDegree = 0;
   int TotalModulusBits = 0;
   CompilerOptions Options;
+
+  /// Every rotation step with its Galois key's level: the recorded one, or
+  /// the full data chain for a step RotationKeyPrimes does not hold.
+  std::map<uint64_t, size_t> galoisKeyPrimes() const {
+    std::map<uint64_t, size_t> Out;
+    for (uint64_t Step : RotationSteps) {
+      auto It = RotationKeyPrimes.find(Step);
+      Out.emplace(Step, It != RotationKeyPrimes.end() ? It->second
+                                                      : BitSizes.size() - 1);
+    }
+    return Out;
+  }
 
   /// Modulus chain length r (the quantity Table 6 reports).
   size_t modulusLength() const { return BitSizes.size(); }

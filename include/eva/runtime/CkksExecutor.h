@@ -74,8 +74,13 @@ class CkksWorkspace {
 public:
   /// Evaluation-only workspace over an existing context (shared across the
   /// sessions of one registered program) and the evaluation keys a client
-  /// uploaded. Validates that \p Gk covers every rotation step the compiled
-  /// program needs and that \p Rk is present when it relinearizes.
+  /// uploaded. Validates that \p Rk is present when the program
+  /// relinearizes and that \p Gk holds a key for every rotation step the
+  /// program needs, with at least the digits of the step's level
+  /// (CompiledProgram::galoisKeyPrimes); a longer key is trimmed to that
+  /// level and a key for a step the program does not name is dropped, so
+  /// the keys a session holds depend on the program, not on the client.
+  /// Every key is checked here, before any rotation reads one.
   static Expected<std::shared_ptr<CkksWorkspace>>
   createServer(const CompiledProgram &CP,
                std::shared_ptr<const CkksContext> Ctx, RelinKeys Rk,
@@ -84,18 +89,20 @@ public:
   /// The client crypto stack over \p Ctx, the one every client path builds
   /// (local runners, ServiceClient sessions, audit replay, tests, benches):
   /// KeyGenerator(Seed), a secret-key Encryptor(Seed + 1), a Decryptor,
-  /// relinearization keys only if \p NeedsRelin, and Galois keys for
-  /// \p RotationSteps, drawn in that order. \p ReproducibleSeeds also
-  /// derives the published expansion seeds from \p Seed (see KeyGenerator),
-  /// so a local run and a remote session with the same seed are
-  /// bit-identical.
+  /// relinearization keys only if \p NeedsRelin, and a Galois key for every
+  /// step of \p RotationKeyPrimes at its level
+  /// (KeyGenerator::createGaloisKeysAtLevels), drawn in that order.
+  /// \p ReproducibleSeeds also derives the published expansion seeds from
+  /// \p Seed (see KeyGenerator), so a local run and a remote session with
+  /// the same seed are bit-identical.
   static Expected<std::shared_ptr<CkksWorkspace>>
   createClient(std::shared_ptr<const CkksContext> Ctx,
-               const std::set<uint64_t> &RotationSteps, bool NeedsRelin,
-               uint64_t Seed, bool ReproducibleSeeds = false);
+               const std::map<uint64_t, size_t> &RotationKeyPrimes,
+               bool NeedsRelin, uint64_t Seed,
+               bool ReproducibleSeeds = false);
 
   /// The client stack for \p CP: builds its context, checks the slot count
-  /// and delegates to the builder above.
+  /// and delegates to the builder above with CP.galoisKeyPrimes().
   static Expected<std::shared_ptr<CkksWorkspace>>
   createClient(const CompiledProgram &CP, uint64_t Seed,
                bool ReproducibleSeeds = false);

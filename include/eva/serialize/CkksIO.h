@@ -25,18 +25,28 @@
 ///   message GaloisKeys { repeated GaloisEntry entries = 1; }
 /// \endcode
 ///
+/// Key shape: a KSwitchKey with L pairs, 1 <= L <= D (the context's data
+/// primes), holds polynomials of exactly L + 1 components, over data
+/// primes 0..L-1 and then the special prime (keyLimbPrime in Keys.h).
+/// Relinearization keys are full (L = D). A Galois key may be trimmed to
+/// the L its rotations read; the shape needs no field of its own, and a
+/// full key is byte for byte the encoding that predates trimming. Whether
+/// L covers the program is the server's check (CkksWorkspace::createServer),
+/// not the loader's.
+///
 /// Seed compression: a nonzero `c1_seed` replaces the uniform polynomial of
 /// a freshly sampled key or ciphertext — the loader re-expands it with
-/// expandUniformNtt, roughly halving key upload size. When a seed is
-/// present the corresponding polynomial field is omitted.
+/// expandUniformNtt (expandUniformKeyNtt for a key's shape), roughly
+/// halving key upload size. When a seed is present the corresponding
+/// polynomial field is omitted.
 ///
 /// Loaders are defensive like the program reader in ProtoIO.h: they read
 /// through FieldReader (Wire.h), so a known field sent with another wire
 /// type or bytes that end inside a field are refused, and every polynomial
-/// is validated against the supplied context (degree, component counts,
-/// residues reduced modulo their primes). Malformed or hostile input yields
-/// a diagnostic, never undefined behaviour — a requirement for a server
-/// deserializing ciphertexts and keys from untrusted clients.
+/// is validated against the supplied context (degree, component counts and
+/// key shape, residues reduced modulo their primes). Malformed or hostile
+/// input yields a diagnostic, never undefined behaviour — a requirement
+/// for a server deserializing ciphertexts and keys from untrusted clients.
 ///
 //===----------------------------------------------------------------------===//
 

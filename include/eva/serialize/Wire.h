@@ -6,10 +6,10 @@
 ///
 /// \file
 /// A minimal hand-rolled implementation of the proto3 wire format (varints,
-/// fixed64, and length-delimited fields) — enough to serialize the EVA
-/// program schema of Figure 1 in the paper without an external Protocol
-/// Buffers dependency. Readers are defensive: malformed input yields an
-/// error, never undefined behaviour.
+/// fixed64, and length-delimited fields; fixed32 fields are only skipped) —
+/// enough to serialize the EVA program schema of Figure 1 in the paper
+/// without an external Protocol Buffers dependency. Readers are defensive:
+/// malformed input yields an error, never undefined behaviour.
 ///
 /// Every decoder of the format (programs in ProtoIO.h, ciphertexts and keys
 /// in CkksIO.h, the service messages in service/Messages.h) runs through
@@ -38,6 +38,9 @@ enum class WireType : uint8_t {
   Varint = 0,
   Fixed64 = 1,
   LengthDelimited = 2,
+  /// No field of the EVA schemas has this type: it is read only to skip a
+  /// peer's unknown fixed32/float field.
+  Fixed32 = 5,
 };
 
 /// Stores \p V at \p Out as 8 little-endian bytes.
@@ -134,7 +137,7 @@ public:
     if (!readVarint(Key))
       return false;
     uint8_t T = Key & 7;
-    if ((Key >> 3) > MaxField || (T != 0 && T != 1 && T != 2)) {
+    if ((Key >> 3) > MaxField || (T != 0 && T != 1 && T != 2 && T != 5)) {
       Failed = true;
       return false;
     }
@@ -205,6 +208,13 @@ public:
       std::string_view B;
       return readBytes(B);
     }
+    case WireType::Fixed32:
+      if (Data.size() - Pos < 4) {
+        Failed = true;
+        return false;
+      }
+      Pos += 4;
+      return true;
     }
     Failed = true;
     return false;
@@ -219,8 +229,12 @@ private:
 
 /// Decodes one message: the loop over its fields, and the rules every
 /// decoder of the format shares.
-///  - A field no take() names is skipped, so unknown fields (a newer peer's
-///    extensions) are tolerated.
+///  - A field no take() names is skipped, whatever its wire type, so
+///    unknown fields (a newer peer's extensions) are tolerated.
+///  - A repeated scalar (a std::vector of uint64_t or double) reads both
+///    encodings proto3 allows: one field per value, or a packed run, one
+///    length-delimited field of values back to back (protoc's default).
+///    Encoders here write one field per value.
 ///  - A named field that arrived with another wire type is refused
 ///    ("malformed ciphertext field 2: wire type 0, expected 1"): it means
 ///    another schema or a hostile peer, and no value can be read from it.
@@ -263,7 +277,8 @@ public:
   /// Reads the current field into \p V if it is field \p F; true when it
   /// did. A varint reads into uint64_t, a fixed64 into double, and a
   /// length-delimited field into std::string_view (a view of the input) or
-  /// std::string; a std::vector of those appends (a repeated field).
+  /// std::string; a std::vector of those appends (a repeated field, packed
+  /// or not for the scalars).
   bool take(uint32_t F, uint64_t &V) {
     return expect(F, WireType::Varint) && read(R.readVarint(V));
   }
@@ -286,6 +301,12 @@ public:
       return false;
     V.push_back(std::move(Value));
     return true;
+  }
+  bool take(uint32_t F, std::vector<uint64_t> &V) {
+    return takeScalars(F, V, &WireReader::readVarint);
+  }
+  bool take(uint32_t F, std::vector<double> &V) {
+    return takeScalars(F, V, &WireReader::readDouble);
   }
 
   /// Decodes field \p F as an embedded message with \p Decode, a callable
@@ -310,6 +331,32 @@ public:
   Status status() const { return Failure; }
 
 private:
+  /// A repeated scalar field: one value, or a packed run of them that must
+  /// end on a value boundary.
+  template <typename T>
+  bool takeScalars(uint32_t F, std::vector<T> &V,
+                   bool (WireReader::*ReadOne)(T &)) {
+    if (!Pending || Field != F || Type != WireType::LengthDelimited) {
+      T Value{};
+      if (!take(F, Value))
+        return false;
+      V.push_back(Value);
+      return true;
+    }
+    Pending = false;
+    std::string_view Run;
+    if (!read(R.readBytes(Run)))
+      return false;
+    WireReader Values(Run);
+    while (!Values.atEnd()) {
+      T Value{};
+      if (!(Values.*ReadOne)(Value))
+        return truncated();
+      V.push_back(Value);
+    }
+    return true;
+  }
+
   bool expect(uint32_t F, WireType Want) {
     if (!Pending || Field != F)
       return false;

@@ -97,8 +97,9 @@ public:
   Expected<MetricsSnapshot> getMetrics();
 
   /// Builds the client crypto stack for \p Sig (its context, then
-  /// CkksWorkspace::createClient seeded from \p KeySeed) and opens a server
-  /// session with the evaluation keys. \p ReproducibleSeeds additionally
+  /// CkksWorkspace::createClient seeded from \p KeySeed, with each Galois
+  /// key at Sig.galoisKeyPrimes()) and opens a server session with the
+  /// evaluation keys. \p ReproducibleSeeds additionally
   /// derives the published expansion seeds from \p KeySeed (see
   /// KeyGenerator) so the whole exchange is a pure function of the seed —
   /// the mode behind cross-backend goldens.

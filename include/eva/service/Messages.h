@@ -27,7 +27,9 @@
 ///     repeated uint64 rotation_steps = 5; uint32 security = 6;
 ///     repeated InputSpec inputs = 7; repeated OutputSpec outputs = 8;
 ///     bool needs_relin = 9;
-///     repeated string lint_warnings = 10; }  // publish-time lint findings
+///     repeated string lint_warnings = 10;   // publish-time lint findings
+///     repeated uint64 rotation_key_primes = 11; } // parallel to
+///                        // rotation_steps: data primes of each step's key
 ///   message ProgramList  { repeated ParamSignature programs = 1; }
 ///   message OpenSession  { string program = 1; bytes relin_keys = 2;
 ///                          bytes galois_keys = 3; }   // CkksIO encodings
@@ -53,9 +55,10 @@
 /// \endcode
 ///
 /// Every deserialize* reads through FieldReader (serialize/Wire.h), like the
-/// program and key loaders: unknown fields are skipped, and a known field
-/// sent with another wire type or bytes that end inside a field are
-/// refused with a diagnostic naming the message. The server decodes
+/// program and key loaders: unknown fields are skipped, repeated scalars
+/// are read packed or not, and a known field sent with another wire type or
+/// bytes that end inside a field are refused with a diagnostic naming the
+/// message. The server decodes
 /// untrusted client bytes here, and the client decodes the server's.
 ///
 //===----------------------------------------------------------------------===//
@@ -69,6 +72,7 @@
 #include "eva/support/Telemetry.h"
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -96,7 +100,8 @@ const char *messageTypeName(MessageType T);
 /// key set for one registered program: the program's typed I/O contract
 /// (api/ProgramSignature.h) plus the compiled parameters (both sides derive
 /// identical primes deterministically from the bit sizes) and the
-/// rotation-step set requiring Galois keys. On the wire an input carries
+/// rotation-step set requiring Galois keys, with each key's level. On the
+/// wire an input carries
 /// only its name, scale and `cipher` bit, so a decoded signature types
 /// plain inputs as Vector; cipher inputs and all outputs sit at the full
 /// data chain (Level = ContextBitSizes.size() - 1).
@@ -104,6 +109,11 @@ struct ParamSignature : ProgramSignature {
   uint64_t PolyDegree = 0;
   std::vector<int> ContextBitSizes; ///< storage order, special prime last
   std::vector<uint64_t> RotationSteps;
+  /// Parallel to RotationSteps: the data primes each step's Galois key
+  /// holds (CompiledProgram::RotationKeyPrimes), each in [1, data primes].
+  /// Empty from a server that predates per-step levels: its clients build
+  /// full keys.
+  std::vector<uint64_t> RotationKeyPrimes;
   SecurityLevel Security = SecurityLevel::TC128;
   bool NeedsRelin = false;
   /// Publish-time lint findings ("[kind] %id: message"), surfaced so clients
@@ -111,6 +121,11 @@ struct ParamSignature : ProgramSignature {
   /// Programs that fail *verification* are refused at registration; warnings
   /// ride along here.
   std::vector<std::string> LintWarnings;
+
+  /// Every rotation step with the data primes its Galois key holds, as
+  /// ServiceClient::openSession builds them: RotationKeyPrimes, or the full
+  /// data chain when the signature carries none.
+  std::map<uint64_t, size_t> galoisKeyPrimes() const;
 };
 
 struct ErrorMsg {

@@ -214,17 +214,27 @@ Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
   size_t Count = TCoeff.size();
   size_t SpecialIdx = Ctx->specialPrimeIndex();
   uint64_t N = Ctx->polyDegree();
-  assert(Count <= Key.Keys.size() && "not enough key components");
+  // fatalError, not assert: a key with fewer digits than the ciphertext
+  // has primes would be read past its end. Sessions check every key's
+  // shape when they open (CkksWorkspace::createServer), so client bytes
+  // never get here.
+  size_t Pairs = Key.Keys.size();
+  if (Count > Pairs)
+    fatalError("key switch of a " + std::to_string(Count) +
+               "-prime ciphertext against a key of " + std::to_string(Pairs) +
+               " digits");
   assert(TargetNtt.primeCount() == Count && "digits and target differ");
 
-  // Output prime indices: current data primes plus the special prime.
+  // Output prime indices: current data primes plus the special prime, the
+  // shape of a key with Count pairs. The key's own components follow its
+  // shape (keyLimbPrime): data prime R is its component R, and the special
+  // prime its last.
   // evalint: allow(heap-in-hot-path): two index vectors of size limb-count
   // (tens of entries) and the returned accumulator polynomials; the O(N)
   // inner loops below run entirely on LimbScratch arena buffers.
   std::vector<size_t> OutIdx(Count + 1);
-  for (size_t I = 0; I < Count; ++I)
-    OutIdx[I] = I;
-  OutIdx[Count] = SpecialIdx;
+  for (size_t R = 0; R <= Count; ++R)
+    OutIdx[R] = keyLimbPrime(Count, R, SpecialIdx);
 
   // The inner-product accumulation is independent per output prime: every R
   // reads all of TCoeff but writes only Acc[*].Comps[R], with its own
@@ -232,6 +242,8 @@ Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
   std::array<RnsPoly, 2> Acc = {RnsPoly(N, Count + 1), RnsPoly(N, Count + 1)};
   forEachLimb(OutIdx.size(), [&](size_t R) {
     size_t PrimeIdx = OutIdx[R];
+    size_t KeyLimb = R < Count ? R : Pairs;
+    assert(keyLimbPrime(Pairs, KeyLimb, SpecialIdx) == PrimeIdx);
     const Modulus &Qr = Ctx->prime(PrimeIdx);
     LimbScratch Tmp = acquireLimbScratch(N);
     // 128-bit accumulators split into lo/hi word arrays so the fused
@@ -250,8 +262,8 @@ Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
         Ctx->ntt(PrimeIdx).forward(Tmp.span());
         Digit = Tmp.data();
       }
-      const std::vector<uint64_t> &K0 = Key.Keys[I][0].Comps[PrimeIdx];
-      const std::vector<uint64_t> &K1 = Key.Keys[I][1].Comps[PrimeIdx];
+      const std::vector<uint64_t> &K0 = Key.Keys[I][0].Comps[KeyLimb];
+      const std::vector<uint64_t> &K1 = Key.Keys[I][1].Comps[KeyLimb];
       simd::fusedMulAcc128(Digit, K0.data(), K1.data(), Lo0.data(),
                            Hi0.data(), Lo1.data(), Hi1.data(), N);
       charge(&ExecutionStats::MulMods, 2 * N);

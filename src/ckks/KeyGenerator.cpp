@@ -10,6 +10,8 @@
 #include "eva/support/Arena.h"
 #include "eva/support/ThreadPool.h"
 
+#include <algorithm>
+
 using namespace eva;
 
 namespace {
@@ -24,6 +26,16 @@ uint64_t boundedUniform(RandomSource &Rng, uint64_t Bound) {
     if (R >= Threshold)
       return R % Bound;
   }
+}
+
+/// Keeps, of \p P's components over data primes 0, 1, ... and the special
+/// prime last, the Pairs + 1 a key of \p Pairs pairs holds (keyLimbPrime):
+/// the special prime's becomes component Pairs.
+void keepKeyLimbs(RnsPoly &P, size_t Pairs) {
+  if (P.Comps.size() <= Pairs + 1)
+    return;
+  P.Comps[Pairs] = std::move(P.Comps.back());
+  P.Comps.resize(Pairs + 1);
 }
 
 } // namespace
@@ -41,6 +53,28 @@ RnsPoly eva::expandUniformNtt(const CkksContext &Ctx, size_t PrimeCount,
       P.Comps[C][I] = boundedUniform(Rng, Q);
   }
   return P;
+}
+
+RnsPoly eva::expandUniformKeyNtt(const CkksContext &Ctx, size_t Pairs,
+                                 uint64_t Seed) {
+  assert(Pairs >= 1 && Pairs <= Ctx.dataPrimeCount());
+  // Rejection sampling draws a varying number of words per value, so each
+  // limb's values depend on every limb drawn before it: the stream runs
+  // over every prime, whichever the key keeps.
+  RnsPoly P = expandUniformNtt(Ctx, Ctx.totalPrimeCount(), Seed);
+  keepKeyLimbs(P, Pairs);
+  return P;
+}
+
+void KSwitchKey::trimTo(size_t Pairs) {
+  if (Keys.size() <= Pairs)
+    return;
+  Keys.resize(Pairs);
+  if (C1Seeds.size() > Pairs)
+    C1Seeds.resize(Pairs);
+  for (std::array<RnsPoly, 2> &Pair : Keys)
+    for (RnsPoly &P : Pair)
+      keepKeyLimbs(P, Pairs);
 }
 
 namespace {
@@ -148,27 +182,31 @@ void KeyGenerator::buildKSwitchDigit(std::span<const uint64_t> WI,
                                      KSwitchKey &Key) const {
   uint64_t N = Ctx->polyDegree();
   assert(WI.size() == N && "target limb must hold N words");
-  size_t PrimeCount = Ctx->totalPrimeCount();
+  size_t Pairs = Key.Keys.size();
+  assert(I < Pairs && Pairs <= Ctx->dataPrimeCount() && "digit out of shape");
+  size_t SpecialIdx = Ctx->specialPrimeIndex();
   std::array<RnsPoly, 2> &Z = Key.Keys[I];
-  Z[1] = expandUniformNtt(*Ctx, PrimeCount, D.Seeds[I]);
-  Z[0] = RnsPoly(N, PrimeCount);
+  Z[1] = expandUniformKeyNtt(*Ctx, Pairs, D.Seeds[I]);
+  Z[0] = RnsPoly(N, Pairs + 1);
   const int8_t *E = D.Errors.data() + I * N;
-  for (size_t C = 0; C < PrimeCount; ++C) {
+  for (size_t Limb = 0; Limb <= Pairs; ++Limb) {
+    size_t C = keyLimbPrime(Pairs, Limb, SpecialIdx);
     const Modulus &Q = Ctx->prime(C);
-    std::vector<uint64_t> &C0 = Z[0].Comps[C];
+    std::vector<uint64_t> &C0 = Z[0].Comps[Limb];
     for (uint64_t J = 0; J < N; ++J)
       C0[J] = E[J] < 0 ? Q.value() - static_cast<uint64_t>(-E[J])
                        : static_cast<uint64_t>(E[J]);
     Ctx->ntt(C).forward(C0);
     // c0 = e - c1 * s, so that c0 + c1 * s = e.
-    const std::vector<uint64_t> &C1 = Z[1].Comps[C];
+    const std::vector<uint64_t> &C1 = Z[1].Comps[Limb];
     const std::vector<uint64_t> &S = Secret.S.Comps[C];
     for (uint64_t J = 0; J < N; ++J)
       C0[J] = subMod(C0[J], mulMod(C1[J], S[J], Q), Q);
   }
-  // Add P * W on the i-th CRT component only (the CRT basis trick).
+  // Add P * W on the i-th CRT component only (the CRT basis trick); limb
+  // I < Pairs lies over data prime I.
   const Modulus &Qi = Ctx->prime(I);
-  uint64_t SpecialPrime = Ctx->prime(Ctx->specialPrimeIndex()).value();
+  uint64_t SpecialPrime = Ctx->prime(SpecialIdx).value();
   ShoupMul FactorMul(Qi.reduce(SpecialPrime), Qi);
   std::vector<uint64_t> &Dst = Z[0].Comps[I];
   for (uint64_t J = 0; J < N; ++J)
@@ -196,29 +234,52 @@ RelinKeys KeyGenerator::createRelinKeys(ThreadPool *Pool) {
 
 GaloisKeys KeyGenerator::createGaloisKeys(const std::set<uint64_t> &Steps,
                                           ThreadPool *Pool) {
+  std::map<uint64_t, size_t> Full;
+  for (uint64_t Step : Steps)
+    Full.emplace(Step, Ctx->dataPrimeCount());
+  return createGaloisKeysAtLevels(Full, Pool);
+}
+
+GaloisKeys KeyGenerator::createGaloisKeysAtLevels(
+    const std::map<uint64_t, size_t> &StepPrimes, ThreadPool *Pool) {
   std::optional<ThreadPool> Transient;
   if (!Pool)
     Pool = &Transient.emplace(0);
-  GaloisKeys Gk;
   uint64_t Slots = Ctx->slotCount();
-  for (uint64_t Step : Steps) {
-    // Slot rotation is cyclic with period N/2, so normalize before mapping
-    // to a Galois element: step 0 (and any multiple of the slot count, e.g.
-    // a program vec_size that equals the slot count) is the identity and
-    // needs no key. An empty step set yields an empty key map.
-    Step %= Slots;
+  uint64_t N = Ctx->polyDegree();
+  // Slot rotation is cyclic with period N/2, so normalize before mapping to
+  // a Galois element: step 0 (and any multiple of the slot count, e.g. a
+  // program vec_size that equals the slot count) is the identity and needs
+  // no key. Steps that normalize alike share one key at their larger level.
+  std::map<uint64_t, size_t> PairsOf;
+  for (auto [Step, Primes] : StepPrimes) {
+    if (Primes == 0 || Primes > Ctx->dataPrimeCount())
+      fatalError("galois key for step " + std::to_string(Step) + " at " +
+                 std::to_string(Primes) + " primes: the context has " +
+                 std::to_string(Ctx->dataPrimeCount()) + " data primes");
+    if (Step % Slots != 0) {
+      size_t &Pairs = PairsOf[galoisEltFromStep(Step % Slots, N)];
+      Pairs = std::max(Pairs, Primes);
+    }
+  }
+  GaloisKeys Gk;
+  for (const auto &Entry : StepPrimes) {
+    uint64_t Step = Entry.first % Slots;
     if (Step == 0)
       continue;
-    uint64_t G = galoisEltFromStep(Step, Ctx->polyDegree());
+    uint64_t G = galoisEltFromStep(Step, N);
     auto [It, Inserted] = Gk.Keys.try_emplace(G);
     if (!Inserted)
       continue;
     // Draw this key on the calling thread while workers build earlier
     // ones. Workers touch only their own map node's value, never the tree.
+    // The draw covers every digit, kept or not, so later keys' streams do
+    // not depend on this key's level.
     KSwitchKey &Key = It->second;
+    size_t Pairs = PairsOf.at(G);
     KSwitchDraws D = drawKSwitchKey();
-    Key.Keys.resize(D.Seeds.size());
-    Key.C1Seeds = D.Seeds;
+    Key.Keys.resize(Pairs);
+    Key.C1Seeds.assign(D.Seeds.begin(), D.Seeds.begin() + Pairs);
     Pool->submit([this, G, &Key, D = std::move(D)] {
       // Digit i needs only limb i of the target s(X^G), gathered from the
       // NTT-form secret through one permutation table for every digit.
@@ -226,7 +287,7 @@ GaloisKeys KeyGenerator::createGaloisKeys(const std::set<uint64_t> &Steps,
       LimbScratch Perm = acquireLimbScratch(N);
       galoisNttPermutation(G, N, Perm.span());
       LimbScratch SG = acquireLimbScratch(N);
-      for (size_t I = 0; I < D.Seeds.size(); ++I) {
+      for (size_t I = 0; I < Key.Keys.size(); ++I) {
         applyGaloisNtt(Secret.S.Comps[I], Perm.span(), SG.span());
         buildKSwitchDigit(SG.span(), D, I, Key);
       }

@@ -362,6 +362,25 @@ Expected<ParameterSelection> eva::selectParameters(const Program &P,
   return selectParameters(P, AR.Chains, SfBits, MinPrimeBits, Security);
 }
 
+std::map<uint64_t, size_t>
+eva::selectRotationKeyPrimes(const Program &P, const AnalysisResult &AR,
+                             size_t DataPrimes) {
+  std::map<uint64_t, size_t> Primes;
+  for (const Node *N : P.nodes()) {
+    if (!isRotation(N->op()) || !N->isCipher())
+      continue;
+    uint64_t Step = normalizedLeftSteps(N, P.vecSize());
+    // A rotation keeps its operand's primes: the data chain less those the
+    // rescales and modswitches above it consumed.
+    size_t Consumed = static_cast<size_t>(std::max(AR.Level[N->id()], 0));
+    if (Step == 0 || Consumed >= DataPrimes)
+      continue;
+    size_t &Max = Primes[Step];
+    Max = std::max(Max, DataPrimes - Consumed);
+  }
+  return Primes;
+}
+
 //===----------------------------------------------------------------------===
 // The unified analyzer
 //===----------------------------------------------------------------------===

@@ -121,7 +121,11 @@ Expected<CompiledProgram> eva::compile(const Program &Input,
   Out.TotalModulusBits = Sel->TotalBits;
 
   // --- DetermineRotationSteps (line 5) ---
+  // Each step's key level comes from the same analysis: rotations keep
+  // their operand's primes, and no later pass moves a level.
   Out.RotationSteps = selectRotationSteps(P);
+  Out.RotationKeyPrimes =
+      selectRotationKeyPrimes(P, *AR, Out.BitSizes.size() - 1);
 
   // --- Rotation hoisting analysis (runtime consumes the batches) ---
   Out.RotPlan = planRotationHoisting(P);

@@ -329,5 +329,35 @@ Status eva::verifyCompiled(const CompiledProgram &CP) {
   Expected<AnalysisResult> AR = analyzeProgram(P, AO);
   if (!AR)
     return AR.takeStatus();
+
+  // Galois-key levels: an empty map asks for full keys. A recorded level
+  // belongs to a selected step, fits the data chain, and covers every
+  // cipher rotation by that step, or a key would be read past its digits.
+  size_t DataPrimes = CP.BitSizes.size() - 1;
+  for (auto [Step, Primes] : CP.RotationKeyPrimes) {
+    if (!CP.RotationSteps.count(Step))
+      return Status::error("Galois-key level recorded for step " +
+                           std::to_string(Step) +
+                           ", which has no Galois key");
+    if (Primes == 0 || Primes > DataPrimes)
+      return Status::error("Galois key for step " + std::to_string(Step) +
+                           " at " + std::to_string(Primes) +
+                           " primes, outside [1, " +
+                           std::to_string(DataPrimes) + "]");
+  }
+  for (const Node *N : P.nodes()) {
+    if (!isRotation(N->op()) || !N->isCipher())
+      continue;
+    auto It = CP.RotationKeyPrimes.find(normalizedLeftSteps(N, P.vecSize()));
+    int Consumed = AR->Level[N->id()];
+    if (It == CP.RotationKeyPrimes.end() || Consumed < 0)
+      continue;
+    size_t Live = DataPrimes - std::min<size_t>(Consumed, DataPrimes);
+    if (Live > It->second)
+      return Status::error("rotation " + nodeDesc(N) + " runs at " +
+                           std::to_string(Live) + " primes but the Galois "
+                           "key for step " + std::to_string(It->first) +
+                           " holds " + std::to_string(It->second));
+  }
   return Status::success();
 }

@@ -79,25 +79,39 @@ CkksWorkspace::createServer(const CompiledProgram &CP,
     return Result::error("vector size exceeds slot count");
   if (RkIn.empty() && countOps(*CP.Prog, OpCode::Relinearize) > 0)
     return Result::error("program relinearizes but no relin key was supplied");
-  for (uint64_t Step : CP.RotationSteps) {
+  // The session keeps, of the uploaded keys, those the program's rotations
+  // read, each cut to its level.
+  GaloisKeys Gk;
+  for (auto [Step, Primes] : CP.galoisKeyPrimes()) {
     if (Step == 0)
       continue;
-    if (!GkIn.has(galoisEltFromStep(Step, CP.PolyDegree)))
+    uint64_t G = galoisEltFromStep(Step, CP.PolyDegree);
+    auto It = GkIn.Keys.find(G);
+    if (It == GkIn.Keys.end())
       return Result::error("missing galois key for rotation step " +
                            std::to_string(Step));
+    // A rotation by this step at Primes data primes reads Primes digits.
+    if (It->second.Keys.size() < Primes)
+      return Result::error("galois key for rotation step " +
+                           std::to_string(Step) + " has " +
+                           std::to_string(It->second.Keys.size()) +
+                           " digits, the program rotates by it at " +
+                           std::to_string(Primes) + " primes");
+    It->second.trimTo(Primes);
+    Gk.Keys.emplace(G, std::move(It->second));
   }
 
   std::shared_ptr<CkksWorkspace> WS = std::make_shared<CkksWorkspace>();
   WS->Context = std::move(Ctx);
   WS->Encoder = std::make_unique<CkksEncoder>(WS->Context);
   WS->Rk = std::move(RkIn);
-  WS->Gk = std::move(GkIn);
+  WS->Gk = std::move(Gk);
   return WS;
 }
 
 Expected<std::shared_ptr<CkksWorkspace>>
 CkksWorkspace::createClient(std::shared_ptr<const CkksContext> Ctx,
-                            const std::set<uint64_t> &RotationSteps,
+                            const std::map<uint64_t, size_t> &RotationKeyPrimes,
                             bool NeedsRelin, uint64_t Seed,
                             bool ReproducibleSeeds) {
   using Result = Expected<std::shared_ptr<CkksWorkspace>>;
@@ -115,7 +129,7 @@ CkksWorkspace::createClient(std::shared_ptr<const CkksContext> Ctx,
   WS->Dec = std::make_unique<Decryptor>(WS->Context, WS->KeyGen->secretKey());
   if (NeedsRelin)
     WS->Rk = WS->KeyGen->createRelinKeys();
-  WS->Gk = WS->KeyGen->createGaloisKeys(RotationSteps);
+  WS->Gk = WS->KeyGen->createGaloisKeysAtLevels(RotationKeyPrimes);
   return WS;
 }
 
@@ -130,10 +144,9 @@ CkksWorkspace::createClient(const CompiledProgram &CP, uint64_t Seed,
     return Ctx.takeStatus();
   if (Ctx.value()->slotCount() < CP.Prog->vecSize())
     return Result::error("vector size exceeds slot count");
-  return createClient(
-      Ctx.value(),
-      std::set<uint64_t>(CP.RotationSteps.begin(), CP.RotationSteps.end()),
-      countOps(*CP.Prog, OpCode::Relinearize) > 0, Seed, ReproducibleSeeds);
+  return createClient(Ctx.value(), CP.galoisKeyPrimes(),
+                      countOps(*CP.Prog, OpCode::Relinearize) > 0, Seed,
+                      ReproducibleSeeds);
 }
 
 struct CkksExecutor::RunState {

@@ -20,9 +20,12 @@ void writePoly(WireWriter &W, uint32_t Field, const RnsPoly &P) {
 }
 
 /// Parses one RnsPoly message body into \p P and validates it against the
-/// context.
+/// context. A ciphertext polynomial has 1..D components over data primes
+/// 0, 1, ...; a key polynomial (\p KeyShaped) has L + 1 components for some
+/// L in [1, D], over the primes keyLimbPrime (Keys.h) gives a key of L
+/// pairs. D is the context's data prime count.
 Status parsePoly(const CkksContext &Ctx, std::string_view Data,
-                 size_t MaxPrimes, RnsPoly &P) {
+                 bool KeyShaped, RnsPoly &P) {
   uint64_t Degree = 0, PrimeCount = 0;
   std::vector<std::string_view> RawComps;
   FieldReader R(Data, "poly");
@@ -41,9 +44,13 @@ Status parsePoly(const CkksContext &Ctx, std::string_view Data,
     return Status::error("poly declares " + std::to_string(PrimeCount) +
                          " components but carries " +
                          std::to_string(RawComps.size()));
-  if (RawComps.empty() || RawComps.size() > MaxPrimes)
+  size_t MinPrimes = KeyShaped ? 2 : 1;
+  size_t MaxPrimes =
+      KeyShaped ? Ctx.totalPrimeCount() : Ctx.dataPrimeCount();
+  if (RawComps.size() < MinPrimes || RawComps.size() > MaxPrimes)
     return Status::error("poly component count " +
-                         std::to_string(RawComps.size()) + " outside [1, " +
+                         std::to_string(RawComps.size()) + " outside [" +
+                         std::to_string(MinPrimes) + ", " +
                          std::to_string(MaxPrimes) + "]");
 
   P = RnsPoly(Degree, RawComps.size());
@@ -51,7 +58,10 @@ Status parsePoly(const CkksContext &Ctx, std::string_view Data,
     if (RawComps[C].size() != Degree * 8)
       return Status::error("poly component " + std::to_string(C) +
                            " has wrong size");
-    uint64_t Q = Ctx.prime(C).value();
+    size_t Prime = KeyShaped ? keyLimbPrime(RawComps.size() - 1, C,
+                                            Ctx.specialPrimeIndex())
+                             : C;
+    uint64_t Q = Ctx.prime(Prime).value();
     const char *Raw = RawComps[C].data();
     for (uint64_t I = 0; I < Degree; ++I) {
       uint64_t V = getLE64(Raw + I * 8);
@@ -83,11 +93,15 @@ void writeKSwitchKey(WireWriter &W, uint32_t Field, const KSwitchKey &K) {
 
 Status parseKSwitchPair(const CkksContext &Ctx, std::string_view Data,
                         KSwitchKey &Key) {
-  // Key-switch components span the full modulus chain.
-  const size_t Primes = Ctx.totalPrimeCount();
+  // Refused before the pair is decoded: no key holds more digits than the
+  // context has data primes.
+  if (Key.Keys.size() >= Ctx.dataPrimeCount())
+    return Status::error("key-switch key has more than " +
+                         std::to_string(Ctx.dataPrimeCount()) +
+                         " decomposition components");
   std::array<RnsPoly, 2> Pair;
   auto PolyInto = [&](RnsPoly &P) {
-    return [&](std::string_view B) { return parsePoly(Ctx, B, Primes, P); };
+    return [&](std::string_view B) { return parsePoly(Ctx, B, true, P); };
   };
   uint64_t Seed = 0;
   bool HaveK0 = false, HaveK1 = false;
@@ -104,20 +118,20 @@ Status parseKSwitchPair(const CkksContext &Ctx, std::string_view Data,
   if (Seed != 0) {
     if (HaveK1)
       return Status::error("key-switch pair has both k1 and a seed");
-    Pair[1] = expandUniformNtt(Ctx, Primes, Seed);
+    Pair[1] = expandUniformKeyNtt(Ctx, Pair[0].primeCount() - 1, Seed);
   } else if (!HaveK1) {
     return Status::error("key-switch pair missing k1 and seed");
   }
-  if (Pair[0].primeCount() != Primes || Pair[1].primeCount() != Primes)
-    return Status::error("key-switch polynomial must span all primes");
   Key.Keys.push_back(std::move(Pair));
   Key.C1Seeds.push_back(Seed);
   return Status::success();
 }
 
-/// Parses a KSwitchKey into \p Key, replacing what it held.
+/// Parses a KSwitchKey into \p Key, replacing what it held, and checks its
+/// shape (keyLimbPrime): L pairs in [1, D] whose polynomials all hold L + 1
+/// components. \p Full demands L = D (relinearization keys).
 Status parseKSwitchKey(const CkksContext &Ctx, std::string_view Data,
-                       KSwitchKey &Key) {
+                       bool Full, KSwitchKey &Key) {
   Key = KSwitchKey();
   FieldReader R(Data, "key-switch key");
   while (R.next())
@@ -125,11 +139,19 @@ Status parseKSwitchKey(const CkksContext &Ctx, std::string_view Data,
         1, [&](std::string_view B) { return parseKSwitchPair(Ctx, B, Key); });
   if (!R.ok())
     return R.status();
-  if (Key.Keys.size() != Ctx.dataPrimeCount())
-    return Status::error("key-switch key has " +
-                         std::to_string(Key.Keys.size()) +
+  size_t Pairs = Key.Keys.size();
+  if (Pairs == 0 || (Full && Pairs != Ctx.dataPrimeCount()))
+    return Status::error("key-switch key has " + std::to_string(Pairs) +
                          " decomposition components, context needs " +
+                         (Full ? "" : "1 to ") +
                          std::to_string(Ctx.dataPrimeCount()));
+  for (const std::array<RnsPoly, 2> &Pair : Key.Keys)
+    for (const RnsPoly &P : Pair)
+      if (P.primeCount() != Pairs + 1)
+        return Status::error(
+            "key-switch key of " + std::to_string(Pairs) +
+            " pairs holds a polynomial of " + std::to_string(P.primeCount()) +
+            " components, not " + std::to_string(Pairs + 1));
   return Status::success();
 }
 
@@ -141,8 +163,9 @@ Status parseGaloisEntry(const CkksContext &Ctx, std::string_view Data,
   FieldReader R(Data, "galois entry");
   while (R.next()) {
     R.take(1, Elt);
-    HaveKey |= R.takeMessage(
-        2, [&](std::string_view B) { return parseKSwitchKey(Ctx, B, Key); });
+    HaveKey |= R.takeMessage(2, [&](std::string_view B) {
+      return parseKSwitchKey(Ctx, B, false, Key);
+    });
   }
   if (!R.ok())
     return R.status();
@@ -197,7 +220,7 @@ Expected<Ciphertext> eva::deserializeCiphertext(const CkksContext &Ctx,
       // the polynomial count so hostile input cannot balloon memory.
       if (Ct.Polys.size() > 8)
         return Status::error("ciphertext has too many polynomials");
-      return parsePoly(Ctx, B, Ctx.dataPrimeCount(), P);
+      return parsePoly(Ctx, B, false, P);
     });
     R.take(2, Ct.Scale);
     R.take(3, C1Seed);
@@ -233,8 +256,9 @@ Expected<RelinKeys> eva::deserializeRelinKeys(const CkksContext &Ctx,
   bool HaveKey = false;
   FieldReader R(Data, "relin keys");
   while (R.next())
-    HaveKey |= R.takeMessage(
-        1, [&](std::string_view B) { return parseKSwitchKey(Ctx, B, Rk.Key); });
+    HaveKey |= R.takeMessage(1, [&](std::string_view B) {
+      return parseKSwitchKey(Ctx, B, true, Rk.Key);
+    });
   if (!R.ok())
     return R.status();
   if (!HaveKey)

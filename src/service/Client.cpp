@@ -100,10 +100,8 @@ Status ServiceClient::openSession(const ParamSignature &SigIn,
   if (!C)
     return Status::error("cannot build client context: " + C.message());
   Expected<std::shared_ptr<CkksWorkspace>> Stack = CkksWorkspace::createClient(
-      C.value(),
-      std::set<uint64_t>(SigIn.RotationSteps.begin(),
-                         SigIn.RotationSteps.end()),
-      SigIn.NeedsRelin, KeySeed, ReproducibleSeeds);
+      C.value(), SigIn.galoisKeyPrimes(), SigIn.NeedsRelin, KeySeed,
+      ReproducibleSeeds);
   if (!Stack)
     return Stack.takeStatus();
   Sig = SigIn;

@@ -9,6 +9,8 @@
 #include "eva/serialize/Wire.h"
 #include "eva/support/BitOps.h"
 
+#include <algorithm>
+
 using namespace eva;
 
 const char *eva::messageTypeName(MessageType T) {
@@ -126,7 +128,20 @@ std::string eva::serializeParamSignature(const ParamSignature &Sig) {
     W.varintField(9, 1);
   for (const std::string &L : Sig.LintWarnings)
     W.bytesField(10, L);
+  for (uint64_t P : Sig.RotationKeyPrimes)
+    W.varintField(11, P);
   return W.take();
+}
+
+std::map<uint64_t, size_t> ParamSignature::galoisKeyPrimes() const {
+  size_t Full = ContextBitSizes.empty() ? 0 : ContextBitSizes.size() - 1;
+  std::map<uint64_t, size_t> Out;
+  for (size_t I = 0; I < RotationSteps.size(); ++I) {
+    size_t &Primes = Out[RotationSteps[I]];
+    Primes = std::max<size_t>(
+        Primes, I < RotationKeyPrimes.size() ? RotationKeyPrimes[I] : Full);
+  }
+  return Out;
 }
 
 /// InputSpec { string name = 1; double log_scale = 2; bool cipher = 3; }
@@ -153,17 +168,13 @@ Expected<ParamSignature> eva::deserializeParamSignature(std::string_view Data) {
   using Result = Expected<ParamSignature>;
   ParamSignature Sig;
   uint64_t V = 0;
+  std::vector<uint64_t> BitSizes;
   FieldReader R(Data, "signature");
   while (R.next()) {
     R.take(1, Sig.ProgramName);
     R.take(2, Sig.PolyDegree);
     R.take(3, Sig.VecSize);
-    if (R.take(4, V)) {
-      if (V > 64)
-        return Result::error("signature bit size " + std::to_string(V) +
-                             " out of range");
-      Sig.ContextBitSizes.push_back(static_cast<int>(V));
-    }
+    R.take(4, BitSizes);
     R.take(5, Sig.RotationSteps);
     if (R.take(6, V)) {
       if (V > 1)
@@ -180,9 +191,16 @@ Expected<ParamSignature> eva::deserializeParamSignature(std::string_view Data) {
     if (R.take(9, V))
       Sig.NeedsRelin = V != 0;
     R.take(10, Sig.LintWarnings);
+    R.take(11, Sig.RotationKeyPrimes);
   }
   if (!R.ok())
     return R.status();
+  for (uint64_t Bits : BitSizes) {
+    if (Bits > 64)
+      return Result::error("signature bit size " + std::to_string(Bits) +
+                           " out of range");
+    Sig.ContextBitSizes.push_back(static_cast<int>(Bits));
+  }
   if (Sig.ProgramName.empty())
     return Result::error("signature missing program name");
   if (Sig.PolyDegree == 0 || Sig.ContextBitSizes.empty())
@@ -199,6 +217,20 @@ Expected<ParamSignature> eva::deserializeParamSignature(std::string_view Data) {
   // Fresh ciphertexts sit at the full data chain, as
   // ProgramSignature::of(const CompiledProgram &) places them.
   size_t DataPrimes = Sig.ContextBitSizes.size() - 1;
+  // A key level the client cannot build is refused here, before any key is
+  // drawn: one per rotation step, each within the data chain.
+  if (!Sig.RotationKeyPrimes.empty() &&
+      Sig.RotationKeyPrimes.size() != Sig.RotationSteps.size())
+    return Result::error("signature carries " +
+                         std::to_string(Sig.RotationKeyPrimes.size()) +
+                         " rotation key levels for " +
+                         std::to_string(Sig.RotationSteps.size()) +
+                         " rotation steps");
+  for (uint64_t Primes : Sig.RotationKeyPrimes)
+    if (Primes == 0 || Primes > DataPrimes)
+      return Result::error("signature rotation key level " +
+                           std::to_string(Primes) + " outside [1, " +
+                           std::to_string(DataPrimes) + "]");
   for (IoSpec &In : Sig.Inputs)
     In.Level = In.isCipher() ? DataPrimes : 0;
   for (IoSpec &Out : Sig.Outputs)

@@ -21,7 +21,10 @@ ParamSignature eva::signatureOf(const CompiledProgram &CP) {
   static_cast<ProgramSignature &>(Sig) = ProgramSignature::of(CP);
   Sig.PolyDegree = CP.PolyDegree;
   Sig.ContextBitSizes = CP.contextBitSizes();
-  Sig.RotationSteps.assign(CP.RotationSteps.begin(), CP.RotationSteps.end());
+  for (auto [Step, Primes] : CP.galoisKeyPrimes()) {
+    Sig.RotationSteps.push_back(Step);
+    Sig.RotationKeyPrimes.push_back(Primes);
+  }
   Sig.Security = CP.Options.Security;
   Sig.NeedsRelin = countOps(*CP.Prog, OpCode::Relinearize) > 0;
   return Sig;

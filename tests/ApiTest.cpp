@@ -29,6 +29,7 @@
 #include <barrier>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <thread>
 
 using namespace eva;
@@ -47,6 +48,18 @@ std::unique_ptr<Program> makeMultiKernelProgram() {
   Expr Red = B.inKernel([&] { return B.sumSlots(X * X) * 0.01; });
   B.output("out", Rot + X, 30);
   B.output("sum", Red, 30);
+  return B.take();
+}
+
+/// Rotations at two levels: step 1 rotates the fresh input, at every data
+/// prime, and step 2 a rescaled cube, one prime lower, so its Galois key is
+/// trimmed. Same output names as api_demo.
+std::unique_ptr<Program> makeTwoLevelRotationProgram() {
+  ProgramBuilder B("two_levels", 64);
+  Expr X = B.inputCipher("x", 30);
+  Expr Cube = X * X * X;
+  B.output("out", ((X << 1) * X) * X, 30);
+  B.output("sum", (Cube << 2) + Cube, 30);
   return B.take();
 }
 
@@ -304,70 +317,91 @@ TEST(Runner, ReferenceExecutorSharesTheErrorChannel) {
 //===----------------------------------------------------------------------===//
 
 TEST(Runner, ThreeCkksBackendsAreBitIdenticalAndReferenceIsClose) {
-  std::unique_ptr<Program> P = makeMultiKernelProgram();
-  Valuation Inputs = Valuation().set("x", ramp(64, 0.5)).set("w", 0.5);
+  // api_demo rotates at one level and two_levels at two, so one of its
+  // Galois keys is trimmed: every backend builds keys at the compiled
+  // levels, and a serial run with full keys shows that trimming drops only
+  // limbs no rotation reads.
   constexpr uint64_t Seed = 2024;
+  for (bool TwoLevels : {false, true}) {
+    std::unique_ptr<Program> P = TwoLevels ? makeTwoLevelRotationProgram()
+                                           : makeMultiKernelProgram();
+    SCOPED_TRACE(P->name());
+    Valuation Inputs = Valuation().set("x", ramp(64, 0.5));
+    if (!TwoLevels)
+      Inputs.set("w", 0.5);
 
-  auto MakeLocal = [&](size_t Threads, LocalStyle Style) {
-    Expected<CompiledProgram> CP = compile(*P);
-    EXPECT_TRUE(CP.ok());
-    LocalRunnerOptions Opts;
-    Opts.Threads = Threads;
-    Opts.Style = Style;
-    Opts.Seed = Seed;
-    Opts.ReproducibleSeeds = true;
-    Expected<std::unique_ptr<Runner>> R =
-        Runner::local(std::move(*CP), Opts);
-    EXPECT_TRUE(R.ok()) << R.message();
-    return std::move(R.value());
-  };
+    auto MakeLocal = [&](size_t Threads, LocalStyle Style, bool FullKeys) {
+      Expected<CompiledProgram> CP = compile(*P);
+      EXPECT_TRUE(CP.ok());
+      std::set<size_t> Levels;
+      for (auto [Step, Primes] : CP->galoisKeyPrimes())
+        Levels.insert(Primes);
+      EXPECT_EQ(Levels.size(), TwoLevels ? 2u : 1u);
+      if (FullKeys)
+        CP->RotationKeyPrimes.clear();
+      LocalRunnerOptions Opts;
+      Opts.Threads = Threads;
+      Opts.Style = Style;
+      Opts.Seed = Seed;
+      Opts.ReproducibleSeeds = true;
+      Expected<std::unique_ptr<Runner>> R =
+          Runner::local(std::move(*CP), Opts);
+      EXPECT_TRUE(R.ok()) << R.message();
+      return std::move(R.value());
+    };
 
-  std::unique_ptr<Runner> Serial = MakeLocal(1, LocalStyle::Serial);
-  std::unique_ptr<Runner> Parallel = MakeLocal(2, LocalStyle::ParallelDag);
-  std::unique_ptr<Runner> Bulk = MakeLocal(2, LocalStyle::KernelBulk);
+    std::unique_ptr<Runner> Serial = MakeLocal(1, LocalStyle::Serial, false);
+    std::unique_ptr<Runner> Parallel =
+        MakeLocal(2, LocalStyle::ParallelDag, false);
+    std::unique_ptr<Runner> Bulk = MakeLocal(2, LocalStyle::KernelBulk, false);
+    std::unique_ptr<Runner> FullKeys = MakeLocal(1, LocalStyle::Serial, true);
 
-  // The remote backend over the full serialized-message path.
-  Service Svc;
-  ASSERT_TRUE(Svc.registry().registerSource(*P).ok());
-  InProcessTransport T(Svc);
-  RemoteRunnerOptions RO;
-  RO.KeySeed = Seed;
-  RO.ReproducibleSeeds = true;
-  Expected<std::unique_ptr<Runner>> Remote =
-      Runner::remote(T, "api_demo", RO);
-  ASSERT_TRUE(Remote.ok()) << Remote.message();
+    // The remote backend over the full serialized-message path.
+    Service Svc;
+    ASSERT_TRUE(Svc.registry().registerSource(*P).ok());
+    InProcessTransport T(Svc);
+    RemoteRunnerOptions RO;
+    RO.KeySeed = Seed;
+    RO.ReproducibleSeeds = true;
+    Expected<std::unique_ptr<Runner>> Remote =
+        Runner::remote(T, P->name(), RO);
+    ASSERT_TRUE(Remote.ok()) << Remote.message();
 
-  Expected<Valuation> SerialOut = Serial->run(Inputs);
-  Expected<Valuation> ParallelOut = Parallel->run(Inputs);
-  Expected<Valuation> BulkOut = Bulk->run(Inputs);
-  Expected<Valuation> RemoteOut = (*Remote)->run(Inputs);
-  ASSERT_TRUE(SerialOut.ok()) << SerialOut.message();
-  ASSERT_TRUE(ParallelOut.ok()) << ParallelOut.message();
-  ASSERT_TRUE(BulkOut.ok()) << BulkOut.message();
-  ASSERT_TRUE(RemoteOut.ok()) << RemoteOut.message();
+    Expected<Valuation> SerialOut = Serial->run(Inputs);
+    Expected<Valuation> ParallelOut = Parallel->run(Inputs);
+    Expected<Valuation> BulkOut = Bulk->run(Inputs);
+    Expected<Valuation> FullKeysOut = FullKeys->run(Inputs);
+    Expected<Valuation> RemoteOut = (*Remote)->run(Inputs);
+    ASSERT_TRUE(SerialOut.ok()) << SerialOut.message();
+    ASSERT_TRUE(ParallelOut.ok()) << ParallelOut.message();
+    ASSERT_TRUE(BulkOut.ok()) << BulkOut.message();
+    ASSERT_TRUE(FullKeysOut.ok()) << FullKeysOut.message();
+    ASSERT_TRUE(RemoteOut.ok()) << RemoteOut.message();
 
-  std::unique_ptr<Runner> Ref = Runner::reference(*P);
-  Expected<Valuation> RefOut = Ref->run(Inputs);
-  ASSERT_TRUE(RefOut.ok()) << RefOut.message();
+    std::unique_ptr<Runner> Ref = Runner::reference(*P);
+    Expected<Valuation> RefOut = Ref->run(Inputs);
+    ASSERT_TRUE(RefOut.ok()) << RefOut.message();
 
-  for (const char *Name : {"out", "sum"}) {
-    const std::vector<double> &S = SerialOut->vector(Name);
-    ASSERT_EQ(S.size(), 64u);
-    // Bit-identical across the CKKS backends: same keys, same input
-    // ciphertexts (reproducible seeds), same arithmetic.
-    EXPECT_EQ(S, ParallelOut->vector(Name)) << Name;
-    EXPECT_EQ(S, BulkOut->vector(Name)) << Name;
-    EXPECT_EQ(S, RemoteOut->vector(Name)) << Name;
-    // The reference backend is exact arithmetic: gate on the error bound.
-    const std::vector<double> &R = RefOut->vector(Name);
-    for (size_t I = 0; I < S.size(); ++I)
-      EXPECT_NEAR(S[I], R[I], 1e-2) << Name << " slot " << I;
+    for (const char *Name : {"out", "sum"}) {
+      const std::vector<double> &S = SerialOut->vector(Name);
+      ASSERT_EQ(S.size(), 64u);
+      // Bit-identical across the CKKS backends: same keys, same input
+      // ciphertexts (reproducible seeds), same arithmetic.
+      EXPECT_EQ(S, ParallelOut->vector(Name)) << Name;
+      EXPECT_EQ(S, BulkOut->vector(Name)) << Name;
+      EXPECT_EQ(S, FullKeysOut->vector(Name)) << Name;
+      EXPECT_EQ(S, RemoteOut->vector(Name)) << Name;
+      // The reference backend is exact arithmetic: gate on the error bound.
+      const std::vector<double> &R = RefOut->vector(Name);
+      for (size_t I = 0; I < S.size(); ++I)
+        EXPECT_NEAR(S[I], R[I], 1e-2) << Name << " slot " << I;
+    }
+
+    // Timing/stats accessors carry the phases benches report.
+    EXPECT_GT(Serial->lastTiming().ComputeSeconds, 0.0);
+    ASSERT_NE(Serial->executionStats(), nullptr);
+    EXPECT_GT(Serial->executionStats()->TotalNodeCount, 0u);
   }
-
-  // Timing/stats accessors carry the phases benches report.
-  EXPECT_GT(Serial->lastTiming().ComputeSeconds, 0.0);
-  ASSERT_NE(Serial->executionStats(), nullptr);
-  EXPECT_GT(Serial->executionStats()->TotalNodeCount, 0u);
 }
 
 TEST(Runner, PreEncryptedCipherInputsAreAccepted) {

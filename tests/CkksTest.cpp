@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <optional>
+#include <set>
 #include <thread>
 
 using namespace eva;
@@ -585,6 +587,58 @@ TEST(KeyGen, ParallelKeysBitIdenticalAtEveryPoolSize) {
     EXPECT_EQ(Parallel.NextUniform, Serial.NextUniform)
         << "pool size " << PoolSize;
     EXPECT_EQ(Parallel.NextSeed, Serial.NextSeed) << "pool size " << PoolSize;
+  }
+}
+
+TEST(KeyGen, TrimmedKeysAreTheFullKeysLimbs) {
+  // A key at L primes keeps digits 0..L-1 of the full key, each over data
+  // primes 0..L-1 and the special prime, with the full key's values: every
+  // digit is drawn as for a full key and c1 is expanded over every prime.
+  // So the streams also end where the full run's do, at every pool size.
+  auto Ctx = makeContext(8192, {50, 40, 40, 50});
+  const size_t DataPrimes = Ctx->dataPrimeCount(), Special = 3;
+  ASSERT_EQ(DataPrimes, 3u);
+  ASSERT_EQ(Ctx->specialPrimeIndex(), Special);
+  std::set<uint64_t> Steps;
+  std::map<uint64_t, size_t> Levels;
+  for (uint64_t S : {1, 2, 3, 5, 8, 13, 21, 100, 1000, 4095}) {
+    Steps.insert(S);
+    Levels[S] = 1 + S % DataPrimes;
+  }
+  for (size_t PoolSize : {1, 2, 4}) {
+    SCOPED_TRACE("pool size " + std::to_string(PoolSize));
+    ThreadPool Pool(PoolSize);
+    KeyGenerator FullGen(Ctx, 4242, /*ReproducibleExpansionSeeds=*/true);
+    KeyGenerator TrimGen(Ctx, 4242, /*ReproducibleExpansionSeeds=*/true);
+    GaloisKeys Full = FullGen.createGaloisKeys(Steps, &Pool);
+    GaloisKeys Trim = TrimGen.createGaloisKeysAtLevels(Levels, &Pool);
+    ASSERT_EQ(Trim.Keys.size(), Full.Keys.size());
+    for (auto [Step, L] : Levels) {
+      uint64_t G = galoisEltFromStep(Step, Ctx->polyDegree());
+      const KSwitchKey &F = Full.at(G), &T = Trim.at(G);
+      ASSERT_EQ(F.Keys.size(), DataPrimes);
+      ASSERT_EQ(T.Keys.size(), L) << "step " << Step;
+      EXPECT_EQ(T.C1Seeds, std::vector<uint64_t>(F.C1Seeds.begin(),
+                                                 F.C1Seeds.begin() + L));
+      for (size_t I = 0; I < L; ++I)
+        for (size_t W = 0; W < 2; ++W) {
+          ASSERT_EQ(T.Keys[I][W].primeCount(), L + 1);
+          for (size_t Limb = 0; Limb <= L; ++Limb)
+            EXPECT_EQ(T.Keys[I][W].Comps[Limb],
+                      F.Keys[I][W].Comps[keyLimbPrime(L, Limb, Special)])
+                << "step " << Step << " digit " << I << " poly " << W
+                << " limb " << Limb;
+        }
+      // A full key cut to the same level is the same key.
+      KSwitchKey Cut = F;
+      Cut.trimTo(L);
+      EXPECT_EQ(Cut.C1Seeds, T.C1Seeds);
+      for (size_t I = 0; I < L; ++I)
+        for (size_t W = 0; W < 2; ++W)
+          EXPECT_EQ(Cut.Keys[I][W].Comps, T.Keys[I][W].Comps);
+    }
+    EXPECT_EQ(TrimGen.rng().uniform64(), FullGen.rng().uniform64());
+    EXPECT_EQ(TrimGen.deriveSeed(), FullGen.deriveSeed());
   }
 }
 

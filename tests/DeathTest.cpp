@@ -82,6 +82,16 @@ TEST(RuntimeGuardDeathTest, RotationWithoutKeyAborts) {
   EXPECT_DEATH(Api.Eval->rotateLeft(A, 3, Gk), "missing Galois key");
 }
 
+TEST(RuntimeGuardDeathTest, RotationAboveItsKeysLevelAborts) {
+  // A Galois key with one digit serves 1-prime ciphertexts only; reading it
+  // at 2 primes would run past its digits, in every build mode.
+  RawApi Api;
+  Ciphertext A = Api.enc(1.0, 30, 2);
+  GaloisKeys Gk = Api.Gen->createGaloisKeysAtLevels({{1, 1}});
+  EXPECT_DEATH(Api.Eval->rotateLeft(A, 1, Gk), "key of 1 digits");
+  EXPECT_DEATH(Api.Eval->rotateHoisted(A, {1}, Gk), "key of 1 digits");
+}
+
 TEST(RuntimeGuardDeathTest, RotationOfUnrelinearizedCiphertextAborts) {
   // Rotation key-switches c1 only, so a 3-polynomial input would come back
   // as a 2-polynomial ciphertext that decrypts to garbage.

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "eva/ckks/Galois.h"
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/core/Analysis.h"
 #include "eva/core/Compiler.h"
@@ -27,6 +28,7 @@
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <set>
 
 #ifndef EVA_FIXTURES_DIR
 #error "EVA_FIXTURES_DIR must be defined by the build"
@@ -149,13 +151,28 @@ TEST(Wire, SkipRejectsMalformedNestedLength) {
   EXPECT_TRUE(R.failed());
 }
 
+/// An unknown fixed32 field \p Field (wire type 5) carrying \p Bits: no
+/// schema here has one, so no writer emits it.
+std::string fixed32Field(uint32_t Field, uint32_t Bits) {
+  WireWriter W;
+  W.varint(static_cast<uint64_t>(Field) << 3 | 5);
+  std::string Out = W.take();
+  for (int I = 0; I < 4; ++I)
+    Out.push_back(static_cast<char>((Bits >> (8 * I)) & 0xFF));
+  return Out;
+}
+
 TEST(Wire, SkipsUnknownFields) {
   WireWriter W;
   W.varintField(9, 42);
   W.doubleField(10, 1.5);
   W.bytesField(11, "xyz");
-  W.varintField(1, 7);
-  WireReader R(W.str());
+  std::string Data = W.str() + fixed32Field(12, 0x3fc00000) + [] {
+    WireWriter Tail;
+    Tail.varintField(1, 7);
+    return Tail.take();
+  }();
+  WireReader R(Data);
   uint32_t Field;
   WireType Type;
   uint64_t Found = 0;
@@ -167,6 +184,69 @@ TEST(Wire, SkipsUnknownFields) {
   }
   EXPECT_EQ(Found, 7u);
   EXPECT_FALSE(R.failed());
+}
+
+TEST(Wire, ReadsPackedRepeatedScalars) {
+  // proto3 encoders such as protoc pack repeated scalars by default: one
+  // length-delimited field of values back to back. Both encodings decode
+  // to the same message; the encoders here write one field per value.
+  auto Packed = [](uint32_t Field, const std::vector<uint64_t> &Values) {
+    WireWriter Run, W;
+    for (uint64_t V : Values)
+      Run.varint(V);
+    W.bytesField(Field, Run.str());
+    return W.take();
+  };
+  ParamSignature Sig;
+  Sig.ProgramName = "packed";
+  Sig.PolyDegree = 8192;
+  Sig.VecSize = 8;
+  Sig.ContextBitSizes = {60, 40, 40, 60};
+  Sig.RotationSteps = {1, 5, 300};
+  Sig.RotationKeyPrimes = {3, 1, 2};
+  WireWriter Head;
+  Head.bytesField(1, Sig.ProgramName);
+  Head.varintField(2, Sig.PolyDegree);
+  Head.varintField(3, Sig.VecSize);
+  Head.varintField(6, 1);
+  std::string SigBytes = Head.str() + Packed(4, {60, 40, 40, 60}) +
+                         Packed(5, {1, 5, 300}) + Packed(11, {3, 1, 2});
+  Expected<ParamSignature> Decoded = deserializeParamSignature(SigBytes);
+  ASSERT_TRUE(Decoded.ok()) << Decoded.message();
+  EXPECT_EQ(serializeParamSignature(*Decoded), serializeParamSignature(Sig));
+
+  MetricsSnapshot Snap;
+  Snap.Histograms.push_back({"h", {0.001, 0.1, 1.0}, {3, 0, 4, 5}, 12, 2.5});
+  WireWriter Hist, Metrics;
+  Hist.bytesField(1, "h");
+  Hist.bytesField(2, packDoubles({0.001, 0.1, 1.0}));
+  std::string HistBytes = Hist.str() + Packed(3, {3, 0, 4, 5});
+  WireWriter Tail;
+  Tail.varintField(4, 12);
+  Tail.doubleField(5, 2.5);
+  Metrics.bytesField(3, HistBytes + Tail.str());
+  Expected<MetricsSnapshot> DecodedSnap = deserializeMetrics(Metrics.str());
+  ASSERT_TRUE(DecodedSnap.ok()) << DecodedSnap.message();
+  EXPECT_EQ(serializeMetrics(*DecodedSnap), serializeMetrics(Snap));
+
+  // A packed run that ends inside a value is truncated.
+  WireWriter Short;
+  Short.bytesField(2, std::string(12, '\0'));
+  Expected<MetricsSnapshot> Cut = deserializeMetrics([&] {
+    WireWriter M;
+    M.bytesField(3, Short.str());
+    return M.take();
+  }());
+  ASSERT_FALSE(Cut.ok());
+  EXPECT_NE(Cut.message().find("truncated"), std::string::npos)
+      << Cut.message();
+  WireWriter OpenVarint;
+  OpenVarint.bytesField(5, std::string("\x01\x85", 2));
+  Expected<ParamSignature> CutSig =
+      deserializeParamSignature(Head.str() + OpenVarint.str());
+  ASSERT_FALSE(CutSig.ok());
+  EXPECT_NE(CutSig.message().find("truncated"), std::string::npos)
+      << CutSig.message();
 }
 
 TEST(Wire, RejectsFieldNumbersPastTheProtoRange) {
@@ -202,6 +282,37 @@ std::unique_ptr<Program> buildRichProgram() {
   B.output("main", R, 30);
   B.output("aux", V, 25);
   return B.take();
+}
+
+TEST(Wire, ProgramAndSignatureSkipAnUnknownFixed32Field) {
+  // Readers ignore fields they do not know (ProtoIO.h), whatever their wire
+  // type: a newer peer's float or fixed32 field is skipped, not refused.
+  std::string Bytes = serializeProgram(*buildRichProgram());
+  Expected<std::unique_ptr<Program>> Q =
+      deserializeProgram(Bytes + fixed32Field(20, 7));
+  ASSERT_TRUE(Q.ok()) << Q.message();
+  // Decoding renumbers nodes, so compare with the same bytes decoded
+  // without the extra field.
+  EXPECT_EQ(serializeProgram(**Q),
+            serializeProgram(*deserializeProgram(Bytes).value()));
+
+  ParamSignature Sig;
+  Sig.ProgramName = "p";
+  Sig.PolyDegree = 8192;
+  Sig.VecSize = 8;
+  Sig.ContextBitSizes = {60, 40, 60};
+  std::string SigBytes = serializeParamSignature(Sig);
+  Expected<ParamSignature> Decoded =
+      deserializeParamSignature(fixed32Field(30, 1) + SigBytes);
+  ASSERT_TRUE(Decoded.ok()) << Decoded.message();
+  EXPECT_EQ(serializeParamSignature(*Decoded), SigBytes);
+
+  // A known field sent as fixed32 is still refused as mistyped.
+  Expected<ParamSignature> Mistyped =
+      deserializeParamSignature(SigBytes + fixed32Field(2, 1));
+  ASSERT_FALSE(Mistyped.ok());
+  EXPECT_NE(Mistyped.message().find("field 2: wire type 5"), std::string::npos)
+      << Mistyped.message();
 }
 
 TEST(ProtoIO, RoundTripPreservesStructure) {
@@ -530,6 +641,88 @@ TEST(KeyWireHostile, CorruptedResidueBytesRejected) {
   EXPECT_FALSE(deserializeGaloisKeys(*K.Ctx, Corrupt).ok());
 }
 
+/// Same digits, seeds and residues.
+void expectSameKey(const KSwitchKey &A, const KSwitchKey &B) {
+  EXPECT_EQ(A.C1Seeds, B.C1Seeds);
+  ASSERT_EQ(A.Keys.size(), B.Keys.size());
+  for (size_t I = 0; I < A.Keys.size(); ++I)
+    for (size_t W = 0; W < 2; ++W)
+      EXPECT_EQ(A.Keys[I][W].Comps, B.Keys[I][W].Comps)
+          << "digit " << I << " poly " << W;
+}
+
+TEST(KeyShape, TrimmedGaloisKeysRoundTrip) {
+  // One key at each level of a 2-prime chain: on the wire a trimmed key is
+  // only shorter, and its seeded k1 re-expands to the same limbs.
+  KeyWire K;
+  GaloisKeys Gk = K.Gen->createGaloisKeysAtLevels({{1, 1}, {3, 2}});
+  ASSERT_EQ(Gk.Keys.size(), 2u);
+  std::string Data = serializeGaloisKeys(Gk);
+  Expected<GaloisKeys> Q = deserializeGaloisKeys(*K.Ctx, Data);
+  ASSERT_TRUE(Q.ok()) << Q.message();
+  ASSERT_EQ(Q->Keys.size(), 2u);
+  for (const auto &[Elt, Key] : Gk.Keys) {
+    SCOPED_TRACE("element " + std::to_string(Elt));
+    ASSERT_TRUE(Q->has(Elt));
+    expectSameKey(Q->at(Elt), Key);
+  }
+  EXPECT_EQ(serializeGaloisKeys(*Q), Data);
+}
+
+TEST(KeyShape, RefusesKeysOutOfShape) {
+  KeyWire K;
+  const size_t DataPrimes = K.Ctx->dataPrimeCount();
+  ASSERT_EQ(DataPrimes, 2u);
+  uint64_t G = galoisEltFromStep(1, K.Ctx->polyDegree());
+  GaloisKeys Full = K.Gen->createGaloisKeys({1});
+  GaloisKeys Trimmed = K.Gen->createGaloisKeysAtLevels({{1, 1}});
+  auto Load = [&](const KSwitchKey &Key) {
+    GaloisKeys Gk;
+    Gk.Keys.emplace(G, Key);
+    return deserializeGaloisKeys(*K.Ctx, serializeGaloisKeys(Gk))
+        .takeStatus();
+  };
+  auto ExpectRefused = [](const Status &S, const char *Why) {
+    ASSERT_FALSE(S.ok()) << Why;
+    EXPECT_NE(S.message().find(Why), std::string::npos) << S.message();
+  };
+
+  // More pairs than the chain has data primes.
+  KSwitchKey Long = Full.at(G);
+  Long.Keys.push_back(Long.Keys[0]);
+  Long.C1Seeds.push_back(Long.C1Seeds[0]);
+  ExpectRefused(Load(Long), "more than 2 decomposition components");
+
+  // A polynomial whose component count is not pairs + 1: the second pair
+  // of a 2-pair key in the 1-pair shape.
+  KSwitchKey Mixed = Full.at(G);
+  Mixed.Keys[1] = Trimmed.at(G).Keys[0];
+  Mixed.C1Seeds[1] = Trimmed.at(G).C1Seeds[0];
+  ExpectRefused(Load(Mixed), "holds a polynomial of 2 components, not 3");
+
+  // The last component lies over the special prime, which is larger than
+  // data prime 1 here: a residue at or above it is refused, and one below
+  // it (though above data prime 1) is a residue like any other.
+  const uint64_t Special = K.Ctx->prime(K.Ctx->specialPrimeIndex()).value();
+  ASSERT_GT(Special, K.Ctx->prime(1).value());
+  KSwitchKey Edge = Trimmed.at(G);
+  Edge.Keys[0][0].Comps[1][0] = Special;
+  ExpectRefused(Load(Edge), "residue exceeds its prime modulus");
+  Edge.Keys[0][0].Comps[1][0] = Special - 1;
+  EXPECT_TRUE(Load(Edge).ok());
+  Edge.Keys[0][0].Comps[1][0] = K.Ctx->prime(1).value();
+  EXPECT_TRUE(Load(Edge).ok());
+
+  // Relinearization keys stay full.
+  RelinKeys Rk;
+  Rk.Key = Trimmed.at(G);
+  Expected<RelinKeys> ShortRelin =
+      deserializeRelinKeys(*K.Ctx, serializeRelinKeys(Rk));
+  ASSERT_FALSE(ShortRelin.ok());
+  EXPECT_NE(ShortRelin.message().find("context needs 2"), std::string::npos)
+      << ShortRelin.message();
+}
+
 TEST(ProtoIO, FileSaveAndLoad) {
   std::unique_ptr<Program> P = buildRichProgram();
   std::string Path = ::testing::TempDir() + "eva_prog.evabin";
@@ -652,10 +845,13 @@ struct WireSeeds {
     std::sort(Programs.begin(), Programs.end());
     Programs.emplace_back("rich", serializeProgram(*buildRichProgram()));
 
+    // Step 2 rotates a rescaled cube, so its Galois key is trimmed to one
+    // of the two data primes: the key rows start from both shapes.
     ProgramBuilder B("fuzzed", 8);
     Expr X = B.inputCipher("x", 30);
     Expr W = B.inputPlain("w", 20);
-    B.output("out", (X * X) + (X << 1) + W, 30);
+    Expr Cube = X * X * X;
+    B.output("out", ((X << 1) * X) * X + (Cube << 2) + W, 30);
     CompilerOptions O;
     O.Security = SecurityLevel::None;
     EXPECT_TRUE(Svc.registry().registerSource(B.program(), O).ok());
@@ -669,6 +865,10 @@ struct WireSeeds {
     CipherSeeded = serializeCiphertext(Ct, Req.C1Seeds.at("x"));
     Relin = serializeRelinKeys(Client.relinKeys());
     Galois = serializeGaloisKeys(Client.galoisKeys());
+    std::set<size_t> Digits;
+    for (const auto &[Elt, Key] : Client.galoisKeys().Keys)
+      Digits.insert(Key.Keys.size());
+    EXPECT_EQ(Digits, (std::set<size_t>{1, 2}));
 
     Error = serializeError({"unknown session 12"});
     Signature = serializeParamSignature(List.Programs[0]);

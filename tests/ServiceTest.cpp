@@ -38,6 +38,8 @@
 #include <future>
 #include <latch>
 #include <limits>
+#include <map>
+#include <set>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -356,6 +358,7 @@ TEST(Messages, ParamSignatureRoundTrip) {
   Sig.VecSize = 256;
   Sig.ContextBitSizes = {40, 40, 60};
   Sig.RotationSteps = {1, 4, 16};
+  Sig.RotationKeyPrimes = {2, 1, 2};
   Sig.Security = SecurityLevel::TC128;
   Sig.NeedsRelin = true;
   Sig.Inputs = {{"x", ValueType::Cipher, 30, 2},
@@ -371,6 +374,9 @@ TEST(Messages, ParamSignatureRoundTrip) {
   EXPECT_EQ(Q->VecSize, Sig.VecSize);
   EXPECT_EQ(Q->ContextBitSizes, Sig.ContextBitSizes);
   EXPECT_EQ(Q->RotationSteps, Sig.RotationSteps);
+  EXPECT_EQ(Q->RotationKeyPrimes, Sig.RotationKeyPrimes);
+  EXPECT_EQ(Q->galoisKeyPrimes(),
+            (std::map<uint64_t, size_t>{{1, 2}, {4, 1}, {16, 2}}));
   EXPECT_EQ(Q->Security, Sig.Security);
   EXPECT_EQ(Q->NeedsRelin, Sig.NeedsRelin);
   ASSERT_EQ(Q->Inputs.size(), 2u);
@@ -385,6 +391,13 @@ TEST(Messages, ParamSignatureRoundTrip) {
   EXPECT_EQ(Q->Outputs[0].Name, "out");
   EXPECT_EQ(Q->Outputs[0].Level, 2u);
   EXPECT_EQ(Q->LintWarnings, Sig.LintWarnings);
+
+  // A server that predates per-step levels sends none: full keys.
+  Sig.RotationKeyPrimes.clear();
+  Q = deserializeParamSignature(serializeParamSignature(Sig));
+  ASSERT_TRUE(Q.ok()) << Q.message();
+  EXPECT_EQ(Q->galoisKeyPrimes(),
+            (std::map<uint64_t, size_t>{{1, 2}, {4, 2}, {16, 2}}));
 }
 
 TEST(Messages, ExecuteRoundTrip) {
@@ -427,6 +440,21 @@ TEST(Messages, RejectsGarbage) {
     ASSERT_FALSE(Q.ok()) << "vec_size " << VecSize;
     EXPECT_NE(Q.message().find("vec_size"), std::string::npos) << Q.message();
   }
+
+  // Key levels no client can build: one per step, each in [1, 2].
+  Sig.VecSize = 512;
+  Sig.RotationSteps = {1, 2};
+  for (std::vector<uint64_t> Levels :
+       {std::vector<uint64_t>{2}, {2, 2, 2}, {0, 2}, {2, 3}}) {
+    Sig.RotationKeyPrimes = Levels;
+    Expected<ParamSignature> Q =
+        deserializeParamSignature(serializeParamSignature(Sig));
+    ASSERT_FALSE(Q.ok()) << Levels.size() << " levels";
+    EXPECT_NE(Q.message().find("rotation key level"), std::string::npos)
+        << Q.message();
+  }
+  Sig.RotationKeyPrimes = {1, 2};
+  EXPECT_TRUE(deserializeParamSignature(serializeParamSignature(Sig)).ok());
 }
 
 //===----------------------------------------------------------------------===//
@@ -749,10 +777,13 @@ TEST(Service, RejectsSessionMissingAPlannedGaloisStep) {
   ServiceFixture F;
   // A budgeted rotation-heavy program: its plan needs the power-of-two
   // basis steps, and a session whose uploaded keys withhold one of them
-  // must be rejected at open, not crash mid-execution.
+  // must be rejected at open, not crash mid-execution. Step 8 rotates only
+  // the rescaled cube, so its key holds one prime less than the others.
   ProgramBuilder B("budgeted", 16);
   Expr X = B.inputCipher("x", 30);
-  B.output("out", ((X << 3) + (X << 7) + (X << 11) + (X << 13)) * X, 30);
+  Expr Cube = X * X * X;
+  B.output("out", ((X << 3) + (X << 7)) * X * X, 30);
+  B.output("deep", (Cube << 11) + (Cube << 13), 30);
   CompilerOptions O;
   O.GaloisKeyBudget = 2;
   ASSERT_TRUE(F.Svc.registry().registerSource(B.program(), O).ok());
@@ -761,9 +792,8 @@ TEST(Service, RejectsSessionMissingAPlannedGaloisStep) {
   ASSERT_NE(Prog, nullptr);
   const ParamSignature &Sig = Prog->Signature;
   // The budget rewrote the four odd steps into the power-of-two basis.
-  ASSERT_EQ(std::set<uint64_t>(Sig.RotationSteps.begin(),
-                               Sig.RotationSteps.end()),
-            (std::set<uint64_t>{1, 2, 4, 8}));
+  ASSERT_EQ(Sig.galoisKeyPrimes(),
+            (std::map<uint64_t, size_t>{{1, 2}, {2, 2}, {4, 2}, {8, 1}}));
 
   Expected<std::shared_ptr<CkksContext>> Ctx =
       CkksContext::createFromBitSizes(Sig.PolyDegree, Sig.ContextBitSizes,
@@ -772,24 +802,54 @@ TEST(Service, RejectsSessionMissingAPlannedGaloisStep) {
   KeyGenerator Gen(Ctx.value(), 99);
   OpenSessionMsg Open;
   Open.ProgramName = "budgeted";
-  Open.RelinKeyBytes = serializeRelinKeys(Gen.createRelinKeys());
+  RelinKeys Rk = Gen.createRelinKeys();
+  Open.RelinKeyBytes = serializeRelinKeys(Rk);
 
   // All basis steps but the largest: rejected with a precise message.
-  std::set<uint64_t> Partial(Sig.RotationSteps.begin(),
-                             Sig.RotationSteps.end());
+  std::set<uint64_t> Steps(Sig.RotationSteps.begin(), Sig.RotationSteps.end());
+  std::set<uint64_t> Partial = Steps;
   Partial.erase(*Partial.rbegin());
   Open.GaloisKeyBytes = serializeGaloisKeys(Gen.createGaloisKeys(Partial));
   F.expectError(MessageType::OpenSession, serializeOpenSession(Open),
                 "missing galois key");
   EXPECT_EQ(F.errors("bad_keys"), 1u);
+
+  // Every step present, but step 1's key cut below the level it rotates
+  // at: rejected naming the step, before any rotation could read past it.
+  std::map<uint64_t, size_t> Short = Sig.galoisKeyPrimes();
+  Short[1] = 1;
+  Open.GaloisKeyBytes =
+      serializeGaloisKeys(Gen.createGaloisKeysAtLevels(Short));
+  F.expectError(MessageType::OpenSession, serializeOpenSession(Open),
+                "galois key for rotation step 1 has 1 digits");
+  EXPECT_EQ(F.errors("bad_keys"), 2u);
   EXPECT_EQ(F.errors("session_limit"), 0u);
 
-  // The full basis opens fine.
-  Open.GaloisKeyBytes = serializeGaloisKeys(Gen.createGaloisKeys(
-      std::set<uint64_t>(Sig.RotationSteps.begin(), Sig.RotationSteps.end())));
+  // The session pins the program's key shape, whichever the client sent:
+  // relin at 2 primes, three Galois keys at 2 and one at 1.
+  const int64_t N = static_cast<int64_t>(Sig.PolyDegree);
+  auto KeyBytes = [N](int64_t L) { return 2 * L * (L + 1) * N * 8; };
+  const int64_t Pinned = KeyBytes(2) + 3 * KeyBytes(2) + KeyBytes(1);
+  auto PinnedNow = [&F] {
+    return F.Svc.metricsSnapshot().gauge("eva_pinned_key_bytes")->Value;
+  };
+  // Full keys, as a client that predates per-step levels sends them, and
+  // one for a step the program does not name: the server trims step 8's
+  // key and drops step 3's.
+  std::set<uint64_t> Extra = Steps;
+  Extra.insert(3);
+  Open.GaloisKeyBytes = serializeGaloisKeys(Gen.createGaloisKeys(Extra));
   std::pair<MessageType, std::string> R =
       F.Svc.dispatch(MessageType::OpenSession, serializeOpenSession(Open));
   EXPECT_EQ(R.first, MessageType::SessionOpened);
+  EXPECT_EQ(PinnedNow(), Pinned);
+  // Keys at the signature's levels, as ServiceClient builds them.
+  Open.GaloisKeyBytes =
+      serializeGaloisKeys(Gen.createGaloisKeysAtLevels(Sig.galoisKeyPrimes()));
+  R = F.Svc.dispatch(MessageType::OpenSession, serializeOpenSession(Open));
+  EXPECT_EQ(R.first, MessageType::SessionOpened);
+  EXPECT_EQ(PinnedNow(), 2 * Pinned);
+  EXPECT_EQ(F.errors("bad_keys"), 2u);
 }
 
 TEST(Service, RejectsMalformedAndMismatchedRequests) {

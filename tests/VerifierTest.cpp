@@ -178,6 +178,33 @@ TEST(VerifierMutation, RotationWithoutGaloisKeyRejected) {
   EXPECT_TRUE(mentions(S, "%" + std::to_string(Rot->id()))) << S.message();
 }
 
+TEST(VerifierMutation, GaloisKeyBelowItsRotationsLevelRejected) {
+  std::unique_ptr<Program> P = makeWellFormed();
+  Expected<CompiledProgram> CP = compile(*P);
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  ASSERT_EQ(CP->RotationKeyPrimes.size(), 1u);
+  auto [Step, Primes] = *CP->RotationKeyPrimes.begin();
+  ASSERT_GE(Primes, 2u);
+  // A key one digit short of the level its rotation runs at.
+  CP->RotationKeyPrimes[Step] = Primes - 1;
+  Status S = verifyCompiled(*CP);
+  ASSERT_FALSE(S.ok());
+  EXPECT_TRUE(mentions(S, "runs at " + std::to_string(Primes) + " primes"))
+      << S.message();
+  EXPECT_TRUE(mentions(S, "%")) << S.message();
+  // A level past the data chain, and one for a step without a key.
+  CP->RotationKeyPrimes[Step] = CP->BitSizes.size();
+  S = verifyCompiled(*CP);
+  EXPECT_TRUE(mentions(S, "outside [1, ")) << S.message();
+  CP->RotationKeyPrimes[Step] = Primes;
+  CP->RotationKeyPrimes[Step + 1] = 1;
+  S = verifyCompiled(*CP);
+  EXPECT_TRUE(mentions(S, "which has no Galois key")) << S.message();
+  // No recorded level asks for full keys.
+  CP->RotationKeyPrimes.clear();
+  EXPECT_TRUE(verifyCompiled(*CP).ok());
+}
+
 // --- Stage contracts. ---
 
 TEST(VerifierStages, CompilerOpsOnlyAfterInsertion) {

@@ -168,6 +168,58 @@ TEST_P(ZooCompile, CompiledBytesPinned) {
   EXPECT_EQ(Hash, Golden[GetParam()]) << std::hex << "0x" << Hash;
 }
 
+// Each Galois key keeps the digits its rotations read: the per-step levels
+// compile() records, and the key bytes they come to, pinned without
+// generating a key. A key with L digits holds 2 * L polynomials of L + 1
+// limbs of N words.
+TEST_P(ZooCompile, GaloisKeyLevelsPinned) {
+  NetworkDefinition Net = makeAllNetworks(2024)[GetParam()];
+  SCOPED_TRACE(Net.name());
+  std::unique_ptr<Program> P = Net.buildProgram({});
+  Expected<CompiledProgram> CP = compile(*P, CompilerOptions::eva());
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  const size_t DataPrimes = CP->BitSizes.size() - 1;
+  ASSERT_EQ(CP->RotationKeyPrimes.size(), CP->RotationSteps.size());
+  std::map<size_t, size_t> StepsAtLevel;
+  uint64_t Bytes = 0, FullBytes = 0;
+  auto KeyBytes = [&](uint64_t L) {
+    return 2 * L * (L + 1) * CP->PolyDegree * sizeof(uint64_t);
+  };
+  for (auto [Step, Primes] : CP->galoisKeyPrimes()) {
+    ASSERT_GE(Primes, 1u);
+    ASSERT_LE(Primes, DataPrimes);
+    EXPECT_EQ(CP->RotationKeyPrimes.at(Step), Primes);
+    ++StepsAtLevel[Primes];
+    Bytes += KeyBytes(Primes);
+    FullBytes += KeyBytes(DataPrimes);
+  }
+  EXPECT_LT(Bytes, FullBytes);
+  switch (GetParam()) {
+  case 0: // LeNet-5-small: 191 keys, 2,102,919,168 bytes at full level.
+    EXPECT_EQ(StepsAtLevel, (std::map<size_t, size_t>{
+                                {2, 26}, {4, 9}, {5, 107}, {6, 49}}));
+    EXPECT_EQ(FullBytes, 2102919168u);
+    EXPECT_EQ(Bytes, 1469054976u);
+    break;
+  case 1: // LeNet-5-medium
+    EXPECT_EQ(FullBytes, 5967446016u);
+    EXPECT_EQ(Bytes, 3974627328u);
+    break;
+  case 2: // LeNet-5-large
+    EXPECT_EQ(FullBytes, 21998075904u);
+    EXPECT_EQ(Bytes, 15913189376u);
+    break;
+  default:
+    break;
+  }
+  // An empty map is the full-key contract a hand-assembled program gets.
+  CompiledProgram Full = std::move(*CP);
+  Full.RotationKeyPrimes.clear();
+  EXPECT_TRUE(verifyCompiled(Full).ok());
+  for (auto [Step, Primes] : Full.galoisKeyPrimes())
+    EXPECT_EQ(Primes, DataPrimes) << "step " << Step;
+}
+
 // Kept out of the macro: a lambda body's commas would be split into separate
 // macro arguments (braces, unlike parentheses, do not group for the
 // preprocessor).
