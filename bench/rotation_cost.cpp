@@ -240,7 +240,7 @@ void evabench::rotationSuite(JsonReport &Report) {
             "bsgs hoisted outputs bit-identical to the non-hoisted path");
       }
       double Err = maxAbsError(Runs[K].Outputs, Want, M);
-      Report.check(Err < 5e-3, std::string(Names[K]) +
+      Report.check(Err < 5e-4, std::string(Names[K]) +
                                    " reference-close (err " +
                                    std::to_string(Err) + ")");
       BenchResult R = measure(Names[K], [&] { runOnce(CP, WS, Sealed, true); });
@@ -290,7 +290,7 @@ void evabench::rotationSuite(JsonReport &Report) {
       std::unique_ptr<Runner> Run = std::move(Runner::local(CP, WS).value());
       double Err = maxAbsError(
           Run->run(Valuation::fromMap(Inputs)).value().toMap(), Want, M);
-      Report.check(Err < 5e-3, std::string("budget=") +
+      Report.check(Err < 5e-4, std::string("budget=") +
                                    std::to_string(Budgets[K]) +
                                    " outputs reference-close (err " +
                                    std::to_string(Err) + ")");

@@ -111,6 +111,9 @@ void microSuite(JsonReport &Report) {
   Ciphertext A = Encrypt();
   Ciphertext B = Encrypt();
   Ciphertext Product = Eval.multiplyPlain(A, P);
+  // A hoist batch's shared half, decomposed and extended once; the member
+  // row times the per-rotation half against it.
+  const Evaluator::KeySwitchDigits Digits = Eval.decomposeForRotation(A);
 
   const std::pair<const char *, std::function<void()>> Ops[] = {
       {"ntt_forward_n8192", [&] { T.forward(X); }},
@@ -126,6 +129,8 @@ void microSuite(JsonReport &Report) {
       {"rescale_n8192", [&] { (void)Eval.rescale(Product); }},
       {"mod_switch_n8192", [&] { (void)Eval.modSwitch(A); }},
       {"rotate_n8192", [&] { (void)Eval.rotateLeft(A, 1, Gk); }},
+      {"rotate_hoisted_member_n8192",
+       [&] { (void)Eval.rotateDecomposed(A, Digits, 1, Gk); }},
   };
   for (const auto &[Name, Body] : Ops) {
     BenchResult R = measure(Name, Body);

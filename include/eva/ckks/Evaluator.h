@@ -40,8 +40,10 @@
 #include "eva/ckks/Plaintext.h"
 
 #include <array>
+#include <cassert>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace eva {
@@ -85,25 +87,54 @@ public:
   Ciphertext rotateLeft(const Ciphertext &A, uint64_t Steps,
                         const GaloisKeys &Keys) const;
 
-  /// Coefficient-domain key-switch decomposition digits: digit I is the
-  /// inverse NTT of a polynomial's component I (a representative of it
-  /// mod q_I), N words per data prime.
-  using KeySwitchDigits = std::vector<std::vector<uint64_t>>;
+  /// A hoist batch's key-switch digits, extended once for all its members.
+  /// Digit I is limb I of c1 in coefficient form, lifted to its centered
+  /// representative in (-q_I/2, q_I/2). limb(I, R) is that digit reduced
+  /// modulo output prime R of the key switch (data prime R for R <
+  /// primeCount(), the special prime for R == primeCount()) and
+  /// forward-transformed there. Digit I's own-prime limb (R == I) is c1's
+  /// limb I itself, so it is not stored: primeCount()^2 limbs of N words.
+  class KeySwitchDigits {
+  public:
+    KeySwitchDigits() = default;
+    KeySwitchDigits(size_t Count, uint64_t Degree)
+        : Count(Count), Degree(Degree), Words(Count * Count * Degree) {}
+
+    size_t primeCount() const { return Count; }
+    size_t bytes() const { return Words.size() * sizeof(uint64_t); }
+    std::span<uint64_t> limb(size_t I, size_t R) {
+      return {Words.data() + offset(I, R), Degree};
+    }
+    std::span<const uint64_t> limb(size_t I, size_t R) const {
+      return {Words.data() + offset(I, R), Degree};
+    }
+
+  private:
+    size_t offset(size_t I, size_t R) const {
+      assert(I < Count && R <= Count && R != I && "no such stored limb");
+      return (I * Count + R - (R > I ? 1 : 0)) * Degree;
+    }
+
+    size_t Count = 0;
+    uint64_t Degree = 0;
+    std::vector<uint64_t> Words;
+  };
 
   /// Hoisted rotation (Halevi–Shoup) is two halves. This one is shared by a
-  /// batch: the key-switch decomposition of \p A's c1 component — the
-  /// per-limb inverse NTTs a serial rotation runs on its rotated c1.
-  /// Charged as one decomposition and one hoist batch. Requires a
-  /// relinearized (2-polynomial) \p A.
+  /// batch: the key-switch decomposition of \p A's c1 component and its
+  /// extension to every output prime, the L inverse and L^2 forward NTTs a
+  /// serial rotation runs on its rotated c1. Charged as one decomposition
+  /// and one hoist batch. Requires a relinearized (2-polynomial) \p A.
   KeySwitchDigits decomposeForRotation(const Ciphertext &A) const;
 
   /// The per-member half: rotates \p A left by \p Steps (in [0, N/2))
-  /// against \p Digits, which decomposeForRotation(A) returned. The digits
-  /// are permuted in the coefficient domain, which yields exactly the
-  /// inverse NTTs of the serial path's NTT-domain permuted c1, so the
-  /// output is bit-identical to rotateLeft(A, Steps, Keys). A zero step
-  /// returns a copy of \p A. Only reads \p Digits: members of one batch
-  /// may run concurrently.
+  /// against \p Digits, which decomposeForRotation(A) returned. Each stored
+  /// limb goes through the NTT-domain Galois permutation, so a member runs
+  /// only its mod-down's NTTs. Because the digits are centered, extending
+  /// then permuting equals permuting then extending, and the output is
+  /// bit-identical to rotateLeft(A, Steps, Keys). A zero step returns a
+  /// copy of \p A. Only reads \p Digits: members of one batch may run
+  /// concurrently.
   Ciphertext rotateDecomposed(const Ciphertext &A,
                               const KeySwitchDigits &Digits, uint64_t Steps,
                               const GaloisKeys &Keys) const;
@@ -116,19 +147,39 @@ public:
                                         const GaloisKeys &Keys) const;
 
 private:
-  /// The decomposition digits of \p Target. Counted as one decomposition.
-  KeySwitchDigits keySwitchDecompose(const RnsPoly &Target) const;
+  /// Coefficient-form digits: digit I is the inverse NTT of limb I, a
+  /// residue in [0, q_I).
+  using CoeffDigits = std::vector<std::vector<uint64_t>>;
 
-  /// The inner-product half of key switching: extends each digit to every
-  /// output prime (+ the special prime), accumulates against \p Key, and
+  /// Fills \p Out with digit \p I's NTT-form limb under output prime \p R
+  /// of a key switch (R != I).
+  using DigitLimbFn =
+      std::function<void(size_t I, size_t R, std::span<uint64_t> Out)>;
+
+  /// The decomposition digits of \p Target. Counted as one decomposition.
+  CoeffDigits keySwitchDecompose(const RnsPoly &Target) const;
+
+  /// Writes \p Digit (coefficients mod the prime at \p DigitPrime) under
+  /// the prime at \p PrimeIdx in NTT form: every coefficient is lifted to
+  /// its centered representative in (-q/2, q/2), reduced, and the limb is
+  /// forward-transformed. The one lift rule of key switching: a centered
+  /// integer's negation reduces to the negation under every prime, so the
+  /// extension commutes with a Galois automorphism's sign flips. Toward a
+  /// prime above q/2 the lift is a masked add (simd::centeredShift).
+  void extendDigit(std::span<const uint64_t> Digit, size_t DigitPrime,
+                   size_t PrimeIdx, std::span<uint64_t> Out) const;
+
+  /// The inner-product half of key switching: accumulates every digit
+  /// against \p Key under every output prime (+ the special prime), and
   /// divides the special prime back out. \p Key needs at least as many
-  /// digits as \p Digits (fatalError otherwise) and is read by its shape
-  /// (keyLimbPrime). \p TargetNtt is the NTT-form
-  /// polynomial \p Digits decompose; its limb I stands in for digit I
-  /// under prime I, which saves one forward NTT per digit.
-  std::array<RnsPoly, 2> keySwitchAccumulate(const KeySwitchDigits &Digits,
-                                             const RnsPoly &TargetNtt,
-                                             const KSwitchKey &Key) const;
+  /// digits as \p TargetNtt has primes (fatalError otherwise) and is read
+  /// by its shape (keyLimbPrime). \p TargetNtt is the NTT-form polynomial
+  /// the digits decompose; its limb I stands in for digit I under prime I.
+  /// \p DigitLimb supplies every other limb: extended on the fly (serial
+  /// key switch) or gathered from a hoist batch's stored digits.
+  std::array<RnsPoly, 2>
+  keySwitchAccumulate(const RnsPoly &TargetNtt, const KSwitchKey &Key,
+                      const DigitLimbFn &DigitLimb) const;
 
   /// Fails unless \p A has exactly two polynomials: key switching a c1
   /// leaves any c2 behind, and the result would decrypt to garbage.

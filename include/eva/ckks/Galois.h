@@ -27,7 +27,8 @@ namespace eva {
 /// (0 < Steps < N/2): 5^Steps mod 2N.
 uint64_t galoisEltFromStep(uint64_t Steps, uint64_t PolyDegree);
 
-/// Applies X -> X^g to one coefficient-domain component modulo \p Q.
+/// Applies X -> X^g to one coefficient-domain component modulo \p Q: the
+/// reference the NTT-domain gather below is tested against.
 void applyGaloisComp(std::span<const uint64_t> In, std::span<uint64_t> Out,
                      uint64_t GaloisElt, uint64_t PolyDegree,
                      const Modulus &Q);

@@ -53,8 +53,8 @@ size_t cseAndSimplifyPass(Program &P);
 //===----------------------------------------------------------------------===
 
 /// Batches of rotations that share a source ciphertext. The runtime
-/// performs the key-switch decomposition of the source once per batch
-/// (Evaluator::decomposeForRotation) and applies each member's Galois
+/// decomposes the source and extends its digits to every prime once per
+/// batch (Evaluator::decomposeForRotation) and applies each member's Galois
 /// automorphism against the shared digits (Evaluator::rotateDecomposed),
 /// which is bit-identical to rotating serially.
 /// Node pointers refer into the compiled program's graph and stay valid for

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Runtime CPU dispatch for the vectorized modular-arithmetic kernels (the
-/// Harvey/Shoup lazy-reduction NTT butterflies and the fused key-switch
-/// multiply-accumulate). The scalar `mulModShoup` path in NTT.cpp stays the
+/// Harvey/Shoup lazy-reduction NTT butterflies, the fused key-switch
+/// multiply-accumulate and the centered lift of key-switch digits). The scalar `mulModShoup` path in NTT.cpp stays the
 /// bit-identical oracle: the lazy kernels defer reductions (values ride in
 /// [0, 4q) through the butterflies) but reduce to the unique representative
 /// in [0, q) before returning, so dispatched and scalar outputs are
@@ -108,6 +108,26 @@ inline void fusedMulAcc128Scalar(const uint64_t *X, const uint64_t *K0,
 void fusedMulAcc128(const uint64_t *X, const uint64_t *K0, const uint64_t *K1,
                     uint64_t *Lo0, uint64_t *Hi0, uint64_t *Lo1,
                     uint64_t *Hi1, uint64_t N);
+
+/// AVX2 masked shift: Out[i] = In[i] + (In[i] > Half ? Shift : 0), mod
+/// 2^64, for inputs below 2^63. With Half = q_i / 2 and Shift = q_r - q_i,
+/// this is the centered lift of a digit mod q_i to a prime q_r above
+/// q_i / 2 (Evaluator::extendDigit). Returns false when AVX2 is
+/// unavailable.
+bool centeredShiftAvx2(const uint64_t *In, uint64_t *Out, uint64_t N,
+                       uint64_t Half, uint64_t Shift);
+
+/// Scalar reference for centeredShiftAvx2: a mask, not a branch, since the
+/// comparison is a coin flip.
+inline void centeredShiftScalar(const uint64_t *In, uint64_t *Out, uint64_t N,
+                                uint64_t Half, uint64_t Shift) {
+  for (uint64_t I = 0; I < N; ++I)
+    Out[I] = In[I] + (Shift & -static_cast<uint64_t>(In[I] > Half));
+}
+
+/// Dispatched flavour: AVX2 when active, scalar otherwise (identical words).
+void centeredShift(const uint64_t *In, uint64_t *Out, uint64_t N,
+                   uint64_t Half, uint64_t Shift);
 
 } // namespace simd
 

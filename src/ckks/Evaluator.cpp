@@ -26,16 +26,15 @@ using namespace eva;
 namespace {
 
 /// X -> X^g on both polynomials of the NTT-form ciphertext \p A, every
-/// limb gathered through one permutation table.
-std::array<RnsPoly, 2> automorphNtt(const Ciphertext &A, uint64_t GaloisElt) {
+/// limb gathered through \p Perm (galoisNttPermutation).
+std::array<RnsPoly, 2> automorphNtt(const Ciphertext &A,
+                                    std::span<const uint64_t> Perm) {
   uint64_t N = A.Polys[0].Degree;
-  LimbScratch Perm = acquireLimbScratch(N);
-  galoisNttPermutation(GaloisElt, N, Perm.span());
   std::array<RnsPoly, 2> Out = {RnsPoly(N, A.primeCount()),
                                 RnsPoly(N, A.primeCount())};
   for (size_t K = 0; K < 2; ++K)
     for (size_t I = 0; I < A.primeCount(); ++I)
-      applyGaloisNtt(A.Polys[K].Comps[I], Perm.span(), Out[K].Comps[I]);
+      applyGaloisNtt(A.Polys[K].Comps[I], Perm, Out[K].Comps[I]);
   return Out;
 }
 
@@ -187,7 +186,7 @@ Ciphertext Evaluator::multiplyPlain(const Ciphertext &A,
   return Out;
 }
 
-Evaluator::KeySwitchDigits
+Evaluator::CoeffDigits
 Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
   size_t Count = Target.primeCount();
   // Decompose: coefficient-domain copy of each component. One inverse NTT
@@ -195,10 +194,10 @@ Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
   // the digits depend only on the input polynomial, not on the key, so a
   // batch of rotations of one ciphertext can reuse them (hoisting).
   // evalint: allow(heap-in-hot-path): the digit vector is the function's
-  // result and outlives the call (hoisting reuses it across a rotation
-  // batch), so it cannot live in the per-call LimbScratch arena. One
-  // allocation per key switch, not per coefficient.
-  KeySwitchDigits TCoeff(Count);
+  // result and outlives the call (the accumulation or a hoist batch's
+  // extension reads it), so it cannot live in the per-call LimbScratch
+  // arena. One allocation per key switch, not per coefficient.
+  CoeffDigits TCoeff(Count);
   forEachLimb(Count, [&](size_t I) {
     TCoeff[I] = Target.Comps[I];
     Ctx->ntt(I).inverse(TCoeff[I]);
@@ -207,11 +206,36 @@ Evaluator::keySwitchDecompose(const RnsPoly &Target) const {
   return TCoeff;
 }
 
+void Evaluator::extendDigit(std::span<const uint64_t> Digit,
+                            size_t DigitPrime, size_t PrimeIdx,
+                            std::span<uint64_t> Out) const {
+  assert(Digit.size() == Out.size() && DigitPrime != PrimeIdx);
+  uint64_t Qi = Ctx->prime(DigitPrime).value();
+  const Modulus &Qr = Ctx->prime(PrimeIdx);
+  uint64_t Half = Qi >> 1;
+  // V > q_i/2 stands for V - q_i. Below 2 q_r no reduction is needed: a V
+  // up to q_i/2 is below q_r, and V - q_i + q_r lies in [0, q_r).
+  if (Qi < 2 * Qr.value()) {
+    simd::centeredShift(Digit.data(), Out.data(), Out.size(), Half,
+                        Qr.value() - Qi);
+  } else {
+    // Subtract q_i mod q_r from V mod q_r, with masks instead of branches,
+    // since the sign of a digit is a coin flip.
+    uint64_t QiModQr = Qr.reduce(Qi);
+    for (size_t X = 0, E = Digit.size(); X < E; ++X) {
+      uint64_t V = Digit[X];
+      uint64_t R = Qr.reduce(V);
+      uint64_t Sub = QiModQr & -static_cast<uint64_t>(V > Half);
+      Out[X] = R - Sub + (Qr.value() & -static_cast<uint64_t>(R < Sub));
+    }
+  }
+  Ctx->ntt(PrimeIdx).forward(Out);
+}
+
 std::array<RnsPoly, 2>
-Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
-                               const RnsPoly &TargetNtt,
-                               const KSwitchKey &Key) const {
-  size_t Count = TCoeff.size();
+Evaluator::keySwitchAccumulate(const RnsPoly &TargetNtt, const KSwitchKey &Key,
+                               const DigitLimbFn &DigitLimb) const {
+  size_t Count = TargetNtt.primeCount();
   size_t SpecialIdx = Ctx->specialPrimeIndex();
   uint64_t N = Ctx->polyDegree();
   // fatalError, not assert: a key with fewer digits than the ciphertext
@@ -223,13 +247,12 @@ Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
     fatalError("key switch of a " + std::to_string(Count) +
                "-prime ciphertext against a key of " + std::to_string(Pairs) +
                " digits");
-  assert(TargetNtt.primeCount() == Count && "digits and target differ");
 
   // Output prime indices: current data primes plus the special prime, the
   // shape of a key with Count pairs. The key's own components follow its
   // shape (keyLimbPrime): data prime R is its component R, and the special
   // prime its last.
-  // evalint: allow(heap-in-hot-path): two index vectors of size limb-count
+  // evalint: allow(heap-in-hot-path): one index vector of size limb-count
   // (tens of entries) and the returned accumulator polynomials; the O(N)
   // inner loops below run entirely on LimbScratch arena buffers.
   std::vector<size_t> OutIdx(Count + 1);
@@ -237,14 +260,13 @@ Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
     OutIdx[R] = keyLimbPrime(Count, R, SpecialIdx);
 
   // The inner-product accumulation is independent per output prime: every R
-  // reads all of TCoeff but writes only Acc[*].Comps[R], with its own
+  // reads every digit but writes only Acc[*].Comps[R], with its own
   // scratch buffers.
   std::array<RnsPoly, 2> Acc = {RnsPoly(N, Count + 1), RnsPoly(N, Count + 1)};
   forEachLimb(OutIdx.size(), [&](size_t R) {
-    size_t PrimeIdx = OutIdx[R];
     size_t KeyLimb = R < Count ? R : Pairs;
-    assert(keyLimbPrime(Pairs, KeyLimb, SpecialIdx) == PrimeIdx);
-    const Modulus &Qr = Ctx->prime(PrimeIdx);
+    assert(keyLimbPrime(Pairs, KeyLimb, SpecialIdx) == OutIdx[R]);
+    const Modulus &Qr = Ctx->prime(OutIdx[R]);
     LimbScratch Tmp = acquireLimbScratch(N);
     // 128-bit accumulators split into lo/hi word arrays so the fused
     // multiply-accumulate kernel (scalar or AVX2; identical sums mod 2^128)
@@ -257,9 +279,8 @@ Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
       // Under its own prime a digit's forward NTT is the target limb the
       // digit came from, so that limb is read in place.
       const uint64_t *Digit = TargetNtt.Comps[I].data();
-      if (PrimeIdx != I) {
-        reducePolyComp(TCoeff[I], Tmp.span(), Qr);
-        Ctx->ntt(PrimeIdx).forward(Tmp.span());
+      if (R != I) {
+        DigitLimb(I, R, Tmp.span());
         Digit = Tmp.data();
       }
       const std::vector<uint64_t> &K0 = Key.Keys[I][0].Comps[KeyLimb];
@@ -278,15 +299,22 @@ Evaluator::keySwitchAccumulate(const KeySwitchDigits &TCoeff,
   });
 
   // Divide by the special prime (rounding) to return to the data chain.
-  std::vector<size_t> DownIdx = OutIdx;
-  divideRoundDropLast(Acc[0].Comps, DownIdx);
-  divideRoundDropLast(Acc[1].Comps, DownIdx);
+  divideRoundDropLast(Acc[0].Comps, OutIdx);
+  divideRoundDropLast(Acc[1].Comps, OutIdx);
   return Acc;
 }
 
 std::array<RnsPoly, 2> Evaluator::keySwitch(const RnsPoly &Target,
                                             const KSwitchKey &Key) const {
-  return keySwitchAccumulate(keySwitchDecompose(Target), Target, Key);
+  // Each digit is extended on the fly into the accumulation's scratch, so a
+  // serial key switch holds no more than its coefficient-form digits.
+  CoeffDigits Digits = keySwitchDecompose(Target);
+  size_t Count = Target.primeCount();
+  size_t SpecialIdx = Ctx->specialPrimeIndex();
+  return keySwitchAccumulate(
+      Target, Key, [&](size_t I, size_t R, std::span<uint64_t> Out) {
+        extendDigit(Digits[I], I, keyLimbPrime(Count, R, SpecialIdx), Out);
+      });
 }
 
 void Evaluator::divideRoundDropLast(
@@ -404,7 +432,9 @@ Ciphertext Evaluator::rotateLeft(const Ciphertext &A, uint64_t Steps,
     fatalError("missing Galois key for rotation by " + std::to_string(Steps) +
                " (the compiler's rotation-selection pass must request it)");
 
-  std::array<RnsPoly, 2> Rotated = automorphNtt(A, G);
+  LimbScratch Perm = acquireLimbScratch(Ctx->polyDegree());
+  galoisNttPermutation(G, Ctx->polyDegree(), Perm.span());
+  std::array<RnsPoly, 2> Rotated = automorphNtt(A, Perm.span());
   std::array<RnsPoly, 2> Ks = keySwitch(Rotated[1], Keys.at(G));
   charge(&ExecutionStats::Rotations);
   return assembleRotation(std::move(Rotated[0]), std::move(Ks), A.Scale);
@@ -413,12 +443,24 @@ Ciphertext Evaluator::rotateLeft(const Ciphertext &A, uint64_t Steps,
 Evaluator::KeySwitchDigits
 Evaluator::decomposeForRotation(const Ciphertext &A) const {
   checkRotatable(A);
-  // The serial path's digits for rotation g are invNTT(galois_g(c1)_i),
-  // and the inverse NTT carries the NTT-domain permutation to
-  // applyGaloisComp exactly. So permuting these shared digits in the
-  // coefficient domain (rotateDecomposed) reproduces the serial digits bit
-  // for bit, without one inverse NTT per limb per member.
-  KeySwitchDigits Digits = keySwitchDecompose(A.Polys[1]);
+  // The serial path's digit I for rotation g is invNTT(galois_g(c1)_I), the
+  // coefficient permutation of this digit. Its centered lift commutes with
+  // that permutation's sign flips under every prime, so each extended limb
+  // here, gathered through g's NTT-domain table (rotateDecomposed), is bit
+  // for bit the limb the serial path extends.
+  const RnsPoly &C1 = A.Polys[1];
+  size_t Count = C1.primeCount();
+  size_t SpecialIdx = Ctx->specialPrimeIndex();
+  CoeffDigits Coeff = keySwitchDecompose(C1);
+  KeySwitchDigits Digits(Count, Ctx->polyDegree());
+  // Every (digit, output prime) pair is one lift and one NTT, independent.
+  forEachLimb(Count * Count, [&](size_t K) {
+    size_t I = K / Count;
+    size_t R = K % Count;
+    R += R >= I ? 1 : 0; // skip the own-prime limb
+    extendDigit(Coeff[I], I, keyLimbPrime(Count, R, SpecialIdx),
+                Digits.limb(I, R));
+  });
   charge(&ExecutionStats::HoistBatches);
   return Digits;
 }
@@ -434,25 +476,25 @@ Ciphertext Evaluator::rotateDecomposed(const Ciphertext &A,
     fatalError("hoisted rotation step " + std::to_string(Steps) +
                " out of range [0, " + std::to_string(Ctx->slotCount()) + ")");
   size_t Count = A.primeCount();
-  if (Digits.size() != Count)
+  if (Digits.primeCount() != Count)
     fatalError("hoisted rotation of a " + std::to_string(Count) +
-               "-prime ciphertext against " + std::to_string(Digits.size()) +
-               " digits: they were not decomposed from it");
+               "-prime ciphertext against digits of " +
+               std::to_string(Digits.primeCount()) +
+               " primes: they were not decomposed from it");
   uint64_t G = galoisEltFromStep(Steps, Ctx->polyDegree());
   if (!Keys.has(G))
     fatalError("missing Galois key for hoisted rotation by " +
                std::to_string(Steps));
 
-  uint64_t N = Ctx->polyDegree();
-  // The rotated c1 supplies each digit's own-prime limb.
-  std::array<RnsPoly, 2> Rotated = automorphNtt(A, G);
-  KeySwitchDigits Permuted(Count);
-  forEachLimb(Count, [&](size_t I) {
-    Permuted[I].resize(N);
-    applyGaloisComp(Digits[I], Permuted[I], G, N, Ctx->prime(I));
-  });
-  std::array<RnsPoly, 2> Ks =
-      keySwitchAccumulate(Permuted, Rotated[1], Keys.at(G));
+  // One table permutes c0, c1 (whose limb I is digit I's own-prime limb)
+  // and every stored digit limb, each into this member's own scratch.
+  LimbScratch Perm = acquireLimbScratch(Ctx->polyDegree());
+  galoisNttPermutation(G, Ctx->polyDegree(), Perm.span());
+  std::array<RnsPoly, 2> Rotated = automorphNtt(A, Perm.span());
+  std::array<RnsPoly, 2> Ks = keySwitchAccumulate(
+      Rotated[1], Keys.at(G), [&](size_t I, size_t R, std::span<uint64_t> Out) {
+        applyGaloisNtt(Digits.limb(I, R), Perm.span(), Out);
+      });
   charge(&ExecutionStats::Rotations);
   charge(&ExecutionStats::HoistedRotations);
   return assembleRotation(std::move(Rotated[0]), std::move(Ks), A.Scale);

@@ -212,6 +212,13 @@ Status computeNumPolys(const Program &P, std::vector<int> *Facts) {
       continue;
     case OpCode::RotateLeft:
     case OpCode::RotateRight:
+      // The executor rotates ciphertexts only (a Galois key switches c1);
+      // a plain operand has no polynomials to count.
+      if (N->parm(0)->isPlain())
+        return Status::error("rotation at " + nodeDesc(N) +
+                             " rotates the plain value " +
+                             nodeDesc(N->parm(0)) +
+                             ": only ciphertexts can be rotated");
       // Rotation key-switches and therefore also needs 2 polynomials.
       if (NumPolys[N->parm(0)->id()] != 2)
         return Status::error("rotation at " + nodeDesc(N) +

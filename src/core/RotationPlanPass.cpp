@@ -11,8 +11,9 @@
 /// hoist batches: vectorized workloads (matvec diagonals, convolution taps,
 /// reduction trees fanning out of one value) emit many rotations of the
 /// same ciphertext, and the runtime can share one key-switch decomposition
-/// across the whole batch (Evaluator::decomposeForRotation) — the dominant
-/// per-rotation fixed cost drops to a permutation.
+/// and its extension to every prime across the whole batch
+/// (Evaluator::decomposeForRotation): a member's L + L^2 digit NTTs drop
+/// to a permutation.
 ///
 /// galoisBudgetPass trades rotations for keys in the other direction: every
 /// distinct step needs its own Galois key ("evaluating each rotation step

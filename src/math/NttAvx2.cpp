@@ -284,6 +284,21 @@ bool eva::simd::fusedMulAcc128Avx2(const uint64_t *X, const uint64_t *K0,
   return true;
 }
 
+bool eva::simd::centeredShiftAvx2(const uint64_t *In, uint64_t *Out,
+                                  uint64_t N, uint64_t Half, uint64_t Shift) {
+  if (N % 4 != 0)
+    return false;
+  // Inputs below 2^63 compare correctly as signed lanes.
+  const __m256i HalfV = _mm256_set1_epi64x(static_cast<long long>(Half));
+  const __m256i ShiftV = _mm256_set1_epi64x(static_cast<long long>(Shift));
+  for (uint64_t J = 0; J < N; J += 4) {
+    __m256i V = loadu(In + J);
+    __m256i Above = _mm256_cmpgt_epi64(V, HalfV);
+    storeu(Out + J, _mm256_add_epi64(V, _mm256_and_si256(Above, ShiftV)));
+  }
+  return true;
+}
+
 #else // !EVA_HAVE_AVX2
 
 // Stubs for toolchains/targets without AVX2: dispatch sees "not available"
@@ -305,6 +320,11 @@ bool eva::simd::nttInverseAvx2(uint64_t *, uint64_t, const uint64_t *,
 bool eva::simd::fusedMulAcc128Avx2(const uint64_t *, const uint64_t *,
                                    const uint64_t *, uint64_t *, uint64_t *,
                                    uint64_t *, uint64_t *, uint64_t) {
+  return false;
+}
+
+bool eva::simd::centeredShiftAvx2(const uint64_t *, uint64_t *, uint64_t,
+                                  uint64_t, uint64_t) {
   return false;
 }
 

@@ -79,3 +79,11 @@ void eva::simd::fusedMulAcc128(const uint64_t *X, const uint64_t *K0,
     return;
   fusedMulAcc128Scalar(X, K0, K1, Lo0, Hi0, Lo1, Hi1, N);
 }
+
+void eva::simd::centeredShift(const uint64_t *In, uint64_t *Out, uint64_t N,
+                              uint64_t Half, uint64_t Shift) {
+  if (activeSimdLevel() == SimdLevel::Avx2 &&
+      centeredShiftAvx2(In, Out, N, Half, Shift))
+    return;
+  centeredShiftScalar(In, Out, N, Half, Shift);
+}

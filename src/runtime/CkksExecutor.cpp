@@ -30,14 +30,11 @@ struct Value {
 /// Per-run state of one hoist batch. The source's step writes Digits, and
 /// every member's step reads them without a lock: no member can start
 /// before the source's step has returned (see CkksExecutor::step). The
-/// member whose step takes PendingMembers to zero frees them.
+/// member whose step takes PendingMembers to zero frees them. The digits
+/// are stored extended, L^2 limbs at L primes, and count as live bytes.
 struct HoistBatch {
   Evaluator::KeySwitchDigits Digits;
   std::atomic<size_t> PendingMembers{0};
-  size_t bytes() const {
-    return Digits.empty() ? 0
-                          : Digits.size() * Digits[0].size() * sizeof(uint64_t);
-  }
 };
 
 void raiseToAtLeast(std::atomic<size_t> &Peak, size_t Current) {
@@ -344,14 +341,14 @@ void CkksExecutor::step(const Node *N, RunState &S) const {
   // member finds the digits written.
   if (HoistBatch *B = S.BatchOfSource[N->id()]) {
     B->Digits = Eval.decomposeForRotation(*Ct);
-    size_t Bytes = B->bytes();
+    size_t Bytes = B->Digits.bytes();
     raiseToAtLeast(S.PeakBytes, S.LiveBytes.fetch_add(Bytes) + Bytes);
   }
   // The batch's last member frees the digits.
   if (HoistBatch *B = S.BatchOfMember[N->id()];
       B && B->PendingMembers.fetch_sub(1) == 1) {
-    S.LiveBytes.fetch_sub(B->bytes());
-    B->Digits.clear();
+    S.LiveBytes.fetch_sub(B->Digits.bytes());
+    B->Digits = Evaluator::KeySwitchDigits();
   }
   // Retire parents whose last use just ran (Section 6.1's memory reuse).
   for (const Node *Parm : N->parms()) {

@@ -239,6 +239,23 @@ TEST(CompilerEdge, PlainVectorInputFlowsThroughEverything) {
   EXPECT_NEAR(Out->vector("out")[0], (0.5 + 0.3) * 0.3, 1e-4);
 }
 
+TEST(CompilerEdge, RotationOfAPlainValueIsRefusedAsSuch) {
+  // Nothing rotates plain data at run time, and no relinearization is
+  // involved: the diagnostic must say so and name the rotation.
+  ProgramBuilder B("plainrot", 16);
+  Expr X = B.inputCipher("x", 30);
+  Expr W = B.inputPlain("w", 20);
+  B.output("out", X * (W << 3), 30);
+  Expected<CompiledProgram> CP = compile(B.program());
+  ASSERT_FALSE(CP.ok());
+  EXPECT_NE(CP.message().find("rotates the plain value"), std::string::npos)
+      << CP.message();
+  EXPECT_NE(CP.message().find("(rotate_left)"), std::string::npos)
+      << CP.message();
+  EXPECT_EQ(CP.message().find("relinearized"), std::string::npos)
+      << CP.message();
+}
+
 TEST(CompilerEdge, DeepRotationOnlyProgramNeedsNoRescale) {
   ProgramBuilder B("rotonly", 64);
   Expr X = B.inputCipher("x", 30);

@@ -325,6 +325,31 @@ TEST(NttSimd, FusedMulAccMatchesScalar) {
   EXPECT_EQ(Hi1B, Hi1A);
 }
 
+TEST(NttSimd, CenteredShiftMatchesScalar) {
+  if (!avx2Available())
+    GTEST_SKIP() << "AVX2 kernels not available on this host";
+  // Digits of a prime q_i shifted toward a prime q_r above and below it,
+  // as key switching's centered lift does; both halves of the range hit.
+  RandomSource Rng(11);
+  const uint64_t N = 256;
+  const uint64_t Pairs[][2] = {{1099511480321ull, 1152921504606830593ull},
+                               {1099511480321ull, 1099510890497ull},
+                               {1099510890497ull, 1099511480321ull}};
+  for (const auto &[Qi, Qr] : Pairs) {
+    std::vector<uint64_t> In(N), Want(N), Got(N);
+    for (uint64_t &V : In)
+      V = Rng.uniformBelow(Qi);
+    In[0] = Qi / 2;
+    In[1] = Qi / 2 + 1;
+    simd::centeredShiftScalar(In.data(), Want.data(), N, Qi / 2, Qr - Qi);
+    ASSERT_TRUE(simd::centeredShiftAvx2(In.data(), Got.data(), N, Qi / 2,
+                                        Qr - Qi));
+    EXPECT_EQ(Got, Want) << "q_i " << Qi << " q_r " << Qr;
+    for (uint64_t V : Want)
+      EXPECT_LT(V, Qr);
+  }
+}
+
 TEST(Ntt, ConstantPolynomialIsConstantInEvaluationForm) {
   uint64_t N = 64;
   Expected<std::vector<uint64_t>> Ps = generateNttPrimes(N, 30, 1);
