@@ -30,8 +30,8 @@
 // are random and Table 4's accuracy becomes fidelity: one random image's
 // encrypted scores against the plaintext forward pass. EVA's must stay
 // within examples/dnn_inference's bound (5e-2, same argmax). CHET's row
-// has no bound: at CHET's parameters the scores miss by 0.45-1.38 over key
-// seeds (the compiled program itself matches the uncompiled one under the
+// has no bound: at CHET's parameters the scores miss by tens of times EVA's
+// error (the compiled program itself matches the uncompiled one under the
 // reference semantics), an open defect of CKKS execution there.
 //
 // The other checks are Section 5.3's claims on every ablation program:
@@ -40,7 +40,7 @@
 // LAZY-MODSWITCH.
 //
 // Keys are built once per network and system, and freed before the next
-// set: the peak is CHET's LeNet-5-small keys (about 9 GB).
+// set: the peak is CHET's LeNet-5-small keys (about 4.7 GB in all).
 //
 //===----------------------------------------------------------------------===//
 

@@ -11,14 +11,17 @@
 //      bit-identity check between the two paths.
 //   2. BSGS vs naive matvec: the baby-step–giant-step diagonal kernel
 //      against the per-output mask-and-reduce kernel on the same matrix;
-//      the decomposition count must drop >= 30%.
+//      the decomposition count must drop >= 30%. The same A/B on a dense
+//      layer over a strided layout (a stride-2 convolution's output, 10
+//      outputs): the hybrid diagonal kernel fullyConnected emits against
+//      the per-output tree it replaced; decompositions must drop >= 80%.
 //   3. Galois-key budgeting: serialized Galois-key bytes (exactly the
 //      ServiceClient session-open upload payload) for the unbudgeted step
 //      set vs the power-of-two basis, with a reference-closeness check on
 //      the rewritten program.
 //
-// Every correctness gate (bit identity, reference closeness, the >= 30%
-// decomposition drop, budget shrinking the upload) is a check, so
+// Every correctness gate (bit identity, reference closeness, the >= 30% and
+// >= 80% decomposition drops, budget shrinking the upload) is a check, so
 // `run_benches OUTDIR rotation` is both a bench and a test; ctest runs it as
 // RunBenchesRotation.
 //
@@ -95,6 +98,43 @@ std::unique_ptr<Program> buildNaiveMatvec(uint64_t M, const Tensor &W) {
   return B.take();
 }
 
+/// The pre-hybrid strided dense layer, kept inline as the A/B baseline: per
+/// output, a weight mask over the layout's slots, a rotate-and-add tree over
+/// the whole vector and a selection mask.
+std::unique_ptr<Program> buildTreeFc(uint64_t M, const CipherLayout &L,
+                                     const Tensor &W) {
+  ProgramBuilder B("tree_fc", M);
+  TensorScales Scales;
+  Expr X = B.inputCipher("x", Scales.Cipher);
+  Expr Acc;
+  for (size_t O = 0; O < W.dims()[0]; ++O) {
+    std::vector<double> Mask(M, 0.0);
+    size_t J = 0;
+    for (size_t C = 0; C < L.C; ++C)
+      for (size_t Py = 0; Py < L.H; ++Py)
+        for (size_t Px = 0; Px < L.W; ++Px)
+          Mask[L.slotOf(C, Py, Px)] = W.at2(O, J++);
+    Expr T = rotationTreeSum(
+        B, X * B.constantVector(Mask, Scales.Vector), M);
+    std::vector<double> Sel(M, 0.0);
+    Sel[O] = 1.0;
+    Expr Term = T * B.constantVector(Sel, Scales.Vector);
+    Acc = Acc.valid() ? Acc + Term : Term;
+  }
+  B.output("y", Acc, Scales.Output);
+  return B.take();
+}
+
+std::unique_ptr<Program> buildHybridFc(uint64_t M, const CipherLayout &L,
+                                       const Tensor &W) {
+  ProgramBuilder B("hybrid_fc", M);
+  TensorScales Scales;
+  CipherTensor In{B.inputCipher("x", Scales.Cipher), L};
+  CipherTensor Y = fullyConnected(B, In, W, Tensor(), Scales);
+  B.output("y", Y.Value, Scales.Output);
+  return B.take();
+}
+
 std::unique_ptr<Program> buildBsgsMatvec(uint64_t M, const Tensor &W) {
   ProgramBuilder B("bsgs_matvec", M);
   TensorScales Scales;
@@ -165,6 +205,46 @@ double maxAbsError(const std::map<std::string, std::vector<double>> &Got,
   return E;
 }
 
+/// An A/B of two kernels for one product: compiles and runs both programs
+/// on the same inputs, checks each within 5e-4 of \p Want on the first
+/// \p Slots slots and the second's hoisted run bit-identical to its serial
+/// one, adds a timed row per program with its decompositions, and returns
+/// the two decomposition counts.
+std::pair<double, double>
+kernelAB(JsonReport &Report, const std::string (&Names)[2],
+         const Program *const (&Progs)[2],
+         const std::map<std::string, std::vector<double>> &Inputs,
+         const std::map<std::string, std::vector<double>> &Want,
+         size_t Slots) {
+  double Decompositions[2] = {0, 0};
+  for (int K = 0; K < 2; ++K) {
+    CompiledProgram CP = std::move(compile(*Progs[K]).value());
+    std::shared_ptr<CkksWorkspace> WS =
+        CkksWorkspace::createClient(CP, 1234).value();
+    SealedInputs Sealed = seal(CP, *WS, Inputs);
+    RunOutcome Run = runOnce(CP, WS, Sealed, /*Hoisting=*/true);
+    if (K == 1) {
+      RunOutcome NoHoist = runOnce(CP, WS, Sealed, /*Hoisting=*/false);
+      Report.check(bitIdentical(Run.Outputs, NoHoist.Outputs),
+                   Names[K] + " hoisted outputs bit-identical to the "
+                              "non-hoisted path");
+    }
+    double Err = maxAbsError(Run.Outputs, Want, Slots);
+    Report.check(Err < 5e-4, Names[K] + " reference-close (err " +
+                                 std::to_string(Err) + ")");
+    Decompositions[K] =
+        static_cast<double>(Run.Stats.KeySwitchDecompositions);
+    BenchResult R = measure(Names[K], [&] { runOnce(CP, WS, Sealed, true); });
+    R.field("decompositions", Decompositions[K]);
+    Report.add(std::move(R));
+  }
+  std::printf("  decompositions: %s=%.0f %s=%.0f (%.0f%% drop)\n",
+              Names[0].c_str(), Decompositions[0], Names[1].c_str(),
+              Decompositions[1],
+              100.0 * (1.0 - Decompositions[1] / Decompositions[0]));
+  return {Decompositions[0], Decompositions[1]};
+}
+
 } // namespace
 
 void evabench::rotationSuite(JsonReport &Report) {
@@ -223,37 +303,36 @@ void evabench::rotationSuite(JsonReport &Report) {
     std::map<std::string, std::vector<double>> Inputs = randomInputs(*Naive, 9);
     std::map<std::string, std::vector<double>> Want =
         *ReferenceExecutor(*Naive).run(Inputs);
-
-    RunOutcome Runs[2];
-    const char *Names[2] = {"naive_matvec64", "bsgs_matvec64"};
-    Program *Progs[2] = {Naive.get(), Bsgs.get()};
-    for (int K = 0; K < 2; ++K) {
-      CompiledProgram CP = std::move(compile(*Progs[K]).value());
-      std::shared_ptr<CkksWorkspace> WS =
-          CkksWorkspace::createClient(CP, 1234).value();
-      SealedInputs Sealed = seal(CP, *WS, Inputs);
-      Runs[K] = runOnce(CP, WS, Sealed, /*Hoisting=*/true);
-      if (K == 1) {
-        RunOutcome NoHoist = runOnce(CP, WS, Sealed, /*Hoisting=*/false);
-        Report.check(
-            bitIdentical(Runs[1].Outputs, NoHoist.Outputs),
-            "bsgs hoisted outputs bit-identical to the non-hoisted path");
-      }
-      double Err = maxAbsError(Runs[K].Outputs, Want, M);
-      Report.check(Err < 5e-4, std::string(Names[K]) +
-                                   " reference-close (err " +
-                                   std::to_string(Err) + ")");
-      BenchResult R = measure(Names[K], [&] { runOnce(CP, WS, Sealed, true); });
-      R.field("decompositions",
-              static_cast<double>(Runs[K].Stats.KeySwitchDecompositions));
-      Report.add(std::move(R));
-    }
-    double NaiveD = static_cast<double>(Runs[0].Stats.KeySwitchDecompositions);
-    double BsgsD = static_cast<double>(Runs[1].Stats.KeySwitchDecompositions);
-    std::printf("  decompositions: naive=%.0f bsgs=%.0f (%.0f%% drop)\n",
-                NaiveD, BsgsD, 100.0 * (1.0 - BsgsD / NaiveD));
+    auto [NaiveD, BsgsD] =
+        kernelAB(Report, {"naive_matvec64", "bsgs_matvec64"},
+                 {Naive.get(), Bsgs.get()}, Inputs, Want, M);
     Report.check(BsgsD <= 0.7 * NaiveD,
                  "bsgs drops key-switch decompositions by >= 30%");
+  }
+
+  // A stride-2 convolution's output layout (4 channels of 4x4 on an 8x8
+  // grid) into 10 outputs: the per-output tree pays one decomposition per
+  // rotation, 10 * log2(vec_size); the hybrid pays one for its baby batch,
+  // one per giant step and one per class-tree step.
+  constexpr uint64_t FcM = 256;
+  std::printf("strided dense layer 10x64 (hybrid vs per-output tree)\n");
+  {
+    CipherLayout L;
+    L.C = 4;
+    L.H = L.W = 4;
+    L.GridH = L.GridW = 8;
+    L.StrideY = L.StrideX = 2;
+    Tensor W = randomMatrix(10, L.logicalSize(), 23);
+    std::unique_ptr<Program> Tree = buildTreeFc(FcM, L, W);
+    std::unique_ptr<Program> Hybrid = buildHybridFc(FcM, L, W);
+    std::map<std::string, std::vector<double>> Inputs = randomInputs(*Tree, 13);
+    std::map<std::string, std::vector<double>> Want =
+        *ReferenceExecutor(*Tree).run(Inputs);
+    auto [TreeD, HybridD] =
+        kernelAB(Report, {"strided_fc10_tree", "strided_fc10_hybrid"},
+                 {Tree.get(), Hybrid.get()}, Inputs, Want, 10);
+    Report.check(HybridD <= 0.2 * TreeD,
+                 "hybrid drops key-switch decompositions by >= 80%");
   }
 
   //===--------------------------------------------------------------------===

@@ -271,9 +271,9 @@ int main(int Argc, char **Argv) {
     std::printf("wrote %s\n\n", Path.c_str());
     Failures += Report.failures();
     // Hand the suite's freed heap back to the OS, so that the run's peak is
-    // its heaviest suite's (about 9 GB: CHET LeNet-5-small keys in scaling
-    // and paper). Without this the allocator's arenas keep what scaling
-    // freed, and paper pushes the run to 12.5 GB.
+    // its heaviest suite's (about 4.7 GB: CHET LeNet-5-small keys in
+    // scaling and paper). Without this the allocator's arenas keep what
+    // scaling freed, and paper's peak comes on top of it.
     malloc_trim(0);
   }
   if (Failures > 0) {

@@ -7,7 +7,8 @@
 /// \file
 /// The one record of what a program run cost: per-op invocation counts,
 /// key-switch decompositions, NTTs, modular multiplies and limb-arena
-/// traffic, next to the executor's memory-reuse peaks. Work is charged where
+/// traffic, next to the executor's memory-reuse peaks and its wall time per
+/// opcode. Work is charged where
 /// it happens (the NTT, the polynomial kernels, the evaluator, the arena) to
 /// the ledger of the run that caused it:
 ///
@@ -31,6 +32,7 @@
 #ifndef EVA_SUPPORT_COSTLEDGER_H
 #define EVA_SUPPORT_COSTLEDGER_H
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -66,6 +68,16 @@ struct ExecutionStats {
   uint64_t MulMods = 0;        ///< modular multiplies in the hot kernels
   uint64_t ArenaAcquires = 0;  ///< limb-scratch buffers handed out
   uint64_t ArenaHeapBytes = 0; ///< bytes the arena had to heap-allocate
+  /// Where the time went: nanoseconds of wall time per opcode, indexed by
+  /// eva::OpCode, that CkksExecutor::step spent computing nodes of that
+  /// opcode (plaintext-operand encoding included). These are wall-time sums
+  /// over threads, not counts: nodes running at once on a pool each add
+  /// their own time, so the sum can exceed the run's wall time, and unlike
+  /// the counts above they differ from run to run.
+  std::array<uint64_t, 16> OpNanos{};
+  /// Wall time of hoist-batch decompositions, which run in the batch
+  /// source's step outside its opcode's time; summed over threads.
+  uint64_t HoistDecomposeNanos = 0;
 };
 
 /// The calling thread's current ledger, or null when no run is charged.
@@ -90,6 +102,13 @@ template <typename T> void charge(T ExecutionStats::*Field, uint64_t N = 1) {
   if (ExecutionStats *Ledger = currentLedger())
     std::atomic_ref<T>(Ledger->*Field)
         .fetch_add(static_cast<T>(N), std::memory_order_relaxed);
+}
+
+/// Adds \p Nanos to opcode \p Op's wall time in the current ledger.
+inline void chargeOpNanos(size_t Op, uint64_t Nanos) {
+  if (ExecutionStats *Ledger = currentLedger())
+    std::atomic_ref<uint64_t>(Ledger->OpNanos[Op])
+        .fetch_add(Nanos, std::memory_order_relaxed);
 }
 
 } // namespace eva

@@ -19,6 +19,9 @@
 /// strides (CHET's strided layouts); masks carry the weights and zero out
 /// the garbage slots in between.
 ///
+/// Every kernel checks its shapes (channels, weight widths, bias lengths,
+/// layouts fitting vec_size) with fatalError in every build mode.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVA_TENSOR_KERNELS_H
@@ -31,6 +34,13 @@
 
 namespace eva {
 
+/// Where a tensor's elements sit in the ciphertext's vec_size slots.
+///
+/// Slot contract: the slots a layout names (slotOf over its logical dims)
+/// hold the tensor; every other slot is unspecified and may hold garbage
+/// (partial sums, copies of outputs). Every kernel reads only its input
+/// layout's slots — masks and diagonals give all other slots zero weight —
+/// so a kernel may leave anything outside its output layout.
 struct CipherLayout {
   size_t C = 0, H = 0, W = 0;      ///< logical tensor dims
   size_t GridH = 0, GridW = 0;     ///< physical grid per channel
@@ -42,6 +52,10 @@ struct CipherLayout {
   size_t channelStride() const { return GridH * GridW; }
   size_t slotExtent() const { return C * GridH * GridW; }
   size_t logicalSize() const { return C * H * W; }
+  /// Logical element j (flattened CHW) sits at slot j.
+  bool dense() const {
+    return GridH == H && GridW == W && StrideY == 1 && StrideX == 1;
+  }
 
   static CipherLayout forImage(size_t C, size_t H, size_t W) {
     CipherLayout L;
@@ -89,29 +103,36 @@ CipherTensor polyActivation(ProgramBuilder &B, const CipherTensor &In,
                             double A2, double A1, const TensorScales &Scales);
 
 /// Rotation-tree reduction: returns an expression whose every slot k holds
-/// the cyclic sum of \p Span consecutive slots of \p V starting at k
-/// (Span is rounded up to a power of two; Span >= vec_size sums the whole
-/// vector into every slot). Emits log2(Span) rotations, all by powers of
-/// two — the log-depth tree the SUM lowering and the dense-layer kernels
-/// share, using only the program-wide power-of-two Galois keys.
-Expr rotationTreeSum(ProgramBuilder &B, Expr V, size_t Span);
+/// the cyclic sum of the \p Span slots k, k + Stride, ..., k + (Span - 1) *
+/// Stride of \p V (Span is rounded up to a power of two; Span * Stride >=
+/// vec_size sums every slot congruent to k mod Stride). \p Stride is a power
+/// of two. Emits log2(Span) rotations, by Stride, 2 * Stride, ... — the
+/// log-depth tree the strided dense layer's class sum uses (Stride = NP)
+/// and the rotation bench's per-output baseline uses (Stride = 1).
+Expr rotationTreeSum(ProgramBuilder &B, Expr V, size_t Span,
+                     size_t Stride = 1);
 
 /// Baby-step–giant-step diagonal matvec y = Wx + b over a *dense* layout
 /// (logical element j at slot j): the matrix is consumed as cyclic
-/// diagonals, the O(sqrt) baby rotations all rotate the input ciphertext
-/// itself — one hoist batch sharing a single key-switch decomposition —
-/// and only the O(sqrt) giant steps pay their own decompositions. Compare
-/// the per-output mask-and-reduce path: O(Out * log vec_size) rotations,
-/// each with its own decomposition. Weights: (Out, In); In must equal the
-/// layout's logical size. Output layout is dense.
+/// diagonals over the whole vector, the O(sqrt(vec_size)) baby rotations
+/// all rotate the input ciphertext itself — one hoist batch sharing a single
+/// key-switch decomposition — and only the O(sqrt(vec_size)) giant steps pay
+/// their own decompositions. Weights: (Out, In); In must equal the layout's
+/// logical size, and columns >= In get zero weight. Output layout is dense;
+/// slots >= Out hold about 0.
 CipherTensor matVecBsgs(ProgramBuilder &B, const CipherTensor &In,
                         const Tensor &Weights, const Tensor &Bias,
                         const TensorScales &Scales);
 
 /// Dense layer y = Wx + b; Weights: (Out, In) over the flattened logical
-/// CHW input. Output layout is dense: element j at slot j. Dense inputs
-/// dispatch to the BSGS diagonal kernel (matVecBsgs); strided layouts fall
-/// back to the per-output mask + rotation-tree reduction.
+/// CHW input. Output layout is dense: element o at slot o. Dense inputs take
+/// matVecBsgs. Any other layout takes Gazelle's hybrid product generalized
+/// to slot positions: with NP the smallest power of two >= Out, the NP
+/// diagonals place each W[o][j] * x[s_j] in a slot congruent to o mod NP
+/// (O(sqrt(NP)) rotations, the baby steps one hoist batch), and a tree of
+/// log2(vec_size / NP) rotations by NP, 2 NP, ... sums each residue class.
+/// One plaintext multiply deep; slots >= Out hold copies of outputs or
+/// about 0, which the slot contract leaves unspecified.
 CipherTensor fullyConnected(ProgramBuilder &B, const CipherTensor &In,
                             const Tensor &Weights, const Tensor &Bias,
                             const TensorScales &Scales);

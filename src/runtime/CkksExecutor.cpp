@@ -12,13 +12,26 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <optional>
+#include <tuple>
 
 using namespace eva;
 
+static_assert(static_cast<size_t>(OpCode::NormalizeScale) <
+                  std::tuple_size_v<decltype(ExecutionStats::OpNanos)>,
+              "ExecutionStats::OpNanos has a slot per opcode");
+
 namespace {
+
+uint64_t nanosSince(std::chrono::steady_clock::time_point Start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - Start)
+          .count());
+}
 
 /// One runtime value: an owned ciphertext or a view of a plain vector.
 struct Value {
@@ -328,7 +341,9 @@ void CkksExecutor::computeNode(const Node *N, RunState &S) const {
 }
 
 void CkksExecutor::step(const Node *N, RunState &S) const {
+  auto Start = std::chrono::steady_clock::now();
   computeNode(N, S);
+  chargeOpNanos(static_cast<size_t>(N->op()), nanosSince(Start));
   const std::optional<Ciphertext> &Ct = S.Values[N->id()].Ct;
   if (Ct) {
     size_t Bytes = Ct->memoryBytes();
@@ -340,7 +355,9 @@ void CkksExecutor::step(const Node *N, RunState &S) const {
   // and a kernel wavefront ends only after all of its steps, so every
   // member finds the digits written.
   if (HoistBatch *B = S.BatchOfSource[N->id()]) {
+    auto DecomposeStart = std::chrono::steady_clock::now();
     B->Digits = Eval.decomposeForRotation(*Ct);
+    charge(&ExecutionStats::HoistDecomposeNanos, nanosSince(DecomposeStart));
     size_t Bytes = B->Digits.bytes();
     raiseToAtLeast(S.PeakBytes, S.LiveBytes.fetch_add(Bytes) + Bytes);
   }

@@ -21,6 +21,7 @@
 #include "eva/ckks/KeyGenerator.h"
 #include "eva/frontend/Expr.h"
 #include "eva/runtime/CkksExecutor.h"
+#include "eva/tensor/Kernels.h"
 
 #include <gtest/gtest.h>
 
@@ -175,6 +176,51 @@ TEST(FrontendMisuseDeathTest, MixingBuildersIsDiagnosed) {
   Expr X = B1.inputCipher("x", 30);
   Expr Y = B2.inputCipher("y", 30);
   EXPECT_DEATH(X + Y, "different ProgramBuilders");
+}
+
+TEST(FrontendMisuseDeathTest, KernelShapeMismatchesAreDiagnosed) {
+  // Tensor kernels check their shapes in every build mode: a Release build
+  // would otherwise write masks past vec_size or read past the weights.
+  ProgramBuilder B("kernels", 64);
+  TensorScales S;
+  CipherTensor Img{B.inputCipher("image", S.Cipher),
+                   CipherLayout::forImage(2, 4, 4)}; // 32 slots, dense
+  CipherTensor Strided = Img;
+  Strided.Layout.H = Strided.Layout.W = 2;
+  Strided.Layout.StrideY = Strided.Layout.StrideX = 2; // 8 inputs
+  EXPECT_DEATH(conv2d(B, Img, Tensor({1, 3, 3, 3}), Tensor(), 1, true, S),
+               "conv2d: input has 2 channels but the weights expect 3");
+  EXPECT_DEATH(conv2d(B, Img, Tensor({5, 2, 3, 3}), Tensor(), 1, true, S),
+               "conv2d: output spans 80 slots, past vec_size 64");
+  EXPECT_DEATH(fullyConnected(B, Strided, Tensor({3, 9}), Tensor(), S),
+               "fullyConnected: weights expect 9 inputs but the input "
+               "tensor has 8");
+  EXPECT_DEATH(fullyConnected(B, Strided, Tensor({65, 8}), Tensor(), S),
+               "fullyConnected: 65 outputs exceed vec_size 64");
+  EXPECT_DEATH(fullyConnected(B, Img, Tensor({3, 31}), Tensor(), S),
+               "matVecBsgs: weights expect 31 inputs");
+  EXPECT_DEATH(matVecBsgs(B, Strided, Tensor({3, 8}), Tensor(), S),
+               "matVecBsgs: needs a dense input layout");
+  EXPECT_DEATH(concatChannels(B, Img, Strided, S),
+               "concatChannels: layouts differ beyond channels");
+  // The shapes around those: weight rank, bias length, a valid kernel
+  // larger than its input, an input past vec_size, all-zero weights.
+  EXPECT_DEATH(conv2d(B, Img, Tensor({2, 2, 3}), Tensor(), 1, true, S),
+               "conv2d: weights have 3 dims");
+  EXPECT_DEATH(fullyConnected(B, Strided, Tensor({8}), Tensor(), S),
+               "fullyConnected: weights have 1 dims");
+  EXPECT_DEATH(conv2d(B, Img, Tensor({1, 2, 3, 3}), Tensor({2}), 1, true, S),
+               "conv2d: bias has 2 entries for 1 channels");
+  EXPECT_DEATH(fullyConnected(B, Strided, Tensor({3, 8}), Tensor({4}), S),
+               "fullyConnected: bias has 4 entries for 3 outputs");
+  EXPECT_DEATH(conv2d(B, Img, Tensor({1, 2, 5, 5}), Tensor(), 1, false, S),
+               "conv2d: a 5x5 valid convolution over a 2x4x4");
+  CipherTensor Wide = Img;
+  Wide.Layout.C = 5; // 80 slots
+  EXPECT_DEATH(conv2d(B, Wide, Tensor({1, 5, 1, 1}), Tensor(), 1, true, S),
+               "conv2d: input layout spans 80 slots, past vec_size 64");
+  EXPECT_DEATH(fullyConnected(B, Strided, Tensor({3, 8}), Tensor(), S),
+               "fullyConnected: all weights are zero");
 }
 
 TEST(RuntimeGuardDeathTest, CompiledProgramsNeverTripTheGuards) {

@@ -252,8 +252,8 @@ TEST(Cse, PreservesSemanticsOnRandomPrograms) {
 }
 
 TEST(Cse, ShrinksTensorPrograms) {
-  // The FC kernel's selection masks repeat structure; CSE must only ever
-  // shrink a program, never grow it, and the result must still compile.
+  // The tensor kernels' masks and rotations repeat structure; CSE must only
+  // ever shrink a program, never grow it, and the result must still compile.
   NetworkDefinition N = makeLeNet5Small(5);
   TensorScales S;
   std::unique_ptr<Program> P = N.buildProgram(S);

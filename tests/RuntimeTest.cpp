@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <set>
 
 using namespace eva;
 
@@ -278,6 +280,53 @@ TEST(EndToEnd, AllExecutorsProduceIdenticalOutputsOnMultiKernelProgram) {
     EXPECT_LE(E->stats().PeakLiveNodes, E->stats().TotalNodeCount);
     EXPECT_GT(E->stats().PeakLiveBytes, 0u);
   }
+}
+
+TEST(EndToEnd, LedgerTimesEveryExecutedOpcode) {
+  // The ledger's wall time per opcode, on a serial run of a program whose
+  // three rotations of x form one hoist batch: every opcode the program
+  // holds reads a positive time, every other opcode reads zero, and the
+  // times plus the batch's decomposition sum to at most the run's wall time.
+  ProgramBuilder B("timed", 64);
+  Expr X = B.inputCipher("x", 30);
+  Expr Acc = X * B.constant(0.5, 20);
+  for (int I = 1; I < 4; ++I)
+    Acc = Acc + (X << I) * B.constant(0.25 * I, 20);
+  B.output("out", Acc * Acc, 30);
+  Expected<CompiledProgram> CP = compile(B.program(), CompilerOptions::eva());
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  ASSERT_EQ(CP->RotPlan.Groups.size(), 1u);
+  Expected<std::shared_ptr<CkksWorkspace>> WS =
+      CkksWorkspace::createClient(*CP, 17);
+  ASSERT_TRUE(WS.ok()) << WS.message();
+  Expected<SealedRequest> Sealed =
+      sealInputs(*WS.value(), ProgramSignature::of(*CP),
+                 Valuation::fromMap(randomInputs(B.program(), 5)));
+  ASSERT_TRUE(Sealed.ok()) << Sealed.message();
+
+  CkksExecutor Serial(*CP, WS.value(), {.Style = LocalStyle::Serial});
+  auto Start = std::chrono::steady_clock::now();
+  Serial.run(Sealed->Inputs);
+  uint64_t WallNanos = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - Start)
+          .count());
+
+  std::set<OpCode> Present;
+  for (const Node *N : CP->Prog->forwardOrder())
+    Present.insert(N->op());
+  ASSERT_TRUE(Present.count(OpCode::RotateLeft));
+  const ExecutionStats &St = Serial.stats();
+  uint64_t Sum = St.HoistDecomposeNanos;
+  for (size_t Op = 0; Op < St.OpNanos.size(); ++Op) {
+    Sum += St.OpNanos[Op];
+    if (Present.count(static_cast<OpCode>(Op)))
+      EXPECT_GT(St.OpNanos[Op], 0u) << opName(static_cast<OpCode>(Op));
+    else
+      EXPECT_EQ(St.OpNanos[Op], 0u) << "slot " << Op;
+  }
+  EXPECT_GT(St.HoistDecomposeNanos, 0u);
+  EXPECT_LE(Sum, WallNanos);
 }
 
 TEST(EndToEnd, MemoryReuseBoundsLiveCiphertexts) {

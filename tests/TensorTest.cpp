@@ -150,6 +150,122 @@ TEST(FcKernel, HandlesStridedInputLayout) {
     EXPECT_NEAR(Got.at3(O, 0, 0), Want3.at(O), 1e-9);
 }
 
+/// A dense layer over a hand-built strided layout: the hybrid diagonal
+/// kernel's edge cases.
+struct HybridFcCase {
+  const char *Name;
+  CipherLayout Layout;
+  size_t NOut, M;
+  bool Bias;
+  /// Input column whose weights are all zero, or -1.
+  int ZeroColumn;
+};
+
+CipherLayout stridedLayout(size_t C, size_t H, size_t W, size_t GridH,
+                           size_t GridW, size_t Stride) {
+  CipherLayout L;
+  L.C = C;
+  L.H = H;
+  L.W = W;
+  L.GridH = GridH;
+  L.GridW = GridW;
+  L.StrideY = L.StrideX = Stride;
+  return L;
+}
+
+class HybridFcKernel : public ::testing::TestWithParam<HybridFcCase> {};
+
+TEST_P(HybridFcKernel, MatchesPlainReference) {
+  const HybridFcCase &C = GetParam();
+  const CipherLayout &L = C.Layout;
+  ASSERT_FALSE(L.dense());
+  ASSERT_LE(L.slotExtent(), C.M);
+  size_t NIn = L.logicalSize();
+  RandomSource Rng(C.NOut * 1000 + NIn);
+  Tensor Image = Tensor::random({L.C, L.H, L.W}, Rng);
+  Tensor W = Tensor::random({C.NOut, NIn}, Rng, 0.5);
+  if (C.ZeroColumn >= 0)
+    for (size_t O = 0; O < C.NOut; ++O)
+      W.at2(O, static_cast<size_t>(C.ZeroColumn)) = 0.0;
+  Tensor Bias = C.Bias ? Tensor::random({C.NOut}, Rng, 0.1) : Tensor();
+
+  ProgramBuilder B("hybrid_fc", C.M);
+  TensorScales S;
+  CipherTensor In{B.inputCipher("image", S.Cipher), L};
+  CipherTensor Out = fullyConnected(B, In, W, Bias, S);
+  EXPECT_TRUE(Out.Layout.dense());
+  EXPECT_EQ(Out.Layout.C, C.NOut);
+
+  // The kernel's shape: BS - 1 baby steps, NP / BS - 1 giant steps and a
+  // class tree of log2(M / NP) steps; a skipped diagonal saves its
+  // multiply.
+  size_t NP = 1, BS = 1;
+  while (NP < C.NOut)
+    NP <<= 1;
+  while (BS * BS < NP)
+    BS <<= 1;
+  size_t Rotations = 0, Multiplies = 0;
+  for (const Node *N : B.program().forwardOrder()) {
+    Rotations += N->op() == OpCode::RotateLeft;
+    Multiplies += N->op() == OpCode::Multiply;
+  }
+  size_t TreeSteps = 0;
+  for (size_t Step = NP; Step < C.M; Step <<= 1)
+    ++TreeSteps;
+  if (C.ZeroColumn >= 0) {
+    EXPECT_LT(Multiplies, NP);
+  } else {
+    EXPECT_EQ(Multiplies, NP);
+    EXPECT_EQ(Rotations, (BS - 1) + (NP / BS - 1) + TreeSteps);
+  }
+
+  // Slots outside the layout hold junk: the kernel must read only the
+  // layout's slots.
+  std::vector<double> Slots(C.M);
+  for (double &V : Slots)
+    V = Rng.uniformReal(-4, 4);
+  for (size_t Ch = 0; Ch < L.C; ++Ch)
+    for (size_t Y = 0; Y < L.H; ++Y)
+      for (size_t X = 0; X < L.W; ++X)
+        Slots[L.slotOf(Ch, Y, X)] = Image.at3(Ch, Y, X);
+  B.output("out", Out.Value, 30);
+  std::map<std::string, std::vector<double>> R =
+      *ReferenceExecutor(B.program()).run({{"image", Slots}});
+  Tensor FlatIn({NIn});
+  FlatIn.data() = Image.data();
+  Tensor Want = plain::fullyConnected(FlatIn, W, Bias);
+  for (size_t O = 0; O < C.NOut; ++O)
+    EXPECT_NEAR(R.at("out")[O], Want.at(O), 1e-9) << "output " << O;
+}
+
+std::string hybridFcName(const ::testing::TestParamInfo<HybridFcCase> &I) {
+  return I.param.Name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, HybridFcKernel,
+    ::testing::Values(
+        // NP = 1: one diagonal, the tree sums the whole vector.
+        HybridFcCase{"OneOutput", stridedLayout(2, 3, 3, 6, 6, 2), 1, 128,
+                     false, -1},
+        // NOut not a power of two, NOut > BS, with a bias.
+        HybridFcCase{"FiveOutputsBias", stridedLayout(2, 3, 3, 6, 6, 2), 5,
+                     128, true, -1},
+        HybridFcCase{"TenOutputs", stridedLayout(3, 3, 3, 6, 6, 2), 10, 128,
+                     false, -1},
+        // Channel-strided (padded grid, unit strides): the layout reaches
+        // slot M - 6 of M, and s_j - d wraps below slot 0.
+        HybridFcCase{"ChannelStridedWraps", stridedLayout(4, 3, 3, 4, 4, 1),
+                     10, 64, true, -1},
+        // Inputs at slots 0 and 5, NOut = 3 (NP = 4): diagonal 1 reads only
+        // column 1, which is all zero, so it is skipped.
+        HybridFcCase{"ZeroColumnSkipsADiagonal",
+                     stridedLayout(2, 1, 1, 1, 5, 1), 3, 16, true, 1},
+        // NP = M: the class tree has no steps.
+        HybridFcCase{"OutputsFillTheVector", stridedLayout(1, 2, 2, 4, 4, 2),
+                     12, 16, true, -1}),
+    hybridFcName);
+
 TEST(ConcatKernel, PlacesChannelsDisjointly) {
   RandomSource Rng(15);
   Tensor Image = Tensor::random({2, 4, 4}, Rng);

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <ios>
 #include <map>
@@ -151,9 +152,10 @@ uint64_t hashCompiled(const CompiledProgram &CP, uint64_t State) {
 // pinned: a compile-time optimization must not move a single byte. A change
 // that means to alter compiled output re-pins these and says why.
 TEST_P(ZooCompile, CompiledBytesPinned) {
-  constexpr uint64_t Golden[] = {0xbaa587fb52435bf8ull, 0x767cdc0ee631269bull,
-                                 0x4bed04d33a90bcdaull, 0x1524ab0e419f4d72ull,
-                                 0xf5a53e9bc3de73d0ull};
+  // Re-pinned when strided FC layers moved to the hybrid diagonal kernel.
+  constexpr uint64_t Golden[] = {0x6076b4d99978351bull, 0x1b318b7f606987b8ull,
+                                 0x2381e17cde9a0279ull, 0xb008ca1f17c16c42ull,
+                                 0xdb78f7a009bcd225ull};
   NetworkDefinition Net = makeAllNetworks(2024)[GetParam()];
   SCOPED_TRACE(Net.name());
   TensorScales Scales;
@@ -195,19 +197,20 @@ TEST_P(ZooCompile, GaloisKeyLevelsPinned) {
   }
   EXPECT_LT(Bytes, FullBytes);
   switch (GetParam()) {
-  case 0: // LeNet-5-small: 191 keys, 2,102,919,168 bytes at full level.
+  case 0: // LeNet-5-small: 191 keys over 5 data primes, 1,502,085,120
+          // bytes at full level.
     EXPECT_EQ(StepsAtLevel, (std::map<size_t, size_t>{
-                                {2, 26}, {4, 9}, {5, 107}, {6, 49}}));
-    EXPECT_EQ(FullBytes, 2102919168u);
-    EXPECT_EQ(Bytes, 1469054976u);
+                                {2, 21}, {3, 14}, {4, 107}, {5, 49}}));
+    EXPECT_EQ(FullBytes, 1502085120u);
+    EXPECT_EQ(Bytes, 1023410176u);
     break;
   case 1: // LeNet-5-medium
-    EXPECT_EQ(FullBytes, 5967446016u);
-    EXPECT_EQ(Bytes, 3974627328u);
+    EXPECT_EQ(FullBytes, 4262461440u);
+    EXPECT_EQ(Bytes, 2788163584u);
     break;
   case 2: // LeNet-5-large
-    EXPECT_EQ(FullBytes, 21998075904u);
-    EXPECT_EQ(Bytes, 15913189376u);
+    EXPECT_EQ(FullBytes, 15823011840u);
+    EXPECT_EQ(Bytes, 11059331072u);
     break;
   default:
     break;
@@ -218,6 +221,42 @@ TEST_P(ZooCompile, GaloisKeyLevelsPinned) {
   EXPECT_TRUE(verifyCompiled(Full).ok());
   for (auto [Step, Primes] : Full.galoisKeyPrimes())
     EXPECT_EQ(Primes, DataPrimes) << "step " << Step;
+}
+
+// LeNet-5-small's first dense layer (kernel 4, 32 outputs over a stride-4
+// layout) is one hybrid diagonal product: its seven baby rotations (steps
+// 1-7) rotate the layer's input and form one hoist group, three giant
+// steps and a seven-step class tree follow, and the program's rotation
+// count and Galois-key set stay at or below the per-output path's.
+TEST(ZooCompileShape, LeNet5SmallDenseLayerIsOneHoistedProduct) {
+  std::unique_ptr<Program> P = makeLeNet5Small(2024).buildProgram({});
+  Expected<CompiledProgram> CP = compile(*P, CompilerOptions::eva());
+  ASSERT_TRUE(CP.ok()) << CP.message();
+  size_t Rotations = 0;
+  std::vector<const Node *> Baby;
+  size_t Fc1Rotations = 0;
+  for (const Node *N : CP->Prog->forwardOrder()) {
+    if (N->op() != OpCode::RotateLeft && N->op() != OpCode::RotateRight)
+      continue;
+    ++Rotations;
+    if (N->kernelId() != 4)
+      continue;
+    ++Fc1Rotations;
+    if (normalizedLeftSteps(N, CP->Prog->vecSize()) < 8)
+      Baby.push_back(N);
+  }
+  EXPECT_LE(Rotations, 300u);
+  EXPECT_EQ(Fc1Rotations, 7u + 3u + 7u);
+  ASSERT_EQ(Baby.size(), 7u);
+  auto Group = CP->RotPlan.GroupOf.find(Baby[0]->id());
+  ASSERT_NE(Group, CP->RotPlan.GroupOf.end());
+  const RotationPlan::HoistGroup &G = CP->RotPlan.Groups[Group->second];
+  EXPECT_EQ(G.Members.size(), 7u);
+  for (const Node *N : Baby)
+    EXPECT_NE(std::find(G.Members.begin(), G.Members.end(), N),
+              G.Members.end())
+        << "rotation @" << N->id() << " outside FC1's hoist group";
+  EXPECT_LE(CP->RotationSteps.size(), 191u);
 }
 
 // Kept out of the macro: a lambda body's commas would be split into separate

@@ -287,6 +287,13 @@ private:
 
 /// Prints the run result as a JSON document (full double precision, so two
 /// backends' outputs are byte-comparable).
+/// Nanoseconds as seconds with microsecond resolution.
+std::string formatSeconds(uint64_t Nanos) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof Buf, "%.6f", static_cast<double>(Nanos) * 1e-9);
+  return Buf;
+}
+
 void printRunJson(const std::string &Program, const char *Backend,
                   uint64_t VecSize, const Valuation &Outputs, size_t Show) {
   std::printf("{\n");
@@ -475,6 +482,14 @@ int runCommand(int Argc, char **Argv) {
                  static_cast<unsigned long long>(St->ArenaAcquires),
                  static_cast<unsigned long long>(St->ArenaHeapBytes),
                  simdLevelName(activeSimdLevel()));
+    // Wall-time sums over threads (not counts), for the opcodes that ran.
+    std::string Times;
+    for (size_t Op = 0; Op < St->OpNanos.size(); ++Op)
+      if (St->OpNanos[Op] > 0)
+        Times += std::string(" ") + opName(static_cast<OpCode>(Op)) + "=" +
+                 formatSeconds(St->OpNanos[Op]);
+    Times += " hoist_decompose=" + formatSeconds(St->HoistDecomposeNanos);
+    std::fprintf(stderr, "evac: op_seconds:%s\n", Times.c_str());
   }
   R.reset();
   return 0;
